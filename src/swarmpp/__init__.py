@@ -7,19 +7,14 @@ from .algorithms import (
     SwarmState,
     config_for_label,
     init_state,
+    perturb_project,
     run,
     step,
 )
 from .harness import ExperimentPlan, ResultStore, derive_seed, execute, resume
-from .metrics import (
-    CheckpointMatrix,
-    aggregate_relative_error,
-    relative_error,
-    win_fraction,
-    winning_proportion,
-)
+from .metrics import aggregate_relative_error, pair_figures, relative_error, win_fraction
 from .objectives import batch_evaluator, default_domain, evaluate, list_collection
-from .perturbation import NoiseModel, RolePolicy, explorer_mask, pp_update, sample_noise
+from .perturbation import NoiseModel, sample_noise
 from .search_space import Box, contains, project, sample_uniform
 
 __version__ = "0.1.0"

@@ -1,10 +1,20 @@
 """Swarm kernels: PSO, BAT, CSO and DE, each in base / perturbed (pp) /
-half-perturbed (hpp) variants, with a uniform stepping contract.
+half-perturbed (hpp) variants, sharing one step skeleton.
 
 Every run owns two independent random generators spawned from its seed: one
 for the algorithm's own dynamics and one for the exploration noise.  The base
 variant never touches the noise stream, so a perturbed variant with a
 degenerate noise scale replays the base trajectory bit for bit.
+
+A step (`step`) is the same for every family: the family proposes m raw
+candidate rows from its dynamics; the skeleton clamps them into the box and,
+for pp and hpp, adds noise to the perturbed rows and clamps those again
+(`perturb_project`); it evaluates the rows, the family accepts or rejects
+them, and the skeleton updates the best-so-far memory.
+
+The hpp rule: pp perturbs all m rows, hpp the first floor(m/2).  m is n for
+PSO, BAT and DE, so hpp perturbs agents 0..n/2-1; for CSO the rows are the
+n/2 losers in pair order, so hpp perturbs the losers of pairs 0..n/4-1.
 
 Random draw order inside each step is part of the contract (golden-trace
 tests pin it):
@@ -15,19 +25,25 @@ tests pin it):
   CSO:  pairing permutation (n,), U1, U2, U3 (n/2, d) in pair order from
         dynamics; noise (n/2, d) for non-base.
   DE:   per agent in index order: donor j (rejection), donor k (rejection),
-        forced index, crossover coins (d,) from dynamics; one noise draw (d,)
-        per perturbed agent.
+        forced index, crossover coins (d,) from dynamics; noise (d,) for
+        each perturbed agent only, drawn as one block.
+
+PSO, BAT and CSO draw noise rows for all m candidates under hpp too, and use
+the first floor(m/2).  DE evaluates its trial vectors one (d,) point per
+objective call: numpy's arithmetic on one point and on a block of points can
+differ by an ulp, and one ulp in an accepted value changes DE's trajectory
+(tests/golden_runs.json pins a case that a single batched call breaks).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .perturbation import NoiseModel, RolePolicy, explorer_mask, sample_noise
+from .perturbation import NoiseModel, sample_noise
 from .search_space import Box
 
 FAMILIES = ("PSO", "BAT", "CSO", "DE")
@@ -60,6 +76,8 @@ class AlgorithmConfig:
     f_weight: float = 0.8
     crossover: float = 0.9
     noise: NoiseModel = field(default_factory=NoiseModel)
+    # clamp base-variant candidates; no caller turns it off, but it is part of
+    # every stored config digest
     base_projection: bool = True
 
     def __post_init__(self):
@@ -74,45 +92,9 @@ class AlgorithmConfig:
         if self.family == "DE" and self.n < 4:
             raise ValueError("DE donor sampling needs n >= 4")
 
-    def role_policy(self) -> RolePolicy:
-        if self.variant == "hpp":
-            if self.family == "CSO":
-                return RolePolicy("loser_first_half_pairs")
-            return RolePolicy("first_half")
-        return RolePolicy("all")
-
-    def agent_mask(self) -> np.ndarray | None:
-        """Per-agent perturbation mask, or None for the base variant."""
-        if self.variant == "base":
-            return None
-        if self.family == "CSO":
-            return None  # resolved per pairing inside cso_step
-        if self.variant == "pp":
-            mask = np.ones(self.n, dtype=bool)
-        else:
-            mask = explorer_mask(RolePolicy("first_half"), self.n)
-        return mask
-
     def digest(self) -> str:
-        payload = {
-            "family": self.family,
-            "variant": self.variant,
-            "n": self.n,
-            "w": self.w,
-            "c1": self.c1,
-            "c2": self.c2,
-            "q_min": self.q_min,
-            "q_max": self.q_max,
-            "pulse_rate": self.pulse_rate,
-            "loudness": self.loudness,
-            "local_step_sigma": self.local_step_sigma,
-            "bat_sign": self.bat_sign,
-            "phi": self.phi,
-            "f_weight": self.f_weight,
-            "crossover": self.crossover,
-            "noise": self.noise.to_dict(),
-            "base_projection": self.base_projection,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["noise"] = self.noise.to_dict()
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -209,7 +191,26 @@ def _clip(X, box: Box) -> np.ndarray:
     return np.clip(X, box.lower, box.upper)
 
 
-def pso_step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, rng_noise) -> SwarmState:
+def perturb_project(Y, box: Box, noise: NoiseModel, rng_noise, k: int, rows: int) -> np.ndarray:
+    """Clamp the candidate rows Y into the box, add noise to the first k rows
+    and clamp those again; the other rows are only clamped.
+
+    rows >= k noise rows are drawn in one block and the first k used, so the
+    noise stream advances by the count each family has always drawn.  The
+    output is always inside the box, whatever the noise magnitude.
+    """
+    X = _clip(Y, box)
+    w = sample_noise(noise, box.dim, rng_noise, size=rows)
+    X[:k] = _clip(X[:k] + w[:k], box)
+    return X
+
+
+# Each family supplies propose(state, config, rng) -> (Y, ctx), its dynamics
+# draws giving the raw candidate rows, and accept(state, config, X, f, ctx,
+# rng), which writes the evaluated rows X with values f back into the swarm.
+
+
+def _pso_propose(state: SwarmState, config: AlgorithmConfig, rng):
     n, d = state.X.shape
     U1 = rng.random((n, d))
     U2 = rng.random((n, d))
@@ -218,132 +219,70 @@ def pso_step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, 
         + config.c1 * U1 * (state.pbest_X - state.X)
         + config.c2 * U2 * (state.gbest_x - state.X)
     )
-    raw = state.X + state.V
-    inner = _clip(raw, box) if (config.base_projection or config.variant != "base") else raw
-    if config.variant == "base":
-        X_new = inner
-    else:
-        mask = config.agent_mask()
-        w = sample_noise(config.noise, d, rng_noise, size=n)
-        X_new = np.where(mask[:, None], _clip(inner + w, box), inner)
-    f_new = np.asarray(fbatch(X_new), dtype=float)
-    if not np.all(np.isfinite(f_new)):
-        raise RunFailure("non-finite objective value in pso_step")
-    state.X = X_new
-    state.fvals = f_new
-    state.n_evals += n
+    return state.X + state.V, None
 
-    improved = f_new < state.pbest_f
-    state.pbest_X = np.where(improved[:, None], X_new, state.pbest_X)
-    state.pbest_f = np.where(improved, f_new, state.pbest_f)
+
+def _pso_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, rng):
+    state.X = X
+    state.fvals = f
+    improved = f < state.pbest_f
+    state.pbest_X = np.where(improved[:, None], X, state.pbest_X)
+    state.pbest_f = np.where(improved, f, state.pbest_f)
     j = int(np.argmin(state.pbest_f))
     # condition H: strict improvement of the best personal-best value
     if state.pbest_f[j] < state.gbest_f:
         state.gbest_x = state.pbest_X[j].copy()
         state.gbest_f = float(state.pbest_f[j])
-    if state.gbest_f < state.best_f:
-        state.best_f = state.gbest_f
-        state.best_x = state.gbest_x.copy()
-    state.iteration += 1
-    return state
 
 
-def bat_step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, rng_noise) -> SwarmState:
+def _bat_propose(state: SwarmState, config: AlgorithmConfig, rng):
     n, d = state.X.shape
     freq = rng.uniform(config.q_min, config.q_max, size=n)
     state.V = state.V + config.bat_sign * freq[:, None] * (state.X - state.gbest_x)
     pulse = rng.random(n)
     eps = rng.normal(0.0, config.local_step_sigma, size=(n, d))
-    cand = np.where(
-        (pulse < config.pulse_rate)[:, None],
-        state.X + state.V,
-        state.gbest_x + eps,
-    )
-    if config.variant == "base":
-        y = _clip(cand, box) if config.base_projection else cand
-    else:
-        # PP applied to the step-2 candidate; the loudness revert below
-        # postdates the perturbation.
-        mask = config.agent_mask()
-        w = sample_noise(config.noise, d, rng_noise, size=n)
-        inner = _clip(cand, box)
-        y = np.where(mask[:, None], _clip(inner + w, box), inner)
-    f_y = np.asarray(fbatch(y), dtype=float)
-    if not np.all(np.isfinite(f_y)):
-        raise RunFailure("non-finite objective value in bat_step")
-    state.n_evals += n
+    cand = np.where((pulse < config.pulse_rate)[:, None], state.X + state.V, state.gbest_x + eps)
+    return cand, None
 
-    loud = rng.random(n)
+
+def _bat_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, rng):
+    # the loudness revert postdates the perturbation
+    loud = rng.random(len(X))
     # positions are kept inside the box every step, so chi(x_i(t)) = x_i(t)
     # and its value is the cached one
-    revert = (loud < config.loudness) | (state.fvals < f_y)
-    X_new = np.where(revert[:, None], state.X, y)
-    f_new = np.where(revert, state.fvals, f_y)
-
-    state.X = X_new
-    state.fvals = f_new
-    j = int(np.argmin(f_new))
-    # printed step 4: x* tracks the current argmin (not monotone by itself)
-    state.gbest_x = X_new[j].copy()
-    state.gbest_f = float(f_new[j])
-    if state.gbest_f < state.best_f:
-        state.best_f = state.gbest_f
-        state.best_x = state.gbest_x.copy()
-    state.iteration += 1
-    return state
+    revert = (loud < config.loudness) | (state.fvals < f)
+    state.X = np.where(revert[:, None], state.X, X)
+    state.fvals = np.where(revert, state.fvals, f)
 
 
-def cso_step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, rng_noise) -> SwarmState:
+def _cso_propose(state: SwarmState, config: AlgorithmConfig, rng):
     n, d = state.X.shape
     perm = rng.permutation(n)
     first, second = perm[0::2], perm[1::2]
-    npairs = n // 2
     first_wins = state.fvals[first] < state.fvals[second]
     winners = np.where(first_wins, first, second)
     losers = np.where(first_wins, second, first)
-
-    U1 = rng.random((npairs, d))
-    U2 = rng.random((npairs, d))
-    U3 = rng.random((npairs, d))
+    U1 = rng.random((n // 2, d))
+    U2 = rng.random((n // 2, d))
+    U3 = rng.random((n // 2, d))
     Vl = U1 * state.V[losers] + U2 * (state.X[winners] - state.X[losers])
     if config.phi != 0.0:
         xbar = state.X.mean(axis=0)
         Vl = Vl + config.phi * U3 * (xbar - state.X[losers])
-    raw = state.X[losers] + Vl
-    inner = _clip(raw, box) if (config.base_projection or config.variant != "base") else raw
-    if config.variant == "base":
-        Xl = inner
-    else:
-        w = sample_noise(config.noise, d, rng_noise, size=npairs)
-        if config.variant == "pp":
-            pair_mask = np.ones(npairs, dtype=bool)
-        else:
-            pair_mask = np.zeros(npairs, dtype=bool)
-            pair_mask[: n // 4] = True  # losers in the first half of pairs
-        Xl = np.where(pair_mask[:, None], _clip(inner + w, box), inner)
-    f_l = np.asarray(fbatch(Xl), dtype=float)
-    if not np.all(np.isfinite(f_l)):
-        raise RunFailure("non-finite objective value in cso_step")
-    state.n_evals += npairs
+    return state.X[losers] + Vl, (losers, Vl)
 
-    state.X[losers] = Xl
+
+def _cso_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, rng):
+    losers, Vl = ctx
+    state.X[losers] = X
     state.V[losers] = Vl
-    state.fvals[losers] = f_l
-    j = int(np.argmin(state.fvals))
-    state.gbest_x = state.X[j].copy()
-    state.gbest_f = float(state.fvals[j])
-    if state.gbest_f < state.best_f:
-        state.best_f = state.gbest_f
-        state.best_x = state.gbest_x.copy()
-    state.iteration += 1
-    return state
+    state.fvals[losers] = f
 
 
-def de_step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, rng_noise) -> SwarmState:
+def _de_propose(state: SwarmState, config: AlgorithmConfig, rng):
     n, d = state.X.shape
-    Xold = state.X.copy()
-    fold = state.fvals.copy()
-    mask = config.agent_mask()
+    X = state.X
+    Y = np.empty_like(X)
     for i in range(n):
         j = int(rng.integers(n))
         while j == i:
@@ -351,39 +290,57 @@ def de_step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, r
         k = int(rng.integers(n))
         while k == i or k == j:
             k = int(rng.integers(n))
-        y = Xold[i] + config.f_weight * (Xold[j] - Xold[k])
+        y = X[i] + config.f_weight * (X[j] - X[k])
         forced = int(rng.integers(d))
         coins = rng.random(d)
         keep = coins < config.crossover
         keep[forced] = True
-        y = np.where(keep, y, Xold[i])
-        if mask is not None and mask[i]:
-            w = sample_noise(config.noise, d, rng_noise)
-            cand = _clip(_clip(y, box) + w, box)
-        else:
-            cand = _clip(y, box) if config.base_projection else y
-        f_cand = float(fbatch(cand))
-        if not np.isfinite(f_cand):
-            raise RunFailure("non-finite objective value in de_step")
-        state.n_evals += 1
-        if f_cand < fold[i]:
-            state.X[i] = cand
-            state.fvals[i] = f_cand
-    j = int(np.argmin(state.fvals))
-    state.gbest_x = state.X[j].copy()
-    state.gbest_f = float(state.fvals[j])
+        Y[i] = np.where(keep, y, X[i])
+    return Y, None
+
+
+def _de_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, rng):
+    # greedy selection against the values at the start of the step
+    better = f < state.fvals
+    state.X = np.where(better[:, None], X, state.X)
+    state.fvals = np.where(better, f, state.fvals)
+
+
+_KERNELS = {
+    "PSO": (_pso_propose, _pso_accept),
+    "BAT": (_bat_propose, _bat_accept),
+    "CSO": (_cso_propose, _cso_accept),
+    "DE": (_de_propose, _de_accept),
+}
+
+
+def step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, rng_noise) -> SwarmState:
+    """One iteration: propose, perturb-project, evaluate, accept, track the best."""
+    propose, accept = _KERNELS[config.family]
+    Y, ctx = propose(state, config, rng)
+    per_point = config.family == "DE"
+    if config.variant == "base":
+        X = _clip(Y, box) if config.base_projection else Y
+    else:
+        k = len(Y) if config.variant == "pp" else len(Y) // 2
+        X = perturb_project(Y, box, config.noise, rng_noise, k, rows=k if per_point else len(Y))
+    if per_point:
+        f = np.array([float(fbatch(x)) for x in X])
+    else:
+        f = np.asarray(fbatch(X), dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise RunFailure(f"non-finite objective value in a {config.family} step")
+    state.n_evals += len(X)
+    accept(state, config, X, f, ctx, rng)
+    if config.family != "PSO":  # PSO's accept moves its memory under condition H
+        j = int(np.argmin(state.fvals))
+        state.gbest_x = state.X[j].copy()
+        state.gbest_f = float(state.fvals[j])
     if state.gbest_f < state.best_f:
         state.best_f = state.gbest_f
         state.best_x = state.gbest_x.copy()
     state.iteration += 1
     return state
-
-
-_STEPPERS = {"PSO": pso_step, "BAT": bat_step, "CSO": cso_step, "DE": de_step}
-
-
-def step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, rng_noise) -> SwarmState:
-    return _STEPPERS[config.family](state, config, box, fbatch, rng, rng_noise)
 
 
 def _check_invariants(state: SwarmState, box: Box, prev_best: float, record: RunRecord):

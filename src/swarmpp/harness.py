@@ -13,15 +13,14 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
-import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import algorithms, metrics, objectives
-from .algorithms import ALGORITHM_LABELS, RunFailure, config_for_label
+from .algorithms import RunFailure, config_for_label
 from .perturbation import NoiseModel
 
 DEFAULT_CHECKPOINTS = (50, 100, 200, 400, 1000, 3000, 10000)
@@ -52,8 +51,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         for label in self.algorithms:
-            if label not in ALGORITHM_LABELS:
-                raise ValueError(f"unknown algorithm label {label!r}")
+            config_for_label(label, n=self.n, noise=self.noise)  # rejects bad labels and swarm sizes
         for a, b in self.pairs:
             if a not in self.algorithms or b not in self.algorithms:
                 raise ValueError(f"pair ({a}, {b}) references an algorithm not in the plan")
@@ -85,22 +83,19 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
-        kwargs = {}
-        for key in ("name", "runs", "max_iter", "master_seed", "n", "parallelism"):
-            if key in d:
-                kwargs[key] = d[key]
-        if "algorithms" in d:
-            kwargs["algorithms"] = tuple(d["algorithms"])
-        if "pairs" in d:
-            kwargs["pairs"] = tuple(tuple(p) for p in d["pairs"])
-        if "dimensions" in d:
-            kwargs["dimensions"] = tuple(d["dimensions"])
-        if d.get("functions") is not None:
-            kwargs["functions"] = tuple(d["functions"])
-        if "checkpoints" in d:
-            kwargs["checkpoints"] = tuple(d["checkpoints"])
-        if "noise" in d:
-            kwargs["noise"] = NoiseModel.from_dict(d["noise"])
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown plan key(s): {', '.join(unknown)}")
+        kwargs = dict(d)
+        for key in ("algorithms", "dimensions", "checkpoints"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
+        if "pairs" in kwargs:
+            kwargs["pairs"] = tuple(tuple(p) for p in kwargs["pairs"])
+        if kwargs.get("functions") is not None:
+            kwargs["functions"] = tuple(kwargs["functions"])
+        if "noise" in kwargs:
+            kwargs["noise"] = NoiseModel.from_dict(kwargs["noise"])
         return cls(**kwargs)
 
     @classmethod
@@ -134,8 +129,7 @@ class ExperimentPlan:
 
 
 def _run_cell(args) -> tuple[tuple, dict]:
-    alg, label, d, r, plan_dict = args
-    plan = ExperimentPlan.from_dict(plan_dict)
+    alg, label, d, r, plan = args
     spec = objectives.get(label)
     box = objectives.default_domain(spec, d)
     fbatch = objectives.batch_evaluator(spec, d)
@@ -229,7 +223,8 @@ def compute_metric_rows(plan: ExperimentPlan, records: dict[tuple, dict]) -> lis
     """Long-format metric rows for every pair, function, dimension, checkpoint.
 
     Per-function rows carry the win fraction and both relative errors;
-    function "ALL" rows carry the dimension-level aggregates.
+    function "ALL" rows carry the dimension-level aggregates
+    (metrics.pair_figures).
     """
     rows = []
     members = plan.collection()
@@ -237,37 +232,21 @@ def compute_metric_rows(plan: ExperimentPlan, records: dict[tuple, dict]) -> lis
         pair = f"{a}:{b}"
         for d in plan.dimensions:
             labels = [spec.label for spec, dd in members if dd == d]
-            if not labels:
-                continue
             for t in plan.checkpoints:
-                win_total, count_total, ties_total = 0.0, 0, 0
-                re_a_list, re_b_list = [], []
-                for label in labels:
-                    av, bv = _valid_pair_values(records, plan, a, b, label, d, t)
-                    if av.size == 0:
-                        continue
-                    frac, ties = metrics.win_fraction(av, bv)
-                    re_a, re_b = metrics.relative_error(av, bv)
-                    rows.append((plan.name, pair, label, d, t, "winning_proportion", repr(frac), ties))
-                    rows.append((plan.name, pair, label, d, t, "relative_error_orig", repr(re_a), ties))
-                    rows.append((plan.name, pair, label, d, t, "relative_error_mod", repr(re_b), ties))
-                    win_total += frac * av.size
-                    count_total += av.size
-                    ties_total += ties
-                    re_a_list.append(re_a)
-                    re_b_list.append(re_b)
-                if count_total:
-                    p = win_total / count_total
-                    rows.append((plan.name, pair, "ALL", d, t, "winning_proportion", repr(p), ties_total))
-                    rows.append((plan.name, pair, "ALL", d, t, "relative_error_orig",
-                                 repr(metrics.aggregate_relative_error(re_a_list)), ties_total))
-                    rows.append((plan.name, pair, "ALL", d, t, "relative_error_mod",
-                                 repr(metrics.aggregate_relative_error(re_b_list)), ties_total))
+                runs = [(label, *_valid_pair_values(records, plan, a, b, label, d, t)) for label in labels]
+                figures = metrics.pair_figures([run for run in runs if run[1].size])
+                for function, win, ties, re_a, re_b in figures:
+                    for metric, value in (
+                        ("winning_proportion", win),
+                        ("relative_error_orig", re_a),
+                        ("relative_error_mod", re_b),
+                    ):
+                        rows.append((plan.name, pair, function, d, t, metric, repr(value), ties))
     return rows
 
 
 def _execute_cells(plan: ExperimentPlan, cells) -> dict[tuple, dict]:
-    jobs = [(alg, label, d, r, plan.to_dict()) for alg, label, d, r in cells]
+    jobs = [(alg, label, d, r, plan) for alg, label, d, r in cells]
     records: dict[tuple, dict] = {}
     if plan.parallelism <= 1 or len(jobs) < 2:
         for job in jobs:
@@ -280,7 +259,7 @@ def _execute_cells(plan: ExperimentPlan, cells) -> dict[tuple, dict]:
     return records
 
 
-def execute(plan: ExperimentPlan, outdir, progress=None) -> list[tuple]:
+def execute(plan: ExperimentPlan, outdir) -> list[tuple]:
     """Run the full plan, persist everything, return the metric rows."""
     store = ResultStore(outdir)
     store.write_manifest(plan)

@@ -13,28 +13,7 @@ scale- and shift-free score in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class CheckpointMatrix:
-    """Best-so-far values for one (algorithm, function): runs x checkpoints."""
-
-    algorithm: str
-    function: str
-    checkpoints: tuple[int, ...]
-    values: np.ndarray  # (R, K)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != len(self.checkpoints):
-            raise ValueError("values must be (runs, len(checkpoints))")
-        object.__setattr__(self, "values", vals)
-
-    def at(self, t: int) -> np.ndarray:
-        return self.values[:, self.checkpoints.index(t)]
 
 
 def win_fraction(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
@@ -50,25 +29,6 @@ def win_fraction(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
     ties = int(np.sum(a == b))
     wins = float(np.sum(b < a)) + 0.5 * ties
     return wins / a.size, ties
-
-
-def winning_proportion(A: list[CheckpointMatrix], B: list[CheckpointMatrix], t: int) -> float:
-    """P(B beats A at checkpoint t), averaged over runs and functions."""
-    if len(A) != len(B) or not A:
-        raise ValueError("need matching non-empty collections")
-    a_by_f = {m.function: m for m in A}
-    b_by_f = {m.function: m for m in B}
-    if set(a_by_f) != set(b_by_f):
-        raise ValueError("function sets differ between algorithms")
-    total, count = 0.0, 0
-    for f, ma in a_by_f.items():
-        a, b = ma.at(t), b_by_f[f].at(t)
-        if a.shape != b.shape:
-            raise ValueError(f"run counts differ for function {f}")
-        frac, _ = win_fraction(a, b)
-        total += frac * a.size
-        count += a.size
-    return total / count
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -95,3 +55,28 @@ def aggregate_relative_error(per_function: list[float]) -> float:
     if not per_function:
         raise ValueError("need at least one function")
     return float(np.mean(per_function))
+
+
+def pair_figures(runs) -> list[tuple[str, float, int, float, float]]:
+    """Comparison figures of B against A at one checkpoint.
+
+    runs is a sequence of (function, a, b): matched run vectors of A and B.
+    Returns one (function, win, ties, RE_a, RE_b) row per function, in the
+    given order, followed by the pooled row ("ALL", ...): the run-weighted
+    winning proportion, the tie total and the mean relative errors.  Empty
+    when runs is.
+    """
+    rows = []
+    wins, count, ties_total = 0.0, 0, 0
+    for function, a, b in runs:
+        frac, ties = win_fraction(a, b)
+        re_a, re_b = relative_error(a, b)
+        rows.append((function, frac, ties, re_a, re_b))
+        wins += frac * len(a)
+        count += len(a)
+        ties_total += ties
+    if not rows:
+        return rows
+    re_a = aggregate_relative_error([row[3] for row in rows])
+    re_b = aggregate_relative_error([row[4] for row in rows])
+    return rows + [("ALL", wins / count, ties_total, re_a, re_b)]

@@ -1,5 +1,5 @@
-"""Exploration noise: the projection-perturbation-projection composite update
-and explorer-role masks for the heterogeneous variant.
+"""Exploration noise models and their draws.  The step skeleton applies the
+noise (algorithms.perturb_project).
 
 Two noise families are supported: Gaussian with per-coordinate standard
 deviation sigma, and a scaled Student-t whose scale 0.01*sqrt((df-2)/df) pins
@@ -12,10 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .search_space import Box, project
-
 NOISE_KINDS = ("gaussian", "scaled_t")
-ROLE_KINDS = ("all", "first_half", "loser_first_half_pairs")
 
 
 @dataclass(frozen=True)
@@ -41,18 +38,10 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
-        if d.get("kind") == "scaled_t":
-            return cls(kind="scaled_t", df=int(d["df"]))
-        return cls(kind="gaussian", sigma=float(d.get("sigma", 0.005)))
-
-
-@dataclass(frozen=True)
-class RolePolicy:
-    kind: str = "all"
-
-    def __post_init__(self):
-        if self.kind not in ROLE_KINDS:
-            raise ValueError(f"role policy must be one of {ROLE_KINDS}")
+        kind = d.get("kind", "gaussian")
+        if kind == "scaled_t":
+            return cls(kind=kind, df=int(d["df"]))
+        return cls(kind=kind, sigma=float(d.get("sigma", 0.005)))
 
 
 def sample_noise(model: NoiseModel, d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -64,34 +53,3 @@ def sample_noise(model: NoiseModel, d: int, rng: np.random.Generator, size: int 
         return rng.normal(0.0, model.sigma, size=shape)
     scale = 0.01 * np.sqrt((model.df - 2) / model.df)
     return scale * rng.standard_t(model.df, size=shape)
-
-
-def pp_update(candidate, box: Box, model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """Clamp the raw update into the box, add one noise draw, clamp again.
-
-    The output is always inside the box, whatever the noise magnitude.
-    """
-    candidate = np.asarray(candidate, dtype=float)
-    inner = project(candidate, box)
-    size = None if candidate.ndim == 1 else candidate.shape[0]
-    w = sample_noise(model, box.dim, rng, size=size)
-    return project(inner + w, box)
-
-
-def explorer_mask(policy: RolePolicy, n: int) -> np.ndarray:
-    """Boolean per-agent mask of which agents receive perturbation.
-
-    first_half marks agents 0..floor(n/2)-1; roles are fixed by index,
-    not resampled per iteration.
-    """
-    if n < 2:
-        raise ValueError("need at least two agents")
-    mask = np.zeros(n, dtype=bool)
-    if policy.kind == "all":
-        mask[:] = True
-    elif policy.kind == "first_half":
-        mask[: n // 2] = True
-    else:
-        # pairwise policy for CSO; per-agent mask is meaningless there
-        raise ValueError("loser_first_half_pairs is resolved per pairing, not per agent")
-    return mask

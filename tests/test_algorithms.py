@@ -1,6 +1,11 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from swarmpp import objectives
 from swarmpp.algorithms import (
     ALGORITHM_LABELS,
     AlgorithmConfig,
@@ -166,6 +171,35 @@ def test_de_greedy_never_worsens():
     f_before = st.fvals.copy()
     step(st, cfg, BOX, sphere, rng, np.random.default_rng(0))
     assert np.all(st.fvals <= f_before)
+
+
+def _evaluated_rows(cfg, box, seed=71):
+    """The candidate rows the first step hands to the objective."""
+    seen = []
+
+    def recording(X):
+        seen.append(np.atleast_2d(X).copy())
+        return sphere(X)
+
+    rng = np.random.default_rng(seed)
+    st = init_state(cfg, box, sphere, rng)
+    step(st, cfg, box, recording, rng, np.random.default_rng(seed + 1))
+    return np.concatenate(seen)
+
+
+@pytest.mark.parametrize("family", ["PSO", "BAT", "CSO", "DE"])
+def test_hpp_perturbs_first_half_of_candidate_rows(family):
+    # hpp moves exactly the first floor(m/2) candidate rows off the noise-free
+    # candidate: m = n for PSO/BAT/DE, the n/2 losers in pair order for CSO
+    box = Box.cube(-1, 1, 10)
+    loud = NoiseModel(sigma=0.5)
+    for n in (6, 10):
+        plain = _evaluated_rows(AlgorithmConfig(family, "base", n=n), box)
+        noisy = _evaluated_rows(AlgorithmConfig(family, "hpp", n=n, noise=loud), box)
+        m = n // 2 if family == "CSO" else n
+        assert len(plain) == len(noisy) == m
+        moved = np.any(plain != noisy, axis=1)
+        np.testing.assert_array_equal(moved, np.arange(m) < m // 2, err_msg=f"n={n}")
 
 
 def test_variant_consistency_degenerate_noise():
@@ -365,3 +399,51 @@ def test_golden_traces(family, n, seeds, pinned, rederive):
     st = _golden_state(family, n, *seeds)
     np.testing.assert_array_equal(st.X, rederive(*seeds))
     np.testing.assert_array_equal(st.X, np.asarray(pinned))
+
+
+# Multi-step golden pin: every label under both noise kinds, on the two
+# members where evaluating DE's trials in one batched call drifts by an ulp
+# (F7 at d=2, F26 at d=5).  The values were recorded from the kernels before
+# they shared one step skeleton.  Besides run()'s record, each case pins a
+# digest of the positions and values after every step, so a one-ulp drift in
+# any accepted value shows even when the best-so-far never sees it.
+
+PIN_PATH = Path(__file__).with_name("golden_runs.json")
+PIN_NOISES = {"gauss": NoiseModel(sigma=0.005), "t10": NoiseModel(kind="scaled_t", df=10)}
+PIN_MEMBERS = (("F7", 2), ("F26", 5))
+PIN_N, PIN_ITERS, PIN_SEED = 6, 40, 7
+PIN_FIELDS = ("checkpoints", "final_best_point", "final_best_value", "n_evals", "config_digest")
+
+
+def _pin_case(label, noise, function, d):
+    spec = objectives.get(function)
+    box, fbatch = objectives.default_domain(spec, d), objectives.batch_evaluator(spec, d)
+    cfg = config_for_label(label, n=PIN_N, noise=noise)
+    rec = run(cfg, fbatch, box, PIN_SEED, PIN_ITERS, (0, 10, PIN_ITERS)).to_dict()
+    dyn_ss, noise_ss = np.random.SeedSequence(PIN_SEED).spawn(2)
+    rng, rng_noise = np.random.default_rng(dyn_ss), np.random.default_rng(noise_ss)
+    st = init_state(cfg, box, fbatch, rng)
+    trajectory = hashlib.sha256()
+    for _ in range(PIN_ITERS):
+        step(st, cfg, box, fbatch, rng, rng_noise)
+        trajectory.update(st.X.tobytes())
+        trajectory.update(st.fvals.tobytes())
+    pinned = {k: rec[k] for k in PIN_FIELDS}
+    pinned["trajectory_sha256"] = trajectory.hexdigest()[:16]
+    return json.loads(json.dumps(pinned))
+
+
+def _pin_all():
+    return {
+        f"{label}/{name}/{function}-{d}": _pin_case(label, noise, function, d)
+        for label in ALGORITHM_LABELS
+        for name, noise in PIN_NOISES.items()
+        for function, d in PIN_MEMBERS
+    }
+
+
+def test_golden_pin_multistep():
+    pinned = json.loads(PIN_PATH.read_text())
+    got = _pin_all()
+    assert sorted(got) == sorted(pinned)
+    assert [k for k in pinned if got[k] != pinned[k]] == []

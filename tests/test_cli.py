@@ -62,6 +62,11 @@ def test_run_invalid_plan(tmp_path, capsys):
     path.write_text(json.dumps({"algorithms": ["NOPE"]}))
     code, _, err = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "s"))
     assert code == 2 and "error" in err
+    # a plan that cannot run is rejected before a store is made
+    path.write_text(json.dumps({"algorithms": ["PSO", "CSO"], "pairs": [["PSO", "CSO"]], "n": 5}))
+    code, _, err = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "s"))
+    assert code == 2 and "even swarm size" in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_seed_override_changes_runs_not_schema(tmp_path, capsys):

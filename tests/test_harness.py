@@ -58,6 +58,16 @@ def test_plan_validation():
         small_plan(dimensions=(3,))
     with pytest.raises(ValueError):
         small_plan(checkpoints=(10, 40))
+    # per-family swarm constraints are checked when the plan is built
+    with pytest.raises(ValueError, match="even swarm size"):
+        small_plan(algorithms=("PSO", "CSO"), pairs=(("PSO", "CSO"),), n=5)
+    with pytest.raises(ValueError, match="n >= 4"):
+        small_plan(algorithms=("DE", "mDE"), pairs=(("DE", "mDE"),), n=3)
+    # unknown keys are named, not silently defaulted
+    with pytest.raises(ValueError, match="unknown plan key.*run"):
+        ExperimentPlan.from_dict({"run": 3})
+    with pytest.raises(ValueError, match="noise kind"):
+        ExperimentPlan.from_dict({"noise": {"kind": "cauchy"}})
 
 
 def test_plan_json_roundtrip(tmp_path):

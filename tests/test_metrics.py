@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmpp.metrics import (
-    CheckpointMatrix,
-    aggregate_relative_error,
-    relative_error,
-    win_fraction,
-    winning_proportion,
-)
-
-
-def _cm(alg, func, values):
-    values = np.asarray(values, dtype=float)
-    return CheckpointMatrix(alg, func, (0,), values.reshape(-1, 1))
+from swarmpp.metrics import aggregate_relative_error, pair_figures, relative_error, win_fraction
 
 
 def test_win_fraction_strict_sweep():
@@ -32,9 +21,20 @@ def test_win_fraction_enumerated():
 
 
 def test_winning_proportion_over_functions():
-    A = [_cm("A", "f1", [2, 2, 2, 2])]
-    B = [_cm("B", "f1", [1, 2, 3, 4])]
-    assert winning_proportion(A, B, 0) == 0.375
+    rows = pair_figures([("f1", [2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0])])
+    assert [r[:3] for r in rows] == [("f1", 0.375, 1), ("ALL", 0.375, 1)]
+    # pooled over functions, weighted by runs: (0.375 * 4 + 1.0 * 2) / 6
+    rows = pair_figures([
+        ("f1", [2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0]),
+        ("f2", [5.0, 5.0], [0.0, 1.0]),
+    ])
+    assert [r[0] for r in rows] == ["f1", "f2", "ALL"]
+    assert rows[-1][1] == (0.375 * 4 + 1.0 * 2) / 6 and rows[-1][2] == 1
+    assert rows[-1][3:] == (
+        aggregate_relative_error([rows[0][3], rows[1][3]]),
+        aggregate_relative_error([rows[0][4], rows[1][4]]),
+    )
+    assert pair_figures([]) == []
 
 
 def test_winning_proportion_antisymmetry():
@@ -61,10 +61,10 @@ def test_winning_proportion_monotone_response():
 
 
 def test_winning_proportion_shape_errors():
-    A = [_cm("A", "f1", [1, 2])]
-    B = [_cm("B", "f2", [1, 2])]
     with pytest.raises(ValueError):
-        winning_proportion(A, B, 0)
+        pair_figures([("f1", [1.0, 2.0], [1.0])])
+    with pytest.raises(ValueError):
+        pair_figures([("f1", np.zeros((3, 3)), np.zeros((3, 3)))])
     with pytest.raises(ValueError):
         win_fraction([1.0], [1.0, 2.0])
 
@@ -120,5 +120,12 @@ def test_aggregate_relative_error():
 
 
 def test_checkpoint_matrix_validation():
+    # a runs x checkpoints matrix is compared one checkpoint column at a time
+    values = np.arange(9.0).reshape(3, 3)
     with pytest.raises(ValueError):
-        CheckpointMatrix("A", "f", (0, 1), np.zeros((3, 3)))
+        win_fraction(values, values)
+    with pytest.raises(ValueError):
+        pair_figures([("f1", values, values[:, 0])])
+    figures = pair_figures([("f1", values[:, 0], values[:, 1])])
+    assert figures[0][:3] == ("f1", 0.0, 0)
+    assert figures[-1][:3] == ("ALL", 0.0, 0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from swarmpp.perturbation import NoiseModel, RolePolicy, explorer_mask, pp_update, sample_noise
+from swarmpp.algorithms import perturb_project
+from swarmpp.perturbation import NoiseModel, sample_noise
 from swarmpp.search_space import Box, contains
 
 
@@ -33,6 +34,11 @@ def test_scaled_t_std_is_001():
     rng = np.random.default_rng(2)
     w = sample_noise(NoiseModel(kind="scaled_t", df=5), 1, rng, size=1_000_000).ravel()
     assert abs(w.std() - 0.01) < 0.03 * 0.01
+
+
+def pp_update(x, box, model, rng):
+    """The kernels' perturb-project path applied to one candidate."""
+    return perturb_project(np.asarray(x, dtype=float)[None], box, model, rng, k=1, rows=1)[0]
 
 
 def test_pp_update_identity_inside_with_degenerate_noise():
@@ -85,25 +91,11 @@ def test_interior_ball_hit_frequency_scales_with_volume():
     assert 0.2 < hits[0] / hits[1] < 5.0
 
 
-def test_explorer_mask():
-    m = explorer_mask(RolePolicy("first_half"), 32)
-    assert m[:16].all() and not m[16:].any()
-    assert explorer_mask(RolePolicy("all"), 4).all()
-    m5 = explorer_mask(RolePolicy("first_half"), 5)
-    assert m5.sum() == 2 and m5[:2].all()
-    with pytest.raises(ValueError):
-        explorer_mask(RolePolicy("all"), 1)
-    with pytest.raises(ValueError):
-        explorer_mask(RolePolicy("loser_first_half_pairs"), 8)
-
-
-def test_explorer_mask_half_count():
-    for n in range(2, 40):
-        assert explorer_mask(RolePolicy("first_half"), n).sum() == n // 2
-
-
 def test_noise_model_serialization():
     g = NoiseModel(sigma=0.02)
     assert NoiseModel.from_dict(g.to_dict()) == g
     t = NoiseModel(kind="scaled_t", df=30)
     assert NoiseModel.from_dict(t.to_dict()) == t
+    assert NoiseModel.from_dict({"sigma": 0.02}) == g
+    with pytest.raises(ValueError):
+        NoiseModel.from_dict({"kind": "cauchy"})
