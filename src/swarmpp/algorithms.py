@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .perturbation import NoiseModel, sample_noise
-from .search_space import Box
+from .search_space import Box, sample_uniform
 
 FAMILIES = ("PSO", "BAT", "CSO", "DE")
 VARIANTS = ("base", "pp", "hpp")
@@ -76,9 +76,6 @@ class AlgorithmConfig:
     f_weight: float = 0.8
     crossover: float = 0.9
     noise: NoiseModel = field(default_factory=NoiseModel)
-    # clamp base-variant candidates; no caller turns it off, but it is part of
-    # every stored config digest
-    base_projection: bool = True
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -94,7 +91,9 @@ class AlgorithmConfig:
 
     def digest(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["noise"] = self.noise.to_dict()
+        # base candidates are always clamped; the constant keeps every stored
+        # digest from when that was a field
+        payload.update(noise=self.noise.to_dict(), base_projection=True)
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -165,7 +164,7 @@ class RunRecord:
 def init_state(config: AlgorithmConfig, box: Box, fbatch, rng: np.random.Generator) -> SwarmState:
     """Uniform initial positions, zero velocities, memory seeded from the swarm."""
     n = config.n
-    X = rng.uniform(box.lower, box.upper, size=(n, box.dim))
+    X = sample_uniform(box, rng, n)
     fvals = np.asarray(fbatch(X), dtype=float)
     if not np.all(np.isfinite(fvals)):
         raise RunFailure("non-finite objective value during initialization")
@@ -320,7 +319,7 @@ def step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, rng_
     Y, ctx = propose(state, config, rng)
     per_point = config.family == "DE"
     if config.variant == "base":
-        X = _clip(Y, box) if config.base_projection else Y
+        X = _clip(Y, box)
     else:
         k = len(Y) if config.variant == "pp" else len(Y) // 2
         X = perturb_project(Y, box, config.noise, rng_noise, k, rows=k if per_point else len(Y))

@@ -91,17 +91,25 @@ def _read_metric_rows(store_dir) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+# --plot kind -> (title, series); each series is (metric, legend, dashed),
+# dashed for the original algorithm and solid for the modified one
+PLOTS = {
+    "winning": ("Winning proportion", (("winning_proportion", "P({b}>{a})", False),)),
+    "relerr": (
+        "Relative error",
+        (("relative_error_orig", "RE {a}", True), ("relative_error_mod", "RE {b}", False)),
+    ),
+}
+
+
 def _cmd_report(args) -> int:
     try:
         rows = _read_metric_rows(args.store)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    metric_names = (
-        ("winning_proportion",)
-        if args.plot == "winning"
-        else ("relative_error_orig", "relative_error_mod")
-    )
+    title, series_spec = PLOTS[args.plot]
+    metric_names = {metric for metric, _, _ in series_spec}
     selected = [
         r
         for r in rows
@@ -111,51 +119,26 @@ def _cmd_report(args) -> int:
         print(f"error: no aggregated rows for pair {args.pair!r}", file=sys.stderr)
         return EXIT_USAGE
     a, b = args.pair.split(":")
-    dims = sorted({int(r["dimension"]) for r in selected})
     panels = []
-    for d in dims:
-        drows = [r for r in selected if int(r["dimension"]) == d]
+    # companion CSV: exactly the plotted values, verbatim from metrics.csv
+    lines = ["pair,dimension,checkpoint,metric,value"]
+    for d in sorted({int(r["dimension"]) for r in selected}):
         series = []
-        if args.plot == "winning":
+        for metric, legend, dashed in series_spec:
             pts = sorted(
                 (int(r["checkpoint"]), r["value"])
-                for r in drows
-                if r["metric"] == "winning_proportion"
+                for r in selected
+                if int(r["dimension"]) == d and r["metric"] == metric
             )
-            series.append((f"P({b}>{a})", False, pts))
-        else:
-            # dashed = original algorithm, solid = modified
-            pts_a = sorted(
-                (int(r["checkpoint"]), r["value"])
-                for r in drows
-                if r["metric"] == "relative_error_orig"
-            )
-            pts_b = sorted(
-                (int(r["checkpoint"]), r["value"])
-                for r in drows
-                if r["metric"] == "relative_error_mod"
-            )
-            series.append((f"RE {a}", True, pts_a))
-            series.append((f"RE {b}", False, pts_b))
+            series.append((legend.format(a=a, b=b), dashed, pts))
+            lines += [f"{args.pair},{d},{t},{metric},{v}" for t, v in pts]
         panels.append((d, series))
-    title = ("Winning proportion " if args.plot == "winning" else "Relative error ") + args.pair
-    svg = plotting.render_panels(panels, title)
+    svg = plotting.render_panels(panels, f"{title} {args.pair}")
     out_base = Path(args.out) if args.out else Path(args.store) / f"{args.plot}_{a}_{b}"
     out_base.parent.mkdir(parents=True, exist_ok=True)
     svg_path = out_base.with_suffix(".svg")
     csv_path = out_base.with_suffix(".csv")
     svg_path.write_text(svg)
-    # companion CSV: exactly the plotted values, verbatim from metrics.csv
-    lines = ["pair,dimension,checkpoint,metric,value"]
-    for dim, series in panels:
-        for label, dashed, pts in series:
-            metric = (
-                "winning_proportion"
-                if args.plot == "winning"
-                else ("relative_error_orig" if dashed else "relative_error_mod")
-            )
-            for t, v in pts:
-                lines.append(f"{args.pair},{dim},{t},{metric},{v}")
     csv_path.write_text("\n".join(lines) + "\n")
     print(f"wrote {svg_path} and {csv_path}")
     return EXIT_OK
@@ -207,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="emit SVG plots from a populated store")
     p_rep.add_argument("store")
-    p_rep.add_argument("--plot", choices=("winning", "relerr"), required=True)
+    p_rep.add_argument("--plot", choices=tuple(PLOTS), required=True)
     p_rep.add_argument("--pair", required=True, help="A:B, e.g. PSO:hmPSO")
     p_rep.add_argument("--out", default=None, help="output basename (without extension)")
     p_rep.set_defaults(func=_cmd_report)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithms, metrics, objectives
-from .algorithms import RunFailure, config_for_label
+from .algorithms import RunFailure, RunRecord, config_for_label
 from .perturbation import NoiseModel
 
 DEFAULT_CHECKPOINTS = (50, 100, 200, 400, 1000, 3000, 10000)
@@ -66,20 +66,8 @@ class ExperimentPlan:
             raise ValueError("checkpoints must not exceed max_iter")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "algorithms": list(self.algorithms),
-            "pairs": [list(p) for p in self.pairs],
-            "dimensions": list(self.dimensions),
-            "functions": None if self.functions is None else list(self.functions),
-            "runs": self.runs,
-            "max_iter": self.max_iter,
-            "checkpoints": list(self.checkpoints),
-            "master_seed": self.master_seed,
-            "noise": self.noise.to_dict(),
-            "n": self.n,
-            "parallelism": self.parallelism,
-        }
+        """Every field by name, JSON-serialisable (tuples serialise as lists)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"noise": self.noise.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
@@ -119,7 +107,8 @@ class ExperimentPlan:
         return members
 
     def cells(self) -> list[tuple[str, str, int, int]]:
-        """All (algorithm, function, dimension, run) work items, in storage order."""
+        """All (algorithm, function, dimension, run) work items, in plan
+        order; runs.jsonl stores them sorted by this key."""
         out = []
         for alg in self.algorithms:
             for spec, d in self.collection():
@@ -139,23 +128,29 @@ def _run_cell(args) -> tuple[tuple, dict]:
         rec = algorithms.run(config, fbatch, box, seed, plan.max_iter, plan.checkpoints)
         payload = rec.to_dict()
     except RunFailure as exc:
-        payload = {
-            "seed": seed,
-            "config_digest": config.digest(),
-            "checkpoints": {},
-            "final_best_point": None,
-            "final_best_value": None,
-            "violations_c1": 0,
-            "violations_c3": 0,
-            "n_evals": 0,
-            "status": f"failed: {exc}",
-        }
+        payload = RunRecord(seed, config.digest(), {}, None, None, status=f"failed: {exc}").to_dict()
     payload.update({"algorithm": alg, "function": label, "dimension": d, "run": r})
     return (alg, label, d, r), payload
 
 
+def _record_line(rec: dict) -> str:
+    return json.dumps(rec, sort_keys=True) + "\n"
+
+
+def _replace_text(path: Path, text: str):
+    """Write a whole file through a temporary file and a rename, so the path
+    holds either the old content or the new, never part of it."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
+
+
 class ResultStore:
-    """Append-only run records plus a manifest and derived metrics, on disk."""
+    """A store directory: the plan's manifest, one JSON record per run cell
+    (runs.jsonl, sorted by cell key once a run completes) and the metrics
+    derived from them.  Whole files are replaced atomically; while cells run,
+    each finished record is appended and flushed (`append_runs`).
+    """
 
     def __init__(self, outdir):
         self.outdir = Path(outdir)
@@ -169,25 +164,39 @@ class ResultStore:
     def write_manifest(self, plan: ExperimentPlan):
         self.outdir.mkdir(parents=True, exist_ok=True)
         manifest = {"plan": plan.to_dict(), "digest": plan.digest(), "format": 1}
-        self.manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _replace_text(self.manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     def read_manifest(self) -> dict:
         return json.loads(self.manifest_path.read_text())
 
     def write_runs(self, records: dict[tuple, dict]):
-        lines = []
-        for key in sorted(records):
-            lines.append(json.dumps(records[key], sort_keys=True))
-        self.runs_path.write_text("\n".join(lines) + ("\n" if lines else ""))
+        _replace_text(self.runs_path, "".join(_record_line(records[key]) for key in sorted(records)))
+
+    def append_runs(self, finished):
+        """Append each finished (key, record) pair to runs.jsonl, flushed
+        before the pair is passed on."""
+        with open(self.runs_path, "a") as fh:
+            for key, rec in finished:
+                fh.write(_record_line(rec))
+                fh.flush()
+                yield key, rec
 
     def read_runs(self) -> dict[tuple, dict]:
+        """Records by cell key.  An unparsable last line, a record cut short
+        by an interruption, is skipped; any earlier bad line raises."""
         records = {}
         if not self.runs_path.exists():
             return records
-        for line in self.runs_path.read_text().splitlines():
+        lines = self.runs_path.read_text().splitlines()
+        for i, line in enumerate(lines):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                if i < len(lines) - 1:
+                    raise
+                break
             key = (rec["algorithm"], rec["function"], rec["dimension"], rec["run"])
             records[key] = rec
         return records
@@ -196,7 +205,7 @@ class ResultStore:
         lines = [METRICS_HEADER]
         for row in rows:
             lines.append(",".join(str(v) for v in row))
-        self.metrics_path.write_text("\n".join(lines) + "\n")
+        _replace_text(self.metrics_path, "\n".join(lines) + "\n")
 
 
 def _valid_pair_values(records, plan, a, b, label, d, t):
@@ -245,35 +254,33 @@ def compute_metric_rows(plan: ExperimentPlan, records: dict[tuple, dict]) -> lis
     return rows
 
 
-def _execute_cells(plan: ExperimentPlan, cells) -> dict[tuple, dict]:
+def _execute_cells(plan: ExperimentPlan, cells):
+    """Run the cells, yielding each finished (key, record) pair in cell order."""
     jobs = [(alg, label, d, r, plan) for alg, label, d, r in cells]
-    records: dict[tuple, dict] = {}
     if plan.parallelism <= 1 or len(jobs) < 2:
-        for job in jobs:
-            key, rec = _run_cell(job)
-            records[key] = rec
+        yield from map(_run_cell, jobs)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=plan.parallelism) as pool:
-            for key, rec in pool.map(_run_cell, jobs, chunksize=4):
-                records[key] = rec
-    return records
+            yield from pool.map(_run_cell, jobs, chunksize=4)
 
 
 def execute(plan: ExperimentPlan, outdir) -> list[tuple]:
-    """Run the full plan, persist everything, return the metric rows."""
+    """Run the full plan into a fresh store and return the metric rows."""
     store = ResultStore(outdir)
     store.write_manifest(plan)
-    records = _execute_cells(plan, plan.cells())
-    store.write_runs(records)
-    rows = compute_metric_rows(plan, records)
-    store.write_metrics(rows)
-    return rows
+    store.runs_path.unlink(missing_ok=True)
+    return resume(plan, outdir)
 
 
 def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
-    """Complete missing cells of a partially populated store.
+    """Run the cells missing from a store, then write its runs and metrics;
+    return the metric rows.
 
     Refuses to touch a store whose manifest digest does not match the plan.
+    Each finished cell is appended to runs.jsonl as it completes, so an
+    interruption loses only the cells in flight (at parallelism > 1, the
+    chunks being computed).  The file is rewritten sorted at the end, so its
+    bytes do not depend on where earlier runs were interrupted.
     """
     store = ResultStore(outdir)
     if not store.exists():
@@ -284,7 +291,8 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     records = store.read_runs()
     missing = [cell for cell in plan.cells() if cell not in records]
     if missing:
-        records.update(_execute_cells(plan, missing))
+        store.write_runs(records)  # drops a torn last line before appending
+        records.update(store.append_runs(_execute_cells(plan, missing)))
         store.write_runs(records)
     rows = compute_metric_rows(plan, records)
     store.write_metrics(rows)

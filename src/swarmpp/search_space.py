@@ -41,9 +41,6 @@ class Box:
         """A box with the same bounds in every dimension."""
         return cls(np.full(dim, float(lower)), np.full(dim, float(upper)))
 
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
-
 
 def _check_point(x, box: Box) -> np.ndarray:
     x = np.asarray(x, dtype=float)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from swarmpp import algorithms
 from swarmpp.harness import (
     ExperimentPlan,
     ResultStore,
@@ -174,3 +175,96 @@ def test_metric_rows_match_direct_computation(tmp_path):
     assert by_key[("F27", 30, "winning_proportion")][6] == repr(frac)
     assert by_key[("F27", 30, "relative_error_orig")][6] == repr(re_a)
     assert by_key[("ALL", 30, "relative_error_mod")][6] == repr(re_b)
+
+
+def test_failed_cell_record_excluded_from_metrics(tmp_path, monkeypatch):
+    plan = small_plan()
+    failing = derive_seed(7, "mPSO", "F27", 5, 1)
+    real_run = algorithms.run
+
+    def run(config, fbatch, box, seed, *args, **kwargs):
+        if seed == failing:
+            raise algorithms.RunFailure("non-finite objective value in a PSO step")
+        return real_run(config, fbatch, box, seed, *args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "run", run)
+    out = tmp_path / "f"
+    with pytest.warns(UserWarning, match=r"excluded 1 failed run pair\(s\) for PSO/mPSO on F27 d=5"):
+        rows = execute(plan, out)
+    failed = [line for line in (out / "runs.jsonl").read_text().splitlines() if "failed" in line]
+    assert failed == [
+        '{"algorithm": "mPSO", "checkpoints": {}, "config_digest": "ef7b79379d08d2ad", '
+        '"dimension": 5, "final_best_point": null, "final_best_value": null, "function": "F27", '
+        '"n_evals": 0, "run": 1, "seed": 9600361120611314826, '
+        '"status": "failed: non-finite objective value in a PSO step", '
+        '"violations_c1": 0, "violations_c3": 0}'
+    ]
+    records = ResultStore(out).read_runs()
+    from swarmpp.metrics import win_fraction
+
+    a = np.array([records[("PSO", "F27", 5, r)]["checkpoints"]["30"] for r in (0, 2)])
+    b = np.array([records[("mPSO", "F27", 5, r)]["checkpoints"]["30"] for r in (0, 2)])
+    frac, ties = win_fraction(a, b)
+    by_key = {(r[2], r[4], r[5]): r for r in rows}
+    assert by_key[("F27", 30, "winning_proportion")][6] == repr(frac)
+    assert by_key[("ALL", 30, "winning_proportion")][7] == ties
+
+
+class Interrupted(Exception):
+    """Stands in for anything that stops a run between cells."""
+
+
+def test_interrupted_execute_keeps_finished_cells(tmp_path, monkeypatch):
+    # plan order (mPSO first) differs from the sorted storage order
+    plan = small_plan(runs=5, algorithms=("mPSO", "PSO"))
+    execute(plan, tmp_path / "whole")
+    real_run = algorithms.run
+    calls = []
+
+    def run(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 8:
+            raise Interrupted
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "run", run)
+    out = tmp_path / "cut"
+    with pytest.raises(Interrupted):
+        execute(plan, out)
+    assert len(ResultStore(out).read_runs()) == 7
+    monkeypatch.undo()
+    resume(plan, out)
+    for name in ("runs.jsonl", "metrics.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+    records = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+    keys = [(r["algorithm"], r["function"], r["dimension"], r["run"]) for r in records]
+    assert keys == sorted(keys)
+
+
+def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
+    plan = small_plan()
+    out = tmp_path / "t"
+    execute(plan, out)
+    full_runs = (out / "runs.jsonl").read_bytes()
+    full_metrics = (out / "metrics.csv").read_bytes()
+    lines = full_runs.decode().splitlines(keepends=True)
+    (out / "runs.jsonl").write_text("".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
+    assert len(ResultStore(out).read_runs()) == 3
+    # as each cell starts, the store on disk holds every cell finished before
+    # it, and the torn fragment is gone (a line after it would not parse)
+    real_run = algorithms.run
+    on_disk = []
+
+    def run(*args, **kwargs):
+        on_disk.append(len(ResultStore(out).read_runs()))
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "run", run)
+    resume(plan, out)
+    assert on_disk == [3, 4, 5]
+    assert (out / "runs.jsonl").read_bytes() == full_runs
+    assert (out / "metrics.csv").read_bytes() == full_metrics
+    # only the last line may be cut short; a corrupt earlier line still raises
+    (out / "runs.jsonl").write_text(lines[0] + lines[1][:20] + "\n" + "".join(lines[2:]))
+    with pytest.raises(json.JSONDecodeError):
+        ResultStore(out).read_runs()
