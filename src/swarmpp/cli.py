@@ -61,26 +61,34 @@ def _load_plan(args) -> harness.ExperimentPlan:
     return plan
 
 
-def _cmd_run(args) -> int:
+def _populate(args, stores, force=False) -> int:
+    """Load the plan of `args`, then fill each store in `stores(plan)`, a list
+    of (plan, outdir) pairs: resume a store that exists unless `force`,
+    otherwise execute into it.  An invalid plan, or a store that refuses to
+    resume, exits 2; any other failure exits 1."""
     try:
         plan = _load_plan(args)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    store = harness.ResultStore(args.out)
-    try:
-        if store.exists() and not args.force:
-            harness.resume(plan, args.out)
-        else:
-            harness.execute(plan, args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # noqa: BLE001 - surface anything else as runtime failure
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    print(f"store populated: {args.out}")
+    for sub, outdir in stores(plan):
+        try:
+            if harness.ResultStore(outdir).exists() and not force:
+                harness.resume(sub, outdir)
+            else:
+                harness.execute(sub, outdir)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except Exception as exc:  # noqa: BLE001 - surface anything else as runtime failure
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        print(f"store populated: {outdir}")
     return EXIT_OK
+
+
+def _cmd_run(args) -> int:
+    return _populate(args, lambda plan: [(plan, args.out)], force=args.force)
 
 
 def _read_metric_rows(store_dir) -> list[dict]:
@@ -145,11 +153,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        plan = _load_plan(args)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: invalid plan: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     settings = []
     if args.sigma:
         for s in args.sigma.split(","):
@@ -160,16 +163,12 @@ def _cmd_sweep(args) -> int:
     if not settings:
         print("error: give --sigma and/or --tdf values", file=sys.stderr)
         return EXIT_USAGE
-    for tag, noise in settings:
-        sub = replace(plan, noise=noise, name=f"{plan.name}_{tag}")
-        outdir = Path(args.out) / tag
-        try:
-            harness.execute(sub, outdir)
-        except Exception as exc:  # noqa: BLE001
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        print(f"sweep setting {tag} -> {outdir}")
-    return EXIT_OK
+    return _populate(
+        args,
+        lambda plan: [
+            (replace(plan, noise=noise, name=f"{plan.name}_{tag}"), Path(args.out) / tag) for tag, noise in settings
+        ],
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -107,14 +107,12 @@ class ExperimentPlan:
         return members
 
     def cells(self) -> list[tuple[str, str, int, int]]:
-        """All (algorithm, function, dimension, run) work items, in plan
-        order; runs.jsonl stores them sorted by this key."""
-        out = []
-        for alg in self.algorithms:
-            for spec, d in self.collection():
-                for r in range(self.runs):
-                    out.append((alg, spec.label, d, r))
-        return out
+        """All (algorithm, function, dimension, run) work items in key order:
+        sorted algorithms, then sorted (label, dimension) members, then runs
+        ascending.  Cells run in this order and runs.jsonl stores them in it."""
+        algs = sorted(set(self.algorithms))
+        members = sorted({(spec.label, d) for spec, d in self.collection()})
+        return [(alg, label, d, r) for alg in algs for label, d in members for r in range(self.runs)]
 
 
 def _run_cell(args) -> tuple[tuple, dict]:
@@ -147,9 +145,9 @@ def _replace_text(path: Path, text: str):
 
 class ResultStore:
     """A store directory: the plan's manifest, one JSON record per run cell
-    (runs.jsonl, sorted by cell key once a run completes) and the metrics
-    derived from them.  Whole files are replaced atomically; while cells run,
-    each finished record is appended and flushed (`append_runs`).
+    (runs.jsonl, in the order of ExperimentPlan.cells) and the metrics derived
+    from them.  Whole files are replaced atomically; while cells run, each
+    finished record is appended and flushed (`append_runs`).
     """
 
     def __init__(self, outdir):
@@ -170,7 +168,7 @@ class ResultStore:
         return json.loads(self.manifest_path.read_text())
 
     def write_runs(self, records: dict[tuple, dict]):
-        _replace_text(self.runs_path, "".join(_record_line(records[key]) for key in sorted(records)))
+        _replace_text(self.runs_path, "".join(_record_line(rec) for rec in records.values()))
 
     def append_runs(self, finished):
         """Append each finished (key, record) pair to runs.jsonl, flushed
@@ -182,8 +180,9 @@ class ResultStore:
                 yield key, rec
 
     def read_runs(self) -> dict[tuple, dict]:
-        """Records by cell key.  An unparsable last line, a record cut short
-        by an interruption, is skipped; any earlier bad line raises."""
+        """Records by cell key, in file order.  An unparsable last line, a
+        record cut short by an interruption, is skipped; any earlier bad line,
+        or a second record for one cell, raises."""
         records = {}
         if not self.runs_path.exists():
             return records
@@ -198,6 +197,8 @@ class ResultStore:
                     raise
                 break
             key = (rec["algorithm"], rec["function"], rec["dimension"], rec["run"])
+            if key in records:
+                raise ValueError(f"runs.jsonl holds two records for cell {key}")
             records[key] = rec
         return records
 
@@ -273,14 +274,16 @@ def execute(plan: ExperimentPlan, outdir) -> list[tuple]:
 
 
 def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
-    """Run the cells missing from a store, then write its runs and metrics;
-    return the metric rows.
+    """Run the cells missing from a store, then write its metrics; return the
+    metric rows.
 
-    Refuses to touch a store whose manifest digest does not match the plan.
-    Each finished cell is appended to runs.jsonl as it completes, so an
-    interruption loses only the cells in flight (at parallelism > 1, the
-    chunks being computed).  The file is rewritten sorted at the end, so its
-    bytes do not depend on where earlier runs were interrupted.
+    Refuses to touch a store whose manifest digest does not match the plan,
+    or whose records are not the first cells of `plan.cells()` in that order.
+    The missing cells are the rest of that list: the records read are
+    rewritten once (dropping a torn last line), then each finished cell is
+    appended to runs.jsonl as it completes, so an interruption loses only
+    the cells in flight (at parallelism > 1, the chunks being computed), and
+    runs.jsonl has the same bytes wherever earlier runs were interrupted.
     """
     store = ResultStore(outdir)
     if not store.exists():
@@ -289,11 +292,16 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     if manifest.get("digest") != plan.digest():
         raise ValueError("manifest digest does not match the plan; refusing to resume")
     records = store.read_runs()
-    missing = [cell for cell in plan.cells() if cell not in records]
-    if missing:
+    cells, done = plan.cells(), list(records)
+    if done != cells[: len(done)]:
+        i = next((i for i, (key, cell) in enumerate(zip(done, cells)) if key != cell), len(cells))
+        raise ValueError(
+            f"runs.jsonl record {i + 1} is cell {done[i]}, not the plan's next cell in key order; "
+            "refusing to resume (use --force to recompute the store)"
+        )
+    if len(done) < len(cells):
         store.write_runs(records)  # drops a torn last line before appending
-        records.update(store.append_runs(_execute_cells(plan, missing)))
-        store.write_runs(records)
+        records.update(store.append_runs(_execute_cells(plan, cells[len(done):])))
     rows = compute_metric_rows(plan, records)
     store.write_metrics(rows)
     return rows

@@ -18,7 +18,6 @@ Known quirks, kept deliberately:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -277,41 +276,37 @@ class ObjectiveSpec:
         return np.asarray(self.minimizer, dtype=float)
 
 
-def _spec(label, name, func, fixed_dim, known_min, unimodal, separable, domain, minimizer=None):
-    return ObjectiveSpec(label, name, func, fixed_dim, known_min, unimodal, separable, domain, minimizer)
-
-
 REGISTRY: dict[str, ObjectiveSpec] = {
     s.label: s
     for s in [
-        _spec("F1", "Ackley", _ackley, None, 0.0, False, False, (-32.768, 32.768), lambda d: np.zeros(d)),
-        _spec("F2", "Bohachevsky2", _bohachevsky2, None, 0.0, False, False, (-100.0, 100.0), lambda d: np.zeros(d)),
-        _spec("F3", "Bohachevsky3", _bohachevsky3, None, 0.0, False, False, (-100.0, 100.0), lambda d: np.zeros(d)),
-        _spec("F4", "Bukin6", _bukin6, 2, 0.0, False, False, ([-15.0, -3.0], [-5.0, 3.0]), [-10.0, 1.0]),
-        _spec("F5", "DropWave", _dropwave, 2, -1.0, False, False, (-5.12, 5.12), [0.0, 0.0]),
-        _spec("F6", "Eggholder", _eggholder, 2, -959.6407, False, False, (-512.0, 512.0), [512.0, 404.2319]),
-        _spec("F7", "GoldSteinPrice", _goldstein_price, 2, 3.0, False, False, (-2.0, 2.0), [0.0, -1.0]),
-        _spec("F8", "Griewank", _griewank, None, 0.0, False, False, (-600.0, 600.0), lambda d: np.zeros(d)),
-        _spec("F9", "McCormick", _mccormick, 2, -1.9133, False, False, ([-1.5, -3.0], [4.0, 4.0]), None),
-        _spec("F10", "Schaffer2", _schaffer2, 2, 0.0, False, False, (-100.0, 100.0), [0.0, 0.0]),
-        _spec("F11", "Schaffer4", _schaffer4, 2, 0.292579, False, False, (-100.0, 100.0), None),
-        _spec("F12", "Bohachevsky1", _bohachevsky1, None, 0.0, False, True, (-100.0, 100.0), lambda d: np.zeros(d)),
-        _spec("F13", "Booth", _booth, 2, 0.0, False, True, (-10.0, 10.0), [1.0, 3.0]),
-        _spec("F14", "Branin", _branin, 2, 0.397887, False, True, ([-5.0, 0.0], [10.0, 15.0]), [np.pi, 2.275]),
-        _spec("F15", "Michalewicz5", _michalewicz, 5, -4.687658, False, True, (0.0, np.pi), None),
-        _spec("F16", "Rastrigin", _rastrigin, None, 0.0, False, True, (-5.12, 5.12), lambda d: np.zeros(d)),
-        _spec("F17", "Shubert", _shubert, 2, -186.73, False, True, (-10.0, 10.0), None),
-        _spec("F18", "Beale", _beale, 2, 0.0, True, False, (-4.5, 4.5), [3.0, 0.5]),
-        _spec("F19", "DixonPrice", _dixon_price, None, 0.0, True, False, (-10.0, 10.0), _dixon_price_minimizer),
-        _spec("F20", "Easom", _easom, 2, -1.0, True, False, (-100.0, 100.0), [np.pi, np.pi]),
-        _spec("F21", "Matyas", _matyas, 2, 0.0, True, False, (-10.0, 10.0), [0.0, 0.0]),
-        _spec("F22", "Powell", _powell, None, 0.0, True, False, (-4.0, 5.0), lambda d: np.zeros(d)),
-        _spec("F23", "Rosenbrock", _rosenbrock, None, 0.0, True, False, (-5.0, 10.0), lambda d: np.ones(d)),
-        _spec("F24", "Schwefel", _schwefel, None, lambda d: -418.9829 * d, True, False, (-500.0, 500.0), None),
-        _spec("F25", "Trid6", _trid, None, _trid_min, True, False, lambda d: (-(d**2), d**2), _trid_minimizer),
-        _spec("F26", "Zakharov", _zakharov, None, 0.0, True, False, (-5.0, 10.0), lambda d: np.zeros(d)),
-        _spec("F27", "Sphere", _sphere, None, 0.0, True, True, (-5.12, 5.12), lambda d: np.zeros(d)),
-        _spec("F28", "Sumsquare", _sumsquare, None, 0.0, True, True, (-10.0, 10.0), lambda d: np.zeros(d)),
+        ObjectiveSpec("F1", "Ackley", _ackley, None, 0.0, False, False, (-32.768, 32.768), lambda d: np.zeros(d)),
+        ObjectiveSpec("F2", "Bohachevsky2", _bohachevsky2, None, 0.0, False, False, (-100.0, 100.0), lambda d: np.zeros(d)),
+        ObjectiveSpec("F3", "Bohachevsky3", _bohachevsky3, None, 0.0, False, False, (-100.0, 100.0), lambda d: np.zeros(d)),
+        ObjectiveSpec("F4", "Bukin6", _bukin6, 2, 0.0, False, False, ([-15.0, -3.0], [-5.0, 3.0]), [-10.0, 1.0]),
+        ObjectiveSpec("F5", "DropWave", _dropwave, 2, -1.0, False, False, (-5.12, 5.12), [0.0, 0.0]),
+        ObjectiveSpec("F6", "Eggholder", _eggholder, 2, -959.6407, False, False, (-512.0, 512.0), [512.0, 404.2319]),
+        ObjectiveSpec("F7", "GoldSteinPrice", _goldstein_price, 2, 3.0, False, False, (-2.0, 2.0), [0.0, -1.0]),
+        ObjectiveSpec("F8", "Griewank", _griewank, None, 0.0, False, False, (-600.0, 600.0), lambda d: np.zeros(d)),
+        ObjectiveSpec("F9", "McCormick", _mccormick, 2, -1.9133, False, False, ([-1.5, -3.0], [4.0, 4.0]), None),
+        ObjectiveSpec("F10", "Schaffer2", _schaffer2, 2, 0.0, False, False, (-100.0, 100.0), [0.0, 0.0]),
+        ObjectiveSpec("F11", "Schaffer4", _schaffer4, 2, 0.292579, False, False, (-100.0, 100.0), None),
+        ObjectiveSpec("F12", "Bohachevsky1", _bohachevsky1, None, 0.0, False, True, (-100.0, 100.0), lambda d: np.zeros(d)),
+        ObjectiveSpec("F13", "Booth", _booth, 2, 0.0, False, True, (-10.0, 10.0), [1.0, 3.0]),
+        ObjectiveSpec("F14", "Branin", _branin, 2, 0.397887, False, True, ([-5.0, 0.0], [10.0, 15.0]), [np.pi, 2.275]),
+        ObjectiveSpec("F15", "Michalewicz5", _michalewicz, 5, -4.687658, False, True, (0.0, np.pi), None),
+        ObjectiveSpec("F16", "Rastrigin", _rastrigin, None, 0.0, False, True, (-5.12, 5.12), lambda d: np.zeros(d)),
+        ObjectiveSpec("F17", "Shubert", _shubert, 2, -186.73, False, True, (-10.0, 10.0), None),
+        ObjectiveSpec("F18", "Beale", _beale, 2, 0.0, True, False, (-4.5, 4.5), [3.0, 0.5]),
+        ObjectiveSpec("F19", "DixonPrice", _dixon_price, None, 0.0, True, False, (-10.0, 10.0), _dixon_price_minimizer),
+        ObjectiveSpec("F20", "Easom", _easom, 2, -1.0, True, False, (-100.0, 100.0), [np.pi, np.pi]),
+        ObjectiveSpec("F21", "Matyas", _matyas, 2, 0.0, True, False, (-10.0, 10.0), [0.0, 0.0]),
+        ObjectiveSpec("F22", "Powell", _powell, None, 0.0, True, False, (-4.0, 5.0), lambda d: np.zeros(d)),
+        ObjectiveSpec("F23", "Rosenbrock", _rosenbrock, None, 0.0, True, False, (-5.0, 10.0), lambda d: np.ones(d)),
+        ObjectiveSpec("F24", "Schwefel", _schwefel, None, lambda d: -418.9829 * d, True, False, (-500.0, 500.0), None),
+        ObjectiveSpec("F25", "Trid6", _trid, None, _trid_min, True, False, lambda d: (-(d**2), d**2), _trid_minimizer),
+        ObjectiveSpec("F26", "Zakharov", _zakharov, None, 0.0, True, False, (-5.0, 10.0), lambda d: np.zeros(d)),
+        ObjectiveSpec("F27", "Sphere", _sphere, None, 0.0, True, True, (-5.12, 5.12), lambda d: np.zeros(d)),
+        ObjectiveSpec("F28", "Sumsquare", _sumsquare, None, 0.0, True, True, (-10.0, 10.0), lambda d: np.zeros(d)),
     ]
 }
 
@@ -369,23 +364,3 @@ def list_collection(dim: int | None = None) -> list[tuple[ObjectiveSpec, int]]:
             if dim is None or d == dim:
                 members.append((spec, d))
     return members
-
-
-def registry_json() -> str:
-    """The registry serialized for documentation generation."""
-    rows = []
-    for spec in REGISTRY.values():
-        entry = {
-            "label": spec.label,
-            "name": spec.name,
-            "dims": list(spec.dims),
-            "unimodal": spec.unimodal,
-            "separable": spec.separable,
-            "known_min": {str(d): spec.min_value(d) for d in spec.dims},
-            "domain": {
-                str(d): [default_domain(spec, d).lower.tolist(), default_domain(spec, d).upper.tolist()]
-                for d in spec.dims
-            },
-        }
-        rows.append(entry)
-    return json.dumps(rows, indent=2)

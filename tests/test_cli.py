@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from swarmpp import algorithms
 from swarmpp.cli import main
 
 
@@ -153,6 +154,26 @@ def test_sweep(tmp_path, capsys):
     assert code == 0
     assert (out / "sigma0.005" / "metrics.csv").exists()
     assert (out / "sigma0.01" / "metrics.csv").exists()
+
+
+def test_sweep_resumes_existing_stores(tmp_path, capsys, monkeypatch):
+    plan = write_plan(tmp_path)
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(plan), "--out", str(out), "--sigma", "0.005", "--tdf", "5"]
+    assert run_cli(capsys, *argv)[0] == 0
+    files = sorted(out.rglob("*"))
+    before = {path: path.read_bytes() for path in files if path.is_file()}
+    calls = []
+    monkeypatch.setattr(algorithms, "run", lambda *a, **k: calls.append(a))
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls == []
+    assert sorted(out.rglob("*")) == files
+    assert {path: path.read_bytes() for path in before} == before
+    # a changed plan is refused, as by `run`, and nothing is overwritten
+    code, _, err = run_cli(capsys, *argv, "--runs", "2")
+    assert code == 2 and "refusing to resume" in err
+    assert calls == []
+    assert {path: path.read_bytes() for path in before} == before
 
 
 def test_sweep_tdf(tmp_path, capsys):

@@ -1,10 +1,18 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swarmpp import algorithms
+import swarmpp
+from swarmpp import algorithms, harness
+from swarmpp.cli import main
 from swarmpp.harness import (
     ExperimentPlan,
     ResultStore,
@@ -215,7 +223,7 @@ class Interrupted(Exception):
 
 
 def test_interrupted_execute_keeps_finished_cells(tmp_path, monkeypatch):
-    # plan order (mPSO first) differs from the sorted storage order
+    # the plan lists mPSO first; cells still run and are stored in key order
     plan = small_plan(runs=5, algorithms=("mPSO", "PSO"))
     execute(plan, tmp_path / "whole")
     real_run = algorithms.run
@@ -268,3 +276,96 @@ def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
     (out / "runs.jsonl").write_text(lines[0] + lines[1][:20] + "\n" + "".join(lines[2:]))
     with pytest.raises(json.JSONDecodeError):
         ResultStore(out).read_runs()
+
+
+def test_cells_in_key_order():
+    # a label listed twice still gives each cell once
+    plan = small_plan(algorithms=("mPSO", "PSO", "mPSO"), dimensions=(5, 2), functions=("F27", "F13", "F1"))
+    cells = plan.cells()
+    assert cells == sorted(set(cells))
+    assert cells[0] == ("PSO", "F1", 5, 0) and cells[-1] == ("mPSO", "F27", 5, 2)
+    assert len(cells) == 2 * len(plan.collection()) * plan.runs
+
+
+def test_execute_serialises_each_record_once(tmp_path, monkeypatch):
+    plan = small_plan()
+    real_record_line = harness._record_line
+    calls = []
+
+    def record_line(rec):
+        calls.append(None)
+        return real_record_line(rec)
+
+    monkeypatch.setattr(harness, "_record_line", record_line)
+    execute(plan, tmp_path / "once")
+    assert len(calls) == len(plan.cells())
+
+
+def _drop_middle_line(lines, plan):
+    return lines[:2] + lines[3:], str(plan.cells()[3])
+
+
+def _cell_outside_plan(lines, plan):
+    stray = json.loads(lines[2]) | {"run": 99}
+    return lines[:2] + [json.dumps(stray, sort_keys=True) + "\n"], str(("PSO", "F27", 5, 99))
+
+
+def _repeated_line(lines, plan):
+    return lines[:3] + lines[2:], str(plan.cells()[2])
+
+
+@pytest.mark.parametrize("doctor", [_drop_middle_line, _cell_outside_plan, _repeated_line])
+def test_resume_refuses_store_out_of_cell_order(tmp_path, capsys, doctor):
+    plan = small_plan()
+    out = tmp_path / "bad"
+    execute(plan, out)
+    lines = (out / "runs.jsonl").read_text().splitlines(keepends=True)
+    doctored, named_cell = doctor(lines, plan)
+    (out / "runs.jsonl").write_text("".join(doctored))
+    before = (out / "runs.jsonl").read_bytes()
+    with pytest.raises(ValueError, match="refusing to resume|two records") as exc:
+        resume(plan, out)
+    assert named_cell in str(exc.value)
+    assert (out / "runs.jsonl").read_bytes() == before
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan.to_dict()))
+    assert main(["run", str(plan_path), "--out", str(out)]) == 2
+    assert named_cell in capsys.readouterr().err
+    assert (out / "runs.jsonl").read_bytes() == before
+
+
+def test_killed_child_run_resumes_identically(tmp_path):
+    # 120 cells of ~10 ms each: the child is killed after its first record,
+    # long before its last
+    plan = small_plan(runs=20, functions=("F27", "F16", "F1"), max_iter=100, checkpoints=(50, 100))
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan.to_dict()))
+    out = tmp_path / "killed"
+    runs_path = out / "runs.jsonl"
+    src = str(Path(swarmpp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "swarmpp.cli", "run", str(plan_path), "--out", str(out)],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not (runs_path.exists() and b"\n" in runs_path.read_bytes()):
+            assert child.poll() is None, "the child exited before writing a record"
+            assert time.monotonic() < deadline, "no record within 120 s"
+            time.sleep(0.005)
+        child.send_signal(signal.SIGKILL)
+    finally:
+        child.kill()
+        child.wait(timeout=30)
+    assert child.returncode == -signal.SIGKILL
+    records = ResultStore(out).read_runs()
+    cells = plan.cells()
+    assert 1 <= len(records) < len(cells), "the child finished the plan before it was killed"
+    assert list(records) == cells[: len(records)]
+    assert main(["run", str(plan_path), "--out", str(out)]) == 0
+    execute(plan, tmp_path / "whole")
+    for name in ("runs.jsonl", "metrics.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -128,10 +126,3 @@ def test_schwefel_formula_verbatim():
     assert abs(val) < 1e-2
     assert spec.min_value(5) == -418.9829 * 5
 
-
-def test_registry_json_roundtrip():
-    data = json.loads(ob.registry_json())
-    assert len(data) == 28
-    byl = {row["label"]: row for row in data}
-    assert byl["F1"]["name"] == "Ackley"
-    assert byl["F25"]["known_min"]["5"] == -30.0
