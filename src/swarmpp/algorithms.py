@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .perturbation import NoiseModel, sample_noise
-from .search_space import Box, sample_uniform
+from .search_space import Box, contains, sample_uniform
 
 FAMILIES = ("PSO", "BAT", "CSO", "DE")
 VARIANTS = ("base", "pp", "hpp")
@@ -69,7 +69,6 @@ class AlgorithmConfig:
     pulse_rate: float = 0.5
     loudness: float = 0.5
     local_step_sigma: float = 0.001
-    bat_sign: float = 1.0  # +1 follows the printed v + U(x - x*) orientation
     # CSO
     phi: float = 0.0
     # DE
@@ -91,9 +90,9 @@ class AlgorithmConfig:
 
     def digest(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        # base candidates are always clamped; the constant keeps every stored
-        # digest from when that was a field
-        payload.update(noise=self.noise.to_dict(), base_projection=True)
+        # base candidates are always clamped and bats follow the printed sign;
+        # constants for those former fields keep every stored digest
+        payload.update(noise=self.noise.to_dict(), base_projection=True, bat_sign=1.0)
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -129,7 +128,6 @@ class SwarmState:
     gbest_f: float
     best_x: np.ndarray  # monotone best-so-far memory (reporting)
     best_f: float
-    iteration: int = 0
     n_evals: int = 0
 
 
@@ -237,7 +235,8 @@ def _pso_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, rng):
 def _bat_propose(state: SwarmState, config: AlgorithmConfig, rng):
     n, d = state.X.shape
     freq = rng.uniform(config.q_min, config.q_max, size=n)
-    state.V = state.V + config.bat_sign * freq[:, None] * (state.X - state.gbest_x)
+    # follows the printed v + U(x - x*) orientation
+    state.V = state.V + freq[:, None] * (state.X - state.gbest_x)
     pulse = rng.random(n)
     eps = rng.normal(0.0, config.local_step_sigma, size=(n, d))
     cand = np.where((pulse < config.pulse_rate)[:, None], state.X + state.V, state.gbest_x + eps)
@@ -338,16 +337,12 @@ def step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, rng_
     if state.gbest_f < state.best_f:
         state.best_f = state.gbest_f
         state.best_x = state.gbest_x.copy()
-    state.iteration += 1
     return state
 
 
 def _check_invariants(state: SwarmState, box: Box, prev_best: float, record: RunRecord):
-    inside = np.all(state.X >= box.lower) and np.all(state.X <= box.upper)
-    if state.pbest_X is not None:
-        inside = inside and np.all(state.pbest_X >= box.lower) and np.all(state.pbest_X <= box.upper)
-    inside = inside and np.all(state.gbest_x >= box.lower) and np.all(state.gbest_x <= box.upper)
-    if not inside:
+    # C1: the swarm and its memory lie in the box; C3: best-so-far never rises
+    if not all(contains(x, box) for x in (state.X, state.pbest_X, state.gbest_x) if x is not None):
         record.violations_c1 += 1
     if state.best_f > prev_best:
         record.violations_c3 += 1

@@ -154,12 +154,14 @@ def _cmd_report(args) -> int:
 
 def _cmd_sweep(args) -> int:
     settings = []
-    if args.sigma:
-        for s in args.sigma.split(","):
+    try:
+        for s in args.sigma.split(",") if args.sigma else ():
             settings.append((f"sigma{s}", NoiseModel(kind="gaussian", sigma=float(s))))
-    if args.tdf:
-        for m in args.tdf.split(","):
+        for m in args.tdf.split(",") if args.tdf else ():
             settings.append((f"tdf{m}", NoiseModel(kind="scaled_t", df=int(m))))
+    except ValueError as exc:
+        print(f"error: invalid noise setting: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if not settings:
         print("error: give --sigma and/or --tdf values", file=sys.stderr)
         return EXIT_USAGE

@@ -155,6 +155,7 @@ class ResultStore:
         self.manifest_path = self.outdir / "manifest.json"
         self.runs_path = self.outdir / "runs.jsonl"
         self.metrics_path = self.outdir / "metrics.csv"
+        self.torn = False  # set by read_runs
 
     def exists(self) -> bool:
         return self.manifest_path.exists()
@@ -181,12 +182,13 @@ class ResultStore:
 
     def read_runs(self) -> dict[tuple, dict]:
         """Records by cell key, in file order.  An unparsable last line, a
-        record cut short by an interruption, is skipped; any earlier bad line,
-        or a second record for one cell, raises."""
+        record cut short by an interruption, is skipped and sets `torn`, as
+        does a missing final newline; any earlier bad line, or a second record
+        for one cell, raises."""
         records = {}
-        if not self.runs_path.exists():
-            return records
-        lines = self.runs_path.read_text().splitlines()
+        text = self.runs_path.read_text() if self.runs_path.exists() else ""
+        self.torn = bool(text) and not text.endswith("\n")
+        lines = text.splitlines()
         for i, line in enumerate(lines):
             if not line.strip():
                 continue
@@ -195,6 +197,7 @@ class ResultStore:
             except json.JSONDecodeError:
                 if i < len(lines) - 1:
                     raise
+                self.torn = True
                 break
             key = (rec["algorithm"], rec["function"], rec["dimension"], rec["run"])
             if key in records:
@@ -279,11 +282,11 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
 
     Refuses to touch a store whose manifest digest does not match the plan,
     or whose records are not the first cells of `plan.cells()` in that order.
-    The missing cells are the rest of that list: the records read are
-    rewritten once (dropping a torn last line), then each finished cell is
-    appended to runs.jsonl as it completes, so an interruption loses only
-    the cells in flight (at parallelism > 1, the chunks being computed), and
-    runs.jsonl has the same bytes wherever earlier runs were interrupted.
+    The missing cells are the rest of that list: if any are missing or the
+    file is torn, the records read are rewritten once, then each finished
+    cell is appended to runs.jsonl as it completes, so an interruption loses
+    only the cells in flight (at parallelism > 1, the chunks being computed),
+    and runs.jsonl has the same bytes wherever earlier runs were interrupted.
     """
     store = ResultStore(outdir)
     if not store.exists():
@@ -299,7 +302,7 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
             f"runs.jsonl record {i + 1} is cell {done[i]}, not the plan's next cell in key order; "
             "refusing to resume (use --force to recompute the store)"
         )
-    if len(done) < len(cells):
+    if len(done) < len(cells) or store.torn:
         store.write_runs(records)  # drops a torn last line before appending
         records.update(store.append_runs(_execute_cells(plan, cells[len(done):])))
     rows = compute_metric_rows(plan, records)

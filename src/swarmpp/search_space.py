@@ -46,8 +46,6 @@ def _check_point(x, box: Box) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != box.dim:
         raise ValueError(f"point has dimension {x.shape[-1]}, box has {box.dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point has non-finite coordinates")
     return x
 
 
@@ -59,15 +57,16 @@ def project(x, box: Box) -> np.ndarray:
     otherwise silently corrupt best-so-far bookkeeping downstream.
     """
     x = _check_point(x, box)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point has non-finite coordinates")
     return np.clip(x, box.lower, box.upper)
 
 
 def contains(x, box: Box) -> bool:
-    """True iff every coordinate lies within the (closed) box."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != box.dim:
-        raise ValueError(f"point has dimension {x.shape[-1]}, box has {box.dim}")
-    return bool(np.all(x >= box.lower) and np.all(x <= box.upper))
+    """True iff every coordinate of a point (d,) or batch (n, d) lies within
+    the (closed) box; a NaN coordinate lies outside it."""
+    x = _check_point(x, box)
+    return bool(((x >= box.lower) & (x <= box.upper)).all())
 
 
 def sample_uniform(box: Box, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

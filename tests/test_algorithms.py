@@ -9,6 +9,8 @@ from swarmpp import objectives
 from swarmpp.algorithms import (
     ALGORITHM_LABELS,
     AlgorithmConfig,
+    RunRecord,
+    _check_invariants,
     config_for_label,
     init_state,
     run,
@@ -242,6 +244,29 @@ def test_checkpoints_non_increasing():
             vals[i] >= vals[i + 1] for i in range(len(vals) - 1)
         )
         assert rec.violations_c1 == 0 and rec.violations_c3 == 0
+
+
+@pytest.mark.parametrize("family", ["PSO", "CSO"])
+def test_check_invariants_counts_each_violation(family):
+    box = Box.cube(-1, 1, 3)
+    above = np.nextafter(1.0, 2.0)  # the nearest double outside the box
+
+    def counts(attr=None, index=(), value=None, prev_delta=0.0):
+        st = init_state(AlgorithmConfig(family, n=4), box, sphere, np.random.default_rng(5))
+        if attr is not None:
+            getattr(st, attr)[index] = value
+        record = RunRecord(0, "", {}, None, np.inf)
+        _check_invariants(st, box, st.best_f + prev_delta, record)
+        return record.violations_c1, record.violations_c3
+
+    assert counts() == (0, 0)
+    assert counts("X", (0, 0), 1.0) == (0, 0)  # the closed box holds its faces
+    cases = [("X", (1, 2), above), ("X", (0, 1), np.nan), ("gbest_x", (2,), -above)]
+    if family == "PSO":
+        cases.append(("pbest_X", (3, 0), above))
+    for attr, index, value in cases:
+        assert counts(attr, index, value) == (1, 0), (attr, value)
+    assert counts(prev_delta=-1.0) == (0, 1)
 
 
 def test_pso_personal_best_dominates_trajectory():

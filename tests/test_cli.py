@@ -189,3 +189,8 @@ def test_sweep_requires_values(tmp_path, capsys):
     plan = write_plan(tmp_path)
     code, _, err = run_cli(capsys, "sweep", str(plan), "--out", str(tmp_path / "x"))
     assert code == 2
+    # unparsable or out-of-range noise settings: an error line, no store
+    for flag, value in (("--sigma", "abc"), ("--sigma", "-1"), ("--tdf", "x"), ("--tdf", "2")):
+        code, _, err = run_cli(capsys, "sweep", str(plan), "--out", str(tmp_path / "x"), flag, value)
+        assert code == 2 and err.startswith("error:"), (flag, value)
+        assert not (tmp_path / "x").exists()

@@ -159,6 +159,33 @@ def test_resume_complete_store_runs_nothing(tmp_path):
     assert (out / "runs.jsonl").read_bytes() == before
 
 
+def test_resume_complete_store_rewrites_only_a_torn_tail(tmp_path, monkeypatch):
+    plan = small_plan()
+    out = tmp_path / "j"
+    execute(plan, out)
+    full_runs = (out / "runs.jsonl").read_bytes()
+    full_metrics = (out / "metrics.csv").read_bytes()
+    real_write_runs = ResultStore.write_runs
+    writes = []
+
+    def write_runs(self, records):
+        writes.append(len(records))
+        real_write_runs(self, records)
+
+    monkeypatch.setattr(ResultStore, "write_runs", write_runs)
+    monkeypatch.setattr(algorithms, "run", lambda *a, **k: pytest.fail("a complete store ran a cell"))
+    resume(plan, out)
+    assert writes == []  # a clean complete store: only its metrics are written
+    # junk after the last record, with or without a newline, and a last
+    # record that lost its newline
+    for torn in (full_runs + b'{"algorithm": "PS', full_runs + b'{"algorithm": "PS\n', full_runs[:-1]):
+        (out / "runs.jsonl").write_bytes(torn)
+        resume(plan, out)
+        assert (out / "runs.jsonl").read_bytes() == full_runs
+        assert (out / "metrics.csv").read_bytes() == full_metrics
+    assert writes == [6, 6, 6]
+
+
 def test_resume_rejects_altered_plan(tmp_path):
     plan = small_plan()
     out = tmp_path / "alt"

@@ -46,6 +46,7 @@ def test_contains_boundary():
     assert contains([0.0, 0.0], box)
     assert contains([1.0, -1.0], box)
     assert not contains([1.0000001, 0.0], box)
+    assert not contains([0.0, np.nan], box)
 
 
 def test_project_always_contained():
