@@ -29,16 +29,30 @@ tests pin it):
         each perturbed agent only, drawn as one block.
 
 PSO, BAT and CSO draw noise rows for all m candidates under hpp too, and use
-the first floor(m/2).  DE evaluates its trial vectors one (d,) point per
-objective call: numpy's arithmetic on one point and on a block of points can
-differ by an ulp, and one ulp in an accepted value changes DE's trajectory
-(tests/golden_runs.json pins a case that a single batched call breaks).
+the first floor(m/2).
+
+DE's per-agent draw loop (_de_draws_loop) defines its draws.  On a numpy
+Generator over PCG64 a step reads the same draws off one block of raw words
+(_de_draws_block) and leaves the generator where the loop leaves it.  Any
+other generator (a proxy, say) takes the loop, and so does every DE step of
+a process in which a check made once, at its first DE step, finds the two
+disagree; a warning says so.
+
+DE values its trials as single points would be valued: one ulp in an
+accepted value changes its trajectory, and numpy's `**` on a value derived
+from a point's components differs in the last bit between one point (a
+scalar, C pow) and a block (an array).  A registered objective's
+`per_point` (objectives.BatchEvaluator) gives the single-point values in one
+call; any other callable is called once per row.  tests/golden_runs.json
+pins cases that a plain batched call breaks.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -277,10 +291,13 @@ def _cso_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, rng):
     state.fvals[losers] = f
 
 
-def _de_propose(state: SwarmState, config: AlgorithmConfig, rng):
-    n, d = state.X.shape
-    X = state.X
-    Y = np.empty_like(X)
+def _de_draws_loop(rng, n: int, d: int):
+    """DE's dynamics draws for one step, agent by agent in index order: donor
+    j != i and donor k not in {i, j}, each redrawn until it qualifies, the
+    forced crossover index, then d crossover coins.  The reference for
+    _de_draws_block, and the path for any other generator."""
+    J, K, forced = (np.empty(n, dtype=np.intp) for _ in range(3))
+    coins = np.empty((n, d))
     for i in range(n):
         j = int(rng.integers(n))
         while j == i:
@@ -288,13 +305,110 @@ def _de_propose(state: SwarmState, config: AlgorithmConfig, rng):
         k = int(rng.integers(n))
         while k == i or k == j:
             k = int(rng.integers(n))
-        y = X[i] + config.f_weight * (X[j] - X[k])
-        forced = int(rng.integers(d))
-        coins = rng.random(d)
-        keep = coins < config.crossover
-        keep[forced] = True
-        Y[i] = np.where(keep, y, X[i])
-    return Y, None
+        J[i], K[i] = j, k
+        forced[i] = int(rng.integers(d))
+        coins[i] = rng.random(d)
+    return J, K, forced, coins
+
+
+_UINT32 = 0xFFFFFFFF
+
+
+def _de_draws_block(rng: np.random.Generator, n: int, d: int):
+    """_de_draws_loop's draws, read off one block of raw words of the
+    generator's PCG64 and leaving it in the state the loop leaves it in.
+
+    Generator.integers(m) is Lemire's method on next_uint32, which returns the
+    low half of a fresh 64-bit word and keeps the high half for the next call
+    (state "has_uint32"/"uinteger"); random() is (next_uint64 >> 11) * 2**-53
+    and does not touch that buffer.  The integer draws are parsed from the
+    block in Python ints, the coins converted in one gather, the words left
+    over rewound and the buffer restored.
+    """
+    bg = rng.bit_generator
+    state = bg.state
+    has, buf = state["has_uint32"], state["uinteger"]
+    chunk = n * (d + 2)  # a step's words at n >= 8, barring many redraws
+    raw = bg.random_raw(chunk)
+    words, pos = memoryview(raw), 0
+
+    def grow():
+        nonlocal raw, words
+        raw = np.concatenate((raw, bg.random_raw(chunk)))
+        words = memoryview(raw)
+
+    def integer(m: int) -> int:
+        nonlocal pos, has, buf
+        if m == 1:
+            return 0  # integers(1) draws nothing
+        threshold = (1 << 32) % m
+        while True:
+            if has:
+                has, v = 0, buf
+            else:
+                if pos == len(words):
+                    grow()
+                w = words[pos]
+                pos += 1
+                has, v, buf = 1, w & _UINT32, w >> 32
+            product = v * m
+            if product & _UINT32 >= threshold:
+                return product >> 32
+
+    J, K, forced, starts = [], [], [], []
+    for i in range(n):
+        j = integer(n)
+        while j == i:
+            j = integer(n)
+        k = integer(n)
+        while k == i or k == j:
+            k = integer(n)
+        J.append(j)
+        K.append(k)
+        forced.append(integer(d))
+        if pos + d > len(words):
+            grow()
+        starts.append(pos)
+        pos += d
+    coins = (raw[np.add.outer(starts, np.arange(d))] >> np.uint64(11)) * 2.0**-53
+    if pos < len(raw):
+        bg.advance((1 << 128) - (len(raw) - pos))  # PCG64 advances modulo 2**128
+    state = bg.state  # advance clears the uint32 buffer
+    state["has_uint32"], state["uinteger"] = has, buf
+    bg.state = state
+    return np.array(J), np.array(K), np.array(forced), coins
+
+
+@functools.cache
+def _block_draws_agree() -> bool:
+    """Whether _de_draws_block gives _de_draws_loop's draws and generator
+    state under this numpy, for odd, even and power-of-two swarms and a
+    buffered uint32 at the start of a step.  Checked once per process, at
+    the first DE step on a PCG64 Generator; if it fails, DE keeps the loop."""
+    try:
+        for n, d in ((4, 1), (4, 5), (5, 2), (8, 3), (33, 10)):
+            block, loop = np.random.default_rng(n), np.random.default_rng(n)
+            block.integers(3)
+            loop.integers(3)
+            for _ in range(4):
+                ours, ref = _de_draws_block(block, n, d), _de_draws_loop(loop, n, d)
+                if not all(map(np.array_equal, ours, ref)) or block.bit_generator.state != loop.bit_generator.state:
+                    raise ValueError(f"n={n}, d={d}: block draws differ from the loop's")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # another numpy's API or stream
+        warnings.warn(f"DE uses its per-agent draw loop: {exc}", RuntimeWarning, stacklevel=2)
+        return False
+    return True
+
+
+def _de_propose(state: SwarmState, config: AlgorithmConfig, rng):
+    n, d = state.X.shape
+    fast = type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64
+    draws = _de_draws_block if fast and _block_draws_agree() else _de_draws_loop
+    J, K, forced, coins = draws(rng, n, d)
+    X = state.X
+    keep = coins < config.crossover
+    keep[np.arange(n), forced] = True
+    return np.where(keep, X + config.f_weight * (X[J] - X[K]), X), None
 
 
 def _de_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, rng):
@@ -312,20 +426,24 @@ _KERNELS = {
 }
 
 
+def _per_point(fbatch):
+    """An evaluator of a population that gives each row the value it gets
+    evaluated alone: the objective's own `per_point` where it has one (see
+    objectives.BatchEvaluator), else one call per row."""
+    return getattr(fbatch, "per_point", None) or (lambda X: np.array([float(fbatch(x)) for x in X]))
+
+
 def step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, rng_noise) -> SwarmState:
     """One iteration: propose, perturb-project, evaluate, accept, track the best."""
     propose, accept = _KERNELS[config.family]
     Y, ctx = propose(state, config, rng)
-    per_point = config.family == "DE"
+    de = config.family == "DE"
     if config.variant == "base":
         X = _clip(Y, box)
     else:
         k = len(Y) if config.variant == "pp" else len(Y) // 2
-        X = perturb_project(Y, box, config.noise, rng_noise, k, rows=k if per_point else len(Y))
-    if per_point:
-        f = np.array([float(fbatch(x)) for x in X])
-    else:
-        f = np.asarray(fbatch(X), dtype=float)
+        X = perturb_project(Y, box, config.noise, rng_noise, k, rows=k if de else len(Y))
+    f = np.asarray((_per_point(fbatch) if de else fbatch)(X), dtype=float)
     if not np.all(np.isfinite(f)):
         raise RunFailure(f"non-finite objective value in a {config.family} step")
     state.n_evals += len(X)
@@ -348,6 +466,23 @@ def _check_invariants(state: SwarmState, box: Box, prev_best: float, record: Run
         record.violations_c3 += 1
 
 
+def check_checkpoints(checkpoints, max_iter: int) -> list[int]:
+    """The checkpoint iterations as ints: increasing, from 0 to max_iter."""
+    ints = [int(t) for t in checkpoints]
+    if ints != list(checkpoints):
+        raise ValueError(f"checkpoints must be integers, got {list(checkpoints)}")
+    checkpoints = ints
+    if sorted(checkpoints) != checkpoints:
+        raise ValueError("checkpoints must be sorted")
+    if len(set(checkpoints)) != len(checkpoints):
+        raise ValueError(f"checkpoints must be distinct, got {checkpoints}")
+    if checkpoints and checkpoints[0] < 0:
+        raise ValueError(f"checkpoints must not be negative, got {checkpoints[0]}")
+    if checkpoints and checkpoints[-1] > max_iter:
+        raise ValueError("checkpoints must not exceed max_iter")
+    return checkpoints
+
+
 def run(
     config: AlgorithmConfig,
     fbatch,
@@ -362,11 +497,7 @@ def run(
     fbatch maps an (n, d) population to an (n,) value array (see
     objectives.batch_evaluator).  Deterministic given (config, seed).
     """
-    checkpoints = [int(t) for t in checkpoints]
-    if sorted(checkpoints) != checkpoints:
-        raise ValueError("checkpoints must be sorted")
-    if checkpoints and checkpoints[-1] > max_iter:
-        raise ValueError("checkpoints must not exceed max_iter")
+    checkpoints = check_checkpoints(checkpoints, max_iter)
     ss = np.random.SeedSequence(seed)
     dyn_ss, noise_ss = ss.spawn(2)
     rng = np.random.default_rng(dyn_ss)

@@ -58,12 +58,15 @@ class ExperimentPlan:
         for d in self.dimensions:
             if d not in objectives.COLLECTION_DIMS:
                 raise ValueError(f"dimension {d} not in {objectives.COLLECTION_DIMS}")
+        unknown = [f for f in self.functions or () if f not in objectives.REGISTRY]
+        if unknown:
+            raise ValueError(f"unknown function label(s): {', '.join(unknown)}")
+        if not self.collection():
+            raise ValueError("no collection member has a listed function at a listed dimension")
         if self.runs < 1 or self.max_iter < 0 or self.n < 2:
             raise ValueError("invalid runs / max_iter / n")
-        if list(self.checkpoints) != sorted(self.checkpoints):
-            raise ValueError("checkpoints must be sorted")
-        if self.checkpoints and self.checkpoints[-1] > self.max_iter:
-            raise ValueError("checkpoints must not exceed max_iter")
+        # stored as ints, so a checkpoint reads back under the key run() writes
+        object.__setattr__(self, "checkpoints", tuple(algorithms.check_checkpoints(self.checkpoints, self.max_iter)))
 
     def to_dict(self) -> dict:
         """Every field by name, JSON-serialisable (tuples serialise as lists)."""

@@ -1,9 +1,19 @@
 """Benchmark objective registry: 28 test functions F1-F28.
 
 Every evaluator is vectorized over the last axis, so f(X) works for a single
-point of shape (d,) and for a population of shape (n, d) alike.  The default
-collection pairs the 14 fixed-dimension functions with each arbitrary-dimension
-function instantiated at d in {5, 10, 20, 40}, giving 70 members.
+point of shape (d,) and for a population of shape (n, d) alike.  The two
+agree to the bit except where a value derived from a point's components,
+such as Beale's 1.5 - x1 + x1*x2 or Zakharov's weighted sum s, is raised to
+a power: for one point it is a numpy scalar, whose `**` is C pow, and for a
+population an array, whose `**` is numpy's vectorized power loop.  Those
+sites call the evaluator's power helper, f(x, pw=pow), instead of `**`;
+BatchEvaluator.per_point binds pw to a scalar power per element, so one call
+gives every row its single-point value.  Powers of x itself (x**2,
+x[..., 0]**2) agree either way and keep `**`.
+
+The default collection pairs the 14 fixed-dimension functions with each
+arbitrary-dimension function instantiated at d in {5, 10, 20, 40}, giving 70
+members.
 
 Known quirks, kept deliberately:
   * F3 Bohachevsky3 is implemented with the conventional index pattern
@@ -30,7 +40,7 @@ ARBITRARY_DIMS = (5, 10, 20, 40)
 COLLECTION_DIMS = (2, 5, 10, 20, 40)
 
 
-def _ackley(x):
+def _ackley(x, pw=pow):
     d = x.shape[-1]
     return (
         -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x**2, axis=-1) / d))
@@ -40,7 +50,7 @@ def _ackley(x):
     )
 
 
-def _bohachevsky1(x):
+def _bohachevsky1(x, pw=pow):
     a, b = x[..., :-1], x[..., 1:]
     return np.sum(
         a**2 + 2 * b**2 - 0.3 * np.cos(3 * np.pi * a) - 0.4 * np.cos(4 * np.pi * b) + 0.7,
@@ -48,7 +58,7 @@ def _bohachevsky1(x):
     )
 
 
-def _bohachevsky2(x):
+def _bohachevsky2(x, pw=pow):
     a, b = x[..., :-1], x[..., 1:]
     return np.sum(
         a**2 + 2 * b**2 - 0.3 * np.cos(3 * np.pi * a) * np.cos(4 * np.pi * b) + 0.3,
@@ -56,7 +66,7 @@ def _bohachevsky2(x):
     )
 
 
-def _bohachevsky3(x):
+def _bohachevsky3(x, pw=pow):
     a, b = x[..., :-1], x[..., 1:]
     return np.sum(
         a**2 + 2 * b**2 - 0.3 * np.cos(3 * np.pi * a + 4 * np.pi * b) + 0.3,
@@ -64,117 +74,117 @@ def _bohachevsky3(x):
     )
 
 
-def _bukin6(x):
+def _bukin6(x, pw=pow):
     x1, x2 = x[..., 0], x[..., 1]
     return 100.0 * np.sqrt(np.abs(x2 - 0.01 * x1**2)) + 0.01 * np.abs(x1 + 10.0)
 
 
-def _dropwave(x):
+def _dropwave(x, pw=pow):
     r2 = x[..., 0] ** 2 + x[..., 1] ** 2
     return -(1.0 + np.cos(12.0 * np.sqrt(r2))) / (0.5 * r2 + 2.0)
 
 
-def _eggholder(x):
+def _eggholder(x, pw=pow):
     x1, x2 = x[..., 0], x[..., 1]
     return -(x2 + 47.0) * np.sin(np.sqrt(np.abs(x2 + x1 / 2.0 + 47.0))) - x1 * np.sin(
         np.sqrt(np.abs(x1 - (x2 + 47.0)))
     )
 
 
-def _goldstein_price(x):
+def _goldstein_price(x, pw=pow):
     x1, x2 = x[..., 0], x[..., 1]
-    a = 1 + (x1 + x2 + 1) ** 2 * (
+    a = 1 + pw(x1 + x2 + 1, 2) * (
         19 - 14 * x1 + 3 * x1**2 - 14 * x2 + 6 * x1 * x2 + 3 * x2**2
     )
-    b = 30 + (2 * x1 - 3 * x2) ** 2 * (
+    b = 30 + pw(2 * x1 - 3 * x2, 2) * (
         18 - 32 * x1 + 12 * x1**2 + 48 * x2 - 36 * x1 * x2 + 27 * x2**2
     )
     return a * b
 
 
-def _griewank(x):
+def _griewank(x, pw=pow):
     d = x.shape[-1]
     i = np.arange(1, d + 1, dtype=float)
     return 1.0 + np.sum(x**2, axis=-1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=-1)
 
 
-def _mccormick(x):
+def _mccormick(x, pw=pow):
     x1, x2 = x[..., 0], x[..., 1]
-    return np.sin(x1 + x2) + (x1 - x2) ** 2 - 1.5 * x1 + 2.5 * x2 + 1.0
+    return np.sin(x1 + x2) + pw(x1 - x2, 2) - 1.5 * x1 + 2.5 * x2 + 1.0
 
 
-def _schaffer2(x):
-    x1, x2 = x[..., 0], x[..., 1]
-    r2 = x1**2 + x2**2
-    return 0.5 + (np.sin(x1**2 - x2**2) ** 2 - 0.5) / (1.0 + 0.001 * r2) ** 2
-
-
-def _schaffer4(x):
+def _schaffer2(x, pw=pow):
     x1, x2 = x[..., 0], x[..., 1]
     r2 = x1**2 + x2**2
-    return 0.5 + (np.cos(np.sin(np.abs(x1**2 - x2**2))) ** 2 - 0.5) / (1.0 + 0.001 * r2) ** 2
+    return 0.5 + (pw(np.sin(x1**2 - x2**2), 2) - 0.5) / pw(1.0 + 0.001 * r2, 2)
 
 
-def _booth(x):
+def _schaffer4(x, pw=pow):
     x1, x2 = x[..., 0], x[..., 1]
-    return (x1 + 2 * x2 - 7) ** 2 + (2 * x1 + x2 - 5) ** 2
+    r2 = x1**2 + x2**2
+    return 0.5 + (pw(np.cos(np.sin(np.abs(x1**2 - x2**2))), 2) - 0.5) / pw(1.0 + 0.001 * r2, 2)
 
 
-def _branin(x):
+def _booth(x, pw=pow):
+    x1, x2 = x[..., 0], x[..., 1]
+    return pw(x1 + 2 * x2 - 7, 2) + pw(2 * x1 + x2 - 5, 2)
+
+
+def _branin(x, pw=pow):
     x1, x2 = x[..., 0], x[..., 1]
     b = 5.1 / (4 * np.pi**2)
     c = 5.0 / np.pi
     s = 10.0
     t = 1.0 / (8 * np.pi)
-    return (x2 - b * x1**2 + c * x1 - 6.0) ** 2 + s * (1 - t) * np.cos(x1) + s
+    return pw(x2 - b * x1**2 + c * x1 - 6.0, 2) + s * (1 - t) * np.cos(x1) + s
 
 
-def _michalewicz(x):
+def _michalewicz(x, pw=pow):
     d = x.shape[-1]
     i = np.arange(1, d + 1, dtype=float)
     return -np.sum(np.sin(x) * np.sin(i * x**2 / np.pi) ** 20, axis=-1)
 
 
-def _rastrigin(x):
+def _rastrigin(x, pw=pow):
     d = x.shape[-1]
     return 10.0 * d + np.sum(x**2 - 10.0 * np.cos(2 * np.pi * x), axis=-1)
 
 
-def _shubert(x):
+def _shubert(x, pw=pow):
     i = np.arange(1, 6, dtype=float)
     t1 = np.sum(i * np.cos((i + 1) * x[..., 0, None] + i), axis=-1)
     t2 = np.sum(i * np.cos((i + 1) * x[..., 1, None] + i), axis=-1)
     return t1 * t2
 
 
-def _beale(x):
+def _beale(x, pw=pow):
     x1, x2 = x[..., 0], x[..., 1]
     return (
-        (1.5 - x1 + x1 * x2) ** 2
-        + (2.25 - x1 + x1 * x2**2) ** 2
-        + (2.625 - x1 + x1 * x2**3) ** 2
+        pw(1.5 - x1 + x1 * x2, 2)
+        + pw(2.25 - x1 + x1 * x2**2, 2)
+        + pw(2.625 - x1 + x1 * x2**3, 2)
     )
 
 
-def _dixon_price(x):
+def _dixon_price(x, pw=pow):
     d = x.shape[-1]
     i = np.arange(2, d + 1, dtype=float)
-    return (x[..., 0] - 1) ** 2 + np.sum(
+    return pw(x[..., 0] - 1, 2) + np.sum(
         i * (2 * x[..., 1:] ** 2 - x[..., :-1]) ** 2, axis=-1
     )
 
 
-def _easom(x):
+def _easom(x, pw=pow):
     x1, x2 = x[..., 0], x[..., 1]
-    return -np.cos(x1) * np.cos(x2) * np.exp(-((x1 - np.pi) ** 2) - (x2 - np.pi) ** 2)
+    return -np.cos(x1) * np.cos(x2) * np.exp(-pw(x1 - np.pi, 2) - pw(x2 - np.pi, 2))
 
 
-def _matyas(x):
+def _matyas(x, pw=pow):
     x1, x2 = x[..., 0], x[..., 1]
     return 0.26 * (x1**2 + x2**2) - 0.48 * x1 * x2
 
 
-def _powell(x):
+def _powell(x, pw=pow):
     nblocks = x.shape[-1] // 4
     total = np.zeros(x.shape[:-1])
     for b in range(nblocks):
@@ -183,40 +193,40 @@ def _powell(x):
         x3 = x[..., 4 * b + 2]
         x4 = x[..., 4 * b + 3]
         total = total + (
-            (x1 + 10 * x2) ** 2
-            + 5 * (x3 - x4) ** 2
-            + (x2 - 2 * x3) ** 4
-            + 10 * (x1 - x4) ** 4
+            pw(x1 + 10 * x2, 2)
+            + 5 * pw(x3 - x4, 2)
+            + pw(x2 - 2 * x3, 4)
+            + 10 * pw(x1 - x4, 4)
         )
     return total
 
 
-def _rosenbrock(x):
+def _rosenbrock(x, pw=pow):
     a, b = x[..., :-1], x[..., 1:]
     return np.sum(100.0 * (b - a**2) ** 2 + (a - 1) ** 2, axis=-1)
 
 
-def _schwefel(x):
+def _schwefel(x, pw=pow):
     d = x.shape[-1]
     return 418.9829 * d - np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
-def _trid(x):
+def _trid(x, pw=pow):
     return np.sum((x - 1) ** 2, axis=-1) - np.sum(x[..., 1:] * x[..., :-1], axis=-1)
 
 
-def _zakharov(x):
+def _zakharov(x, pw=pow):
     d = x.shape[-1]
     i = np.arange(1, d + 1, dtype=float)
     s = np.sum(0.5 * i * x, axis=-1)
-    return np.sum(x**2, axis=-1) + s**2 + s**4
+    return np.sum(x**2, axis=-1) + pw(s, 2) + pw(s, 4)
 
 
-def _sphere(x):
+def _sphere(x, pw=pow):
     return np.sum(x**2, axis=-1)
 
 
-def _sumsquare(x):
+def _sumsquare(x, pw=pow):
     d = x.shape[-1]
     i = np.arange(1, d + 1, dtype=float)
     return np.sum(i * x**2, axis=-1)
@@ -347,11 +357,33 @@ def evaluate(spec: ObjectiveSpec, d: int, x) -> float:
     return float(spec.func(x))
 
 
-def batch_evaluator(spec: ObjectiveSpec, d: int) -> Callable[[np.ndarray], np.ndarray]:
-    """A callable mapping an (n, d) population (or one (d,) point) to values."""
+def _scalar_pow(base, exp):
+    """base ** exp element by element, each on a numpy float64 scalar (C pow),
+    as one point's derived component values are raised."""
+    base = np.asarray(base, dtype=float)
+    return np.array([v**exp for v in base.flat]).reshape(base.shape)
+
+
+@dataclass(frozen=True)
+class BatchEvaluator:
+    """What batch_evaluator returns.  Calling it maps an (n, d) population (or
+    one (d,) point) to values with numpy's array arithmetic; `per_point` maps
+    a population in one call to the values each row gets evaluated alone."""
+
+    func: Callable[..., np.ndarray]
+
+    def __call__(self, X):
+        return self.func(X)
+
+    def per_point(self, X):
+        return self.func(X, pw=_scalar_pow)
+
+
+def batch_evaluator(spec: ObjectiveSpec, d: int) -> BatchEvaluator:
+    """The evaluator of spec at dimension d (see BatchEvaluator)."""
     if not spec.admits(d):
         raise UnsupportedDimensionError(f"{spec.label} does not admit d={d}")
-    return spec.func
+    return BatchEvaluator(spec.func)
 
 
 def list_collection(dim: int | None = None) -> list[tuple[ObjectiveSpec, int]]:

@@ -38,10 +38,22 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
+        """The inverse of to_dict.  A missing kind is Gaussian and a missing
+        sigma takes its default; a key the kind does not use, or a
+        non-integral df, is refused."""
         kind = d.get("kind", "gaussian")
-        if kind == "scaled_t":
-            return cls(kind=kind, df=int(d["df"]))
-        return cls(kind=kind, sigma=float(d.get("sigma", 0.005)))
+        if kind not in NOISE_KINDS:
+            raise ValueError(f"noise kind must be one of {NOISE_KINDS}")
+        param = "sigma" if kind == "gaussian" else "df"
+        unused = sorted(set(d) - {"kind", param})
+        if unused:
+            raise ValueError(f"{kind} noise takes only {param!r}; unused key(s): {', '.join(unused)}")
+        if kind == "gaussian":
+            return cls(sigma=float(d.get("sigma", cls.sigma)))
+        df = d.get("df")
+        if df is not None and df != int(df):
+            raise ValueError(f"scaled_t df must be an integer, got {df!r}")
+        return cls(kind=kind, df=df if df is None else int(df))
 
 
 def sample_noise(model: NoiseModel, d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmpp import objectives
+from swarmpp import algorithms, objectives
 from swarmpp.algorithms import (
     ALGORITHM_LABELS,
     AlgorithmConfig,
     RunRecord,
     _check_invariants,
+    _de_draws_block,
+    _de_draws_loop,
     config_for_label,
     init_state,
     run,
@@ -224,6 +226,12 @@ def test_run_contract():
         run(cfg, sphere, BOX, 7, 10, [5, 20])
     with pytest.raises(ValueError):
         run(cfg, sphere, BOX, 7, 10, [7, 5])
+    with pytest.raises(ValueError, match="negative"):
+        run(cfg, sphere, BOX, 7, 10, [-1, 5])
+    with pytest.raises(ValueError, match="distinct"):
+        run(cfg, sphere, BOX, 7, 10, [2, 2, 5])
+    with pytest.raises(ValueError, match="integers"):
+        run(cfg, sphere, BOX, 7, 10, [2.5, 5])
 
 
 def test_run_deterministic():
@@ -472,3 +480,89 @@ def test_golden_pin_multistep():
     got = _pin_all()
     assert sorted(got) == sorted(pinned)
     assert [k for k in pinned if got[k] != pinned[k]] == []
+
+
+# DE's dynamics draws: one block of raw PCG64 words, parsed as the per-agent
+# loop draws them, must give the loop's draws and leave the generator exactly
+# where the loop leaves it, its buffered uint32 half included.
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 32, 33, 64])
+def test_de_block_draws_equal_loop(n):
+    for d in (1, 2, 5, 10, 40):
+        block, loop = np.random.default_rng([n, d]), np.random.default_rng([n, d])
+        for t in range(12):
+            while t % 3 == 0 and not block.bit_generator.state["has_uint32"]:
+                block.integers(9)  # start this step with a buffered uint32 half
+                loop.integers(9)
+            ours, ref = _de_draws_block(block, n, d), _de_draws_loop(loop, n, d)
+            for a, b in zip(ours, ref):
+                np.testing.assert_array_equal(a, b)
+            assert block.bit_generator.state == loop.bit_generator.state, (n, d, t)
+
+
+class ProxyGenerator:
+    """A Generator look-alike that forwards every call and counts them."""
+
+    def __init__(self, gen):
+        self._gen, self.calls = gen, 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self._gen, name)
+
+
+def _de_case(label="hmDE"):
+    # F26 at d=5: one batched call of the plain evaluator moves DE's trajectory
+    spec = objectives.get("F26")
+    return config_for_label(label, n=8), objectives.default_domain(spec, 5), objectives.batch_evaluator(spec, 5)
+
+
+@pytest.mark.parametrize("label", ["DE", "mDE", "hmDE"])
+def test_de_fallbacks_give_the_same_record(label):
+    cfg, box, fbatch = _de_case(label)
+    rec = run(cfg, fbatch, box, 11, 60, [0, 30, 60]).to_dict()
+
+    # a plain callable is evaluated one row per call
+    shapes = []
+
+    def plain(X):
+        shapes.append(np.shape(X))
+        return fbatch(X)
+
+    assert run(cfg, plain, box, 11, 60, [0, 30, 60]).to_dict() == rec
+    assert shapes.count((5,)) == 60 * 8 and shapes.count((8, 5)) == 1  # init is one block
+
+    # a proxy generator takes the per-agent draw loop
+    dyn_ss, noise_ss = np.random.SeedSequence(11).spawn(2)
+    rng = ProxyGenerator(np.random.default_rng(dyn_ss))
+    rng_noise = np.random.default_rng(noise_ss)
+    st = init_state(cfg, box, fbatch, rng)
+    for _ in range(60):
+        step(st, cfg, box, fbatch, rng, rng_noise)
+    assert rng.calls > 60 * 8 * 3
+    assert (st.best_f, st.n_evals) == (rec["final_best_value"], rec["n_evals"])
+    assert st.best_x.tolist() == rec["final_best_point"]
+
+
+def test_failed_draw_self_check_selects_loop(monkeypatch):
+    cfg, box, fbatch = _de_case()
+    ref = run(cfg, fbatch, box, 3, 30, [30]).to_dict()
+    blocks = []
+
+    def broken(rng, n, d):
+        blocks.append(n)
+        J, K, forced, coins = _de_draws_block(rng, n, d)
+        return J, K, forced, coins * 0.5
+
+    monkeypatch.setattr(algorithms, "_de_draws_block", broken)
+    algorithms._block_draws_agree.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="per-agent draw loop"):
+            assert run(cfg, fbatch, box, 3, 30, [30]).to_dict() == ref
+        checked = len(blocks)
+        assert checked > 0  # the self-check ran the broken block ...
+        assert run(cfg, fbatch, box, 3, 30, [30]).to_dict() == ref
+        assert len(blocks) == checked  # ... and no step used it
+    finally:
+        algorithms._block_draws_agree.cache_clear()

@@ -68,6 +68,12 @@ def test_run_invalid_plan(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "s"))
     assert code == 2 and "even swarm size" in err
     assert not (tmp_path / "s").exists()
+    # so is a function selection that names no member
+    for functions, message in ((["F6", "F99"], "F99"), (["F6"], "no collection member")):
+        path.write_text(json.dumps({"functions": functions, "dimensions": [10]}))
+        code, _, err = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "s"))
+        assert code == 2 and message in err
+        assert not (tmp_path / "s").exists()
 
 
 def test_seed_override_changes_runs_not_schema(tmp_path, capsys):

@@ -77,6 +77,23 @@ def test_plan_validation():
         ExperimentPlan.from_dict({"run": 3})
     with pytest.raises(ValueError, match="noise kind"):
         ExperimentPlan.from_dict({"noise": {"kind": "cauchy"}})
+    # a function selection must name registered functions and select a member
+    with pytest.raises(ValueError, match="unknown function label.*F99"):
+        ExperimentPlan.from_dict({"functions": ["F6", "F99"]})
+    with pytest.raises(ValueError, match="no collection member"):
+        ExperimentPlan.from_dict({"functions": ["F6"], "dimensions": [10]})
+    with pytest.raises(ValueError, match="no collection member"):
+        small_plan(dimensions=())
+    # checkpoints are distinct and non-negative; 0 is the initial swarm
+    with pytest.raises(ValueError, match="negative"):
+        small_plan(checkpoints=(-1, 3))
+    with pytest.raises(ValueError, match="distinct"):
+        small_plan(checkpoints=(2, 2, 3))
+    assert small_plan(checkpoints=(0, 3)).checkpoints == (0, 3)
+    # and integers: 2.5 is refused, 10.0 is read as 10, the key runs.jsonl holds
+    with pytest.raises(ValueError, match="integers"):
+        small_plan(checkpoints=(2.5, 3))
+    assert [type(t) for t in small_plan(checkpoints=(10.0, 30)).checkpoints] == [int, int]
 
 
 def test_plan_json_roundtrip(tmp_path):

@@ -99,3 +99,13 @@ def test_noise_model_serialization():
     assert NoiseModel.from_dict({"sigma": 0.02}) == g
     with pytest.raises(ValueError):
         NoiseModel.from_dict({"kind": "cauchy"})
+    # a key the kind does not use, or a non-integral df, is refused
+    with pytest.raises(ValueError, match="sgima"):
+        NoiseModel.from_dict({"kind": "gaussian", "sgima": 0.1})
+    with pytest.raises(ValueError, match="sigma"):
+        NoiseModel.from_dict({"kind": "scaled_t", "df": 10, "sigma": 0.1})
+    with pytest.raises(ValueError, match="df"):
+        NoiseModel.from_dict({"kind": "gaussian", "df": 10})
+    with pytest.raises(ValueError, match="integer"):
+        NoiseModel.from_dict({"kind": "scaled_t", "df": 10.7})
+    assert NoiseModel.from_dict({"kind": "scaled_t", "df": 10.0}) == NoiseModel(kind="scaled_t", df=10)
