@@ -45,12 +45,32 @@ scalar, C pow) and a block (an array).  A registered objective's
 `per_point` (objectives.BatchEvaluator) gives the single-point values in one
 call; any other callable is called once per row.  tests/golden_runs.json
 pins cases that a plain batched call breaks.
+
+Runs of one configuration and dimension step as one stack (`run` given
+sequences of objectives, boxes and seeds).  Their state arrays carry a
+leading run axis: positions (R, n, d), values (R, n), one memory and one
+best-so-far per run, box bounds (R, 1, d) (search_space.BoxStack).  Only
+the draws loop over the runs: each run draws from its own two generators,
+in the order above, as it would alone, and the streams are never merged.
+The arithmetic, the clamp and noise step, acceptance, best-so-far tracking,
+the invariant check (one containment test per array, counted per run) and
+the checkpoint record act once on the whole stack.  The objective is called
+once per stretch of runs that share it, on all their rows: an objective
+values each row on its own, so a row gets the value it gets in a call of
+its run alone.  Each run's record is therefore bit for bit the one it gets
+alone; `run` with one seed, `init_state` and `step` are the R=1 case of
+this code.
+
+A run whose objective gives a non-finite value, at initialisation or in a
+step, fails alone: it gets a failed record, its row is taken out of the
+stack, and the other runs go on as they would without it.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field, fields
@@ -58,7 +78,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .perturbation import NoiseModel, sample_noise
-from .search_space import Box, contains, sample_uniform
+from .search_space import Box, BoxStack, contains, sample_uniform
 
 FAMILIES = ("PSO", "BAT", "CSO", "DE")
 VARIANTS = ("base", "pp", "hpp")
@@ -131,7 +151,9 @@ ALGORITHM_LABELS = tuple(
 
 @dataclass
 class SwarmState:
-    """Mutable per-run state; owned by exactly one run."""
+    """Mutable state of one run, with the shapes noted; or of R runs of one
+    configuration and dimension, stacked on a leading run axis (X (R, n, d),
+    gbest_x (R, d), gbest_f (R,), ...), the form the kernels step."""
 
     X: np.ndarray  # (n, d) positions
     fvals: np.ndarray  # (n,) objective values of X
@@ -142,7 +164,77 @@ class SwarmState:
     gbest_f: float
     best_x: np.ndarray  # monotone best-so-far memory (reporting)
     best_f: float
-    n_evals: int = 0
+    n_evals: int = 0  # per run
+
+
+def _stacked(state: SwarmState) -> SwarmState:
+    """One run's state as a stack of one run, sharing its arrays."""
+    stack = SwarmState(**vars(state))
+    for f in fields(SwarmState):
+        value = getattr(state, f.name)
+        if value is not None and f.name != "n_evals":
+            setattr(stack, f.name, np.asarray(value)[None])
+    return stack
+
+
+def _unstacked(stack: SwarmState) -> SwarmState:
+    """The run of a stack of one, as its own state."""
+    state = SwarmState(**vars(stack))
+    for f in fields(SwarmState):
+        value = getattr(stack, f.name)
+        if isinstance(value, np.ndarray):
+            setattr(state, f.name, value[0] if value.ndim > 1 else value.item())
+    return state
+
+
+class _Runs:
+    """What R stacked runs own besides their state: their boxes (and the
+    BoxStack of them), dynamics and noise generators, objectives (and the
+    stretches of runs that share one), C1/C3 counts, and the index of each
+    run in the caller's sequence."""
+
+    def __init__(self, fbatches, boxes, rngs, rng_noises):
+        self.fbatches, self.boxes = list(fbatches), list(boxes)
+        self.rngs, self.rng_noises = list(rngs), list(rng_noises)
+        self.rows = list(range(len(self.rngs)))
+        self.violations_c1 = np.zeros(len(self.rows), dtype=int)
+        self.violations_c3 = np.zeros(len(self.rows), dtype=int)
+        self._index()
+
+    def _index(self):
+        self.box = BoxStack.of(self.boxes)
+        self.stretches, start = [], 0  # (objective, first run, last run + 1)
+        for _, same in itertools.groupby(self.fbatches, key=id):
+            same = list(same)
+            self.stretches.append((same[0], start, start + len(same)))
+            start += len(same)
+
+    def evaluate(self, X, per_point: bool = False) -> np.ndarray:
+        """Values (R, m) of the rows X (R, m, d): one objective call on the
+        rows of each stretch of runs that share an objective."""
+        R, m, d = X.shape
+        f = np.empty((R, m))
+        for fbatch, start, stop in self.stretches:
+            fbatch = _per_point(fbatch) if per_point else fbatch
+            f[start:stop] = np.asarray(fbatch(X[start:stop].reshape(-1, d)), dtype=float).reshape(-1, m)
+        return f
+
+    def drop(self, state: SwarmState, failed: np.ndarray, records: list, reason: str):
+        """Give each flagged run a failed record and take it out of the stack."""
+        if not failed.any():
+            return
+        for i in itertools.compress(self.rows, failed):
+            records[i] = RunRecord(records[i].seed, records[i].config_digest, {}, None, None, status=f"failed: {reason}")
+        keep = ~failed
+        for name in ("fbatches", "boxes", "rngs", "rng_noises", "rows"):
+            setattr(self, name, list(itertools.compress(getattr(self, name), keep)))
+        self.violations_c1, self.violations_c3 = self.violations_c1[keep], self.violations_c3[keep]
+        for f in fields(SwarmState):
+            value = getattr(state, f.name)
+            if isinstance(value, np.ndarray):
+                setattr(state, f.name, value[keep])
+        if self.rows:
+            self._index()
 
 
 @dataclass
@@ -173,122 +265,150 @@ class RunRecord:
         }
 
 
-def init_state(config: AlgorithmConfig, box: Box, fbatch, rng: np.random.Generator) -> SwarmState:
-    """Uniform initial positions, zero velocities, memory seeded from the swarm."""
-    n = config.n
-    X = sample_uniform(box, rng, n)
-    fvals = np.asarray(fbatch(X), dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        raise RunFailure("non-finite objective value during initialization")
-    j = int(np.argmin(fvals))
-    V = None if config.family == "DE" else np.zeros_like(X)
-    pbest_X = X.copy() if config.family == "PSO" else None
-    pbest_f = fvals.copy() if config.family == "PSO" else None
-    return SwarmState(
+def _init(config: AlgorithmConfig, runs: _Runs) -> tuple[SwarmState, np.ndarray]:
+    """Uniform initial positions, zero velocities, memory seeded from each
+    swarm, for R stacked runs; also flags the runs with a non-finite value."""
+    X = np.stack([sample_uniform(box, rng, config.n) for box, rng in zip(runs.boxes, runs.rngs)])
+    fvals = runs.evaluate(X)
+    rows, j = np.arange(len(X)), np.argmin(fvals, axis=1)
+    state = SwarmState(
         X=X,
         fvals=fvals,
-        V=V,
-        pbest_X=pbest_X,
-        pbest_f=pbest_f,
-        gbest_x=X[j].copy(),
-        gbest_f=float(fvals[j]),
-        best_x=X[j].copy(),
-        best_f=float(fvals[j]),
-        n_evals=n,
+        V=None if config.family == "DE" else np.zeros_like(X),
+        pbest_X=X.copy() if config.family == "PSO" else None,
+        pbest_f=fvals.copy() if config.family == "PSO" else None,
+        gbest_x=X[rows, j],
+        gbest_f=fvals[rows, j],
+        best_x=X[rows, j],
+        best_f=fvals[rows, j],
+        n_evals=config.n,
     )
+    return state, ~np.isfinite(fvals).all(axis=1)
 
 
-def _clip(X, box: Box) -> np.ndarray:
+_INIT_FAILURE = "non-finite objective value during initialization"
+
+
+def init_state(config: AlgorithmConfig, box: Box, fbatch, rng: np.random.Generator) -> SwarmState:
+    """One run's initial state: the R=1 case of _init."""
+    state, failed = _init(config, _Runs([fbatch], [box], [rng], [None]))
+    if failed[0]:
+        raise RunFailure(_INIT_FAILURE)
+    return _unstacked(state)
+
+
+def _clip(X, box: Box | BoxStack) -> np.ndarray:
     return np.clip(X, box.lower, box.upper)
 
 
-def perturb_project(Y, box: Box, noise: NoiseModel, rng_noise, k: int, rows: int) -> np.ndarray:
+def perturb_project(Y, box: Box | BoxStack, noise: NoiseModel, rng_noise, k: int, rows: int) -> np.ndarray:
     """Clamp the candidate rows Y into the box, add noise to the first k rows
     and clamp those again; the other rows are only clamped.
 
-    rows >= k noise rows are drawn in one block and the first k used, so the
-    noise stream advances by the count each family has always drawn.  The
-    output is always inside the box, whatever the noise magnitude.
+    Y is one run's (m, d) rows with its box and noise generator, or R runs'
+    (R, m, d) rows with their BoxStack and a sequence of R generators.  Each
+    run draws rows >= k noise rows in one block from its own generator and
+    uses the first k, so its noise stream advances by the count each family
+    has always drawn.  The output is always inside the box, whatever the
+    noise magnitude.
     """
+    if np.ndim(Y) == 2:
+        return perturb_project(np.asarray(Y)[None], box, noise, [rng_noise], k, rows)[0]
     X = _clip(Y, box)
-    w = sample_noise(noise, box.dim, rng_noise, size=rows)
-    X[:k] = _clip(X[:k] + w[:k], box)
+    w = np.empty((len(X), rows, box.dim))
+    for r, rng in enumerate(rng_noise):
+        w[r] = sample_noise(noise, box.dim, rng, size=rows)
+    X[:, :k] = _clip(X[:, :k] + w[:, :k], box)
     return X
 
 
-# Each family supplies propose(state, config, rng) -> (Y, ctx), its dynamics
-# draws giving the raw candidate rows, and accept(state, config, X, f, ctx,
-# rng), which writes the evaluated rows X with values f back into the swarm.
+# Each family supplies propose(state, config, runs) -> (Y, ctx), each run's
+# dynamics draws, from its own generator in its own order, giving the raw
+# candidate rows (R, m, d), and accept(state, config, X, f, ctx, runs), which
+# writes the evaluated rows X with values f back into the swarms.  Only the
+# draws loop over the runs; the arithmetic acts on the whole stack.
 
 
-def _pso_propose(state: SwarmState, config: AlgorithmConfig, rng):
-    n, d = state.X.shape
-    U1 = rng.random((n, d))
-    U2 = rng.random((n, d))
+def _pso_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
+    U = np.empty((len(state.X), 2, *state.X.shape[1:]))
+    for r, rng in enumerate(runs.rngs):
+        rng.random(out=U[r])  # U1 then U2, as two calls would draw them
+    U1, U2 = U[:, 0], U[:, 1]
     state.V = (
         config.w * state.V
         + config.c1 * U1 * (state.pbest_X - state.X)
-        + config.c2 * U2 * (state.gbest_x - state.X)
+        + config.c2 * U2 * (state.gbest_x[:, None] - state.X)
     )
     return state.X + state.V, None
 
 
-def _pso_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, rng):
+def _pso_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, runs: _Runs):
     state.X = X
     state.fvals = f
     improved = f < state.pbest_f
-    state.pbest_X = np.where(improved[:, None], X, state.pbest_X)
+    state.pbest_X = np.where(improved[..., None], X, state.pbest_X)
     state.pbest_f = np.where(improved, f, state.pbest_f)
-    j = int(np.argmin(state.pbest_f))
+    rows, j = np.arange(len(f)), np.argmin(state.pbest_f, axis=1)
+    best_f = state.pbest_f[rows, j]
     # condition H: strict improvement of the best personal-best value
-    if state.pbest_f[j] < state.gbest_f:
-        state.gbest_x = state.pbest_X[j].copy()
-        state.gbest_f = float(state.pbest_f[j])
+    moved = best_f < state.gbest_f
+    state.gbest_x = np.where(moved[:, None], state.pbest_X[rows, j], state.gbest_x)
+    state.gbest_f = np.where(moved, best_f, state.gbest_f)
 
 
-def _bat_propose(state: SwarmState, config: AlgorithmConfig, rng):
-    n, d = state.X.shape
-    freq = rng.uniform(config.q_min, config.q_max, size=n)
+def _bat_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
+    R, n, d = state.X.shape
+    freq, pulse = np.empty((2, R, n))
+    eps = np.empty((R, n, d))
+    for r, rng in enumerate(runs.rngs):
+        freq[r] = rng.uniform(config.q_min, config.q_max, size=n)
+        rng.random(out=pulse[r])
+        eps[r] = rng.normal(0.0, config.local_step_sigma, size=(n, d))
+    gbest_x = state.gbest_x[:, None]
     # follows the printed v + U(x - x*) orientation
-    state.V = state.V + freq[:, None] * (state.X - state.gbest_x)
-    pulse = rng.random(n)
-    eps = rng.normal(0.0, config.local_step_sigma, size=(n, d))
-    cand = np.where((pulse < config.pulse_rate)[:, None], state.X + state.V, state.gbest_x + eps)
+    state.V = state.V + freq[..., None] * (state.X - gbest_x)
+    cand = np.where((pulse < config.pulse_rate)[..., None], state.X + state.V, gbest_x + eps)
     return cand, None
 
 
-def _bat_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, rng):
+def _bat_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, runs: _Runs):
     # the loudness revert postdates the perturbation
-    loud = rng.random(len(X))
+    loud = np.empty(f.shape)
+    for r, rng in enumerate(runs.rngs):
+        rng.random(out=loud[r])
     # positions are kept inside the box every step, so chi(x_i(t)) = x_i(t)
     # and its value is the cached one
     revert = (loud < config.loudness) | (state.fvals < f)
-    state.X = np.where(revert[:, None], state.X, X)
+    state.X = np.where(revert[..., None], state.X, X)
     state.fvals = np.where(revert, state.fvals, f)
 
 
-def _cso_propose(state: SwarmState, config: AlgorithmConfig, rng):
-    n, d = state.X.shape
-    perm = rng.permutation(n)
-    first, second = perm[0::2], perm[1::2]
-    first_wins = state.fvals[first] < state.fvals[second]
+def _cso_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
+    R, n, d = state.X.shape
+    perm = np.empty((R, n), dtype=np.intp)
+    U = np.empty((R, 3, n // 2, d))
+    for r, rng in enumerate(runs.rngs):
+        perm[r] = rng.permutation(n)
+        rng.random(out=U[r])  # U1, U2 then U3, as three calls would draw them
+    U1, U2, U3 = U[:, 0], U[:, 1], U[:, 2]
+    rows = np.arange(R)[:, None]
+    first, second = perm[:, 0::2], perm[:, 1::2]
+    first_wins = state.fvals[rows, first] < state.fvals[rows, second]
     winners = np.where(first_wins, first, second)
     losers = np.where(first_wins, second, first)
-    U1 = rng.random((n // 2, d))
-    U2 = rng.random((n // 2, d))
-    U3 = rng.random((n // 2, d))
-    Vl = U1 * state.V[losers] + U2 * (state.X[winners] - state.X[losers])
+    X_losers = state.X[rows, losers]
+    Vl = U1 * state.V[rows, losers] + U2 * (state.X[rows, winners] - X_losers)
     if config.phi != 0.0:
-        xbar = state.X.mean(axis=0)
-        Vl = Vl + config.phi * U3 * (xbar - state.X[losers])
-    return state.X[losers] + Vl, (losers, Vl)
+        xbar = state.X.mean(axis=1, keepdims=True)
+        Vl = Vl + config.phi * U3 * (xbar - X_losers)
+    return X_losers + Vl, (rows, losers, Vl)
 
 
-def _cso_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, rng):
-    losers, Vl = ctx
-    state.X[losers] = X
-    state.V[losers] = Vl
-    state.fvals[losers] = f
+def _cso_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, runs: _Runs):
+    rows, losers, Vl = ctx
+    state.X[rows, losers] = X
+    state.V[rows, losers] = Vl
+    state.fvals[rows, losers] = f
 
 
 def _de_draws_loop(rng, n: int, d: int):
@@ -400,21 +520,24 @@ def _block_draws_agree() -> bool:
     return True
 
 
-def _de_propose(state: SwarmState, config: AlgorithmConfig, rng):
-    n, d = state.X.shape
-    fast = type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64
-    draws = _de_draws_block if fast and _block_draws_agree() else _de_draws_loop
-    J, K, forced, coins = draws(rng, n, d)
-    X = state.X
+def _de_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
+    R, n, d = state.X.shape
+    J, K, forced = np.empty((3, R, n), dtype=np.intp)
+    coins = np.empty((R, n, d))
+    for r, rng in enumerate(runs.rngs):
+        fast = type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64
+        draws = _de_draws_block if fast and _block_draws_agree() else _de_draws_loop
+        J[r], K[r], forced[r], coins[r] = draws(rng, n, d)
+    rows, X = np.arange(R)[:, None], state.X
     keep = coins < config.crossover
-    keep[np.arange(n), forced] = True
-    return np.where(keep, X + config.f_weight * (X[J] - X[K]), X), None
+    keep[rows, np.arange(n), forced] = True
+    return np.where(keep, X + config.f_weight * (X[rows, J] - X[rows, K]), X), None
 
 
-def _de_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, rng):
+def _de_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, runs: _Runs):
     # greedy selection against the values at the start of the step
     better = f < state.fvals
-    state.X = np.where(better[:, None], X, state.X)
+    state.X = np.where(better[..., None], X, state.X)
     state.fvals = np.where(better, f, state.fvals)
 
 
@@ -433,37 +556,53 @@ def _per_point(fbatch):
     return getattr(fbatch, "per_point", None) or (lambda X: np.array([float(fbatch(x)) for x in X]))
 
 
-def step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, rng_noise) -> SwarmState:
-    """One iteration: propose, perturb-project, evaluate, accept, track the best."""
+def _step(state: SwarmState, config: AlgorithmConfig, runs: _Runs) -> np.ndarray:
+    """One iteration of R stacked runs: propose, perturb-project, evaluate,
+    accept, track the best.  Flags the runs that met a non-finite value."""
     propose, accept = _KERNELS[config.family]
-    Y, ctx = propose(state, config, rng)
+    Y, ctx = propose(state, config, runs)
     de = config.family == "DE"
     if config.variant == "base":
-        X = _clip(Y, box)
+        X = _clip(Y, runs.box)
     else:
-        k = len(Y) if config.variant == "pp" else len(Y) // 2
-        X = perturb_project(Y, box, config.noise, rng_noise, k, rows=k if de else len(Y))
-    f = np.asarray((_per_point(fbatch) if de else fbatch)(X), dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise RunFailure(f"non-finite objective value in a {config.family} step")
-    state.n_evals += len(X)
-    accept(state, config, X, f, ctx, rng)
+        m = Y.shape[1]
+        k = m if config.variant == "pp" else m // 2
+        X = perturb_project(Y, runs.box, config.noise, runs.rng_noises, k, rows=k if de else m)
+    f = runs.evaluate(X, per_point=de)
+    state.n_evals += X.shape[1]
+    accept(state, config, X, f, ctx, runs)
     if config.family != "PSO":  # PSO's accept moves its memory under condition H
-        j = int(np.argmin(state.fvals))
-        state.gbest_x = state.X[j].copy()
-        state.gbest_f = float(state.fvals[j])
-    if state.gbest_f < state.best_f:
-        state.best_f = state.gbest_f
-        state.best_x = state.gbest_x.copy()
+        rows, j = np.arange(len(f)), np.argmin(state.fvals, axis=1)
+        state.gbest_x = state.X[rows, j]
+        state.gbest_f = state.fvals[rows, j]
+    better = state.gbest_f < state.best_f
+    state.best_f = np.where(better, state.gbest_f, state.best_f)
+    state.best_x = np.where(better[:, None], state.gbest_x, state.best_x)
+    return ~np.isfinite(f).all(axis=1)
+
+
+def step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, rng_noise) -> SwarmState:
+    """One iteration of one run's state: the R=1 case of _step."""
+    stack = _stacked(state)
+    if _step(stack, config, _Runs([fbatch], [box], [rng], [rng_noise]))[0]:
+        raise RunFailure(_step_failure(config))
+    vars(state).update(vars(_unstacked(stack)))
     return state
 
 
-def _check_invariants(state: SwarmState, box: Box, prev_best: float, record: RunRecord):
-    # C1: the swarm and its memory lie in the box; C3: best-so-far never rises
-    if not all(contains(x, box) for x in (state.X, state.pbest_X, state.gbest_x) if x is not None):
-        record.violations_c1 += 1
-    if state.best_f > prev_best:
-        record.violations_c3 += 1
+def _step_failure(config: AlgorithmConfig) -> str:
+    return f"non-finite objective value in a {config.family} step"
+
+
+def _check_invariants(state: SwarmState, box: Box | BoxStack, prev_best, record):
+    """Count a C1 violation unless the swarm and its memory lie in the box,
+    and a C3 violation if best-so-far rose.  For one run's state and record,
+    or per run for a stack, its BoxStack and its _Runs."""
+    inside = contains(state.X, box, axis=(-2, -1)) & contains(state.gbest_x[..., None, :], box, axis=(-2, -1))
+    if state.pbest_X is not None:
+        inside &= contains(state.pbest_X, box, axis=(-2, -1))
+    record.violations_c1 += ~inside
+    record.violations_c3 += state.best_f > prev_best
 
 
 def check_checkpoints(checkpoints, max_iter: int) -> list[int]:
@@ -495,33 +634,51 @@ def run(
     """Run one seeded trajectory and record best-so-far at each checkpoint.
 
     fbatch maps an (n, d) population to an (n,) value array (see
-    objectives.batch_evaluator).  Deterministic given (config, seed).
-    """
-    checkpoints = check_checkpoints(checkpoints, max_iter)
-    ss = np.random.SeedSequence(seed)
-    dyn_ss, noise_ss = ss.spawn(2)
-    rng = np.random.default_rng(dyn_ss)
-    rng_noise = np.random.default_rng(noise_ss)
+    objectives.batch_evaluator).  Deterministic given (config, seed); a
+    non-finite objective value raises RunFailure.
 
-    record = RunRecord(
-        seed=seed,
-        config_digest=config.digest(),
-        checkpoints={},
-        final_best_point=None,
-        final_best_value=np.inf,
-    )
-    state = init_state(config, box, fbatch, rng)
-    cpset = set(checkpoints)
-    if 0 in cpset:
-        record.checkpoints[0] = state.best_f
-    for t in range(1, max_iter + 1):
-        prev_best = state.best_f
-        step(state, config, box, fbatch, rng, rng_noise)
-        if check_invariants:
-            _check_invariants(state, box, prev_best, record)
-        if t in cpset:
-            record.checkpoints[t] = state.best_f
-    record.final_best_point = state.best_x.copy()
-    record.final_best_value = state.best_f
-    record.n_evals = state.n_evals
+    Given equal-length sequences of objectives, boxes (of one dimension) and
+    seeds instead, steps those runs as one stack and returns their records in
+    order, each the record the run gives alone.  A run that meets a
+    non-finite value gets a record with status "failed: <reason>" and no
+    results, and the others go on.  Consecutive runs given the same
+    objective object are evaluated in one call.
+    """
+    if np.ndim(seed) != 0:
+        return _run_stack(config, fbatch, box, seed, max_iter, checkpoints, check_invariants)
+    (record,) = _run_stack(config, [fbatch], [box], [seed], max_iter, checkpoints, check_invariants)
+    if record.status != "ok":
+        raise RunFailure(record.status.removeprefix("failed: "))
     return record
+
+
+def _run_stack(config, fbatches, boxes, seeds, max_iter, checkpoints, check_invariants) -> list[RunRecord]:
+    checkpoints = set(check_checkpoints(checkpoints, max_iter))
+    if not len(fbatches) == len(boxes) == len(seeds):
+        raise ValueError("need one objective and one box per seed")
+    digest = config.digest()
+    records = [RunRecord(seed, digest, {}, None, np.inf) for seed in seeds]
+    generators = [np.random.default_rng(ss) for seed in seeds for ss in np.random.SeedSequence(seed).spawn(2)]
+    runs = _Runs(fbatches, boxes, generators[0::2], generators[1::2])
+    state, failed = _init(config, runs)
+    runs.drop(state, failed, records, _INIT_FAILURE)
+    for t in range(max_iter + 1):
+        if not runs.rows:
+            break
+        if t > 0:
+            prev_best = state.best_f
+            failed = _step(state, config, runs)
+            if check_invariants:
+                _check_invariants(state, runs.box, prev_best, runs)
+            runs.drop(state, failed, records, _step_failure(config))
+        if t in checkpoints:
+            for i, best in zip(runs.rows, state.best_f.tolist()):
+                records[i].checkpoints[t] = best
+    for r, i in enumerate(runs.rows):
+        record = records[i]
+        record.final_best_point = state.best_x[r].copy()
+        record.final_best_value = float(state.best_f[r])
+        record.violations_c1 = int(runs.violations_c1[r])
+        record.violations_c3 = int(runs.violations_c3[r])
+        record.n_evals = state.n_evals
+    return records

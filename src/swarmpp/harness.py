@@ -3,7 +3,9 @@ result persistence and metric computation.
 
 A plan fully determines every stored number: each (algorithm, function,
 dimension, run) cell derives its own 64-bit seed from the master seed, so
-runs are independent of execution order and parallelism degree.
+runs are independent of execution order and parallelism degree.  Cells run
+in groups, each a maximal stretch of consecutive cells that share
+(algorithm, dimension), stepped as one stack of runs (algorithms.run).
 
 Store layout: <outdir>/manifest.json, <outdir>/runs.jsonl, <outdir>/metrics.csv.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field, fields
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithms, metrics, objectives
-from .algorithms import RunFailure, RunRecord, config_for_label
+from .algorithms import config_for_label
 from .perturbation import NoiseModel
 
 DEFAULT_CHECKPOINTS = (50, 100, 200, 400, 1000, 3000, 10000)
@@ -32,6 +35,11 @@ def derive_seed(master: int, algorithm: str, function: str, dimension: int, run:
     """Stable 64-bit seed for one run cell; a pure function of the tuple."""
     key = f"{master}|{algorithm}|{function}|{dimension}|{run}".encode()
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little")
+
+
+def _check_int(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +58,13 @@ class ExperimentPlan:
     parallelism: int = 1
 
     def __post_init__(self):
+        # before anything compares them: 5.0 == 5, but derive_seed keys on str(d)
+        for name in ("runs", "max_iter", "n", "parallelism", "master_seed"):
+            _check_int(name, getattr(self, name))
+        for d in self.dimensions:
+            _check_int("a dimensions entry", d)
+        if self.parallelism < 1:
+            raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
         for label in self.algorithms:
             config_for_label(label, n=self.n, noise=self.noise)  # rejects bad labels and swarm sizes
         for a, b in self.pairs:
@@ -118,20 +133,26 @@ class ExperimentPlan:
         return [(alg, label, d, r) for alg in algs for label, d in members for r in range(self.runs)]
 
 
-def _run_cell(args) -> tuple[tuple, dict]:
-    alg, label, d, r, plan = args
-    spec = objectives.get(label)
-    box = objectives.default_domain(spec, d)
-    fbatch = objectives.batch_evaluator(spec, d)
+def _groups(cells) -> list[list[tuple]]:
+    """The cells cut into groups: maximal stretches of consecutive cells that
+    share (algorithm, dimension)."""
+    return [list(group) for _, group in itertools.groupby(cells, key=lambda cell: (cell[0], cell[2]))]
+
+
+def _run_group(args) -> list[tuple[tuple, dict]]:
+    """Run one group's cells as one stack of runs; (key, record) pairs in cell order."""
+    cells, plan = args
+    alg, _, d, _ = cells[0]
+    labels = [label for _, label, _, _ in cells]
+    specs = {label: objectives.get(label) for label in labels}
+    fbatch = {label: objectives.batch_evaluator(spec, d) for label, spec in specs.items()}  # one per member
+    box = {label: objectives.default_domain(spec, d) for label, spec in specs.items()}
+    seeds = [derive_seed(plan.master_seed, *cell) for cell in cells]
     config = config_for_label(alg, n=plan.n, noise=plan.noise)
-    seed = derive_seed(plan.master_seed, alg, label, d, r)
-    try:
-        rec = algorithms.run(config, fbatch, box, seed, plan.max_iter, plan.checkpoints)
-        payload = rec.to_dict()
-    except RunFailure as exc:
-        payload = RunRecord(seed, config.digest(), {}, None, None, status=f"failed: {exc}").to_dict()
-    payload.update({"algorithm": alg, "function": label, "dimension": d, "run": r})
-    return (alg, label, d, r), payload
+    records = algorithms.run(config, [fbatch[f] for f in labels], [box[f] for f in labels], seeds,
+                             plan.max_iter, plan.checkpoints)
+    keys = ("algorithm", "function", "dimension", "run")
+    return [(cell, rec.to_dict() | dict(zip(keys, cell))) for cell, rec in zip(cells, records)]
 
 
 def _record_line(rec: dict) -> str:
@@ -262,13 +283,16 @@ def compute_metric_rows(plan: ExperimentPlan, records: dict[tuple, dict]) -> lis
 
 
 def _execute_cells(plan: ExperimentPlan, cells):
-    """Run the cells, yielding each finished (key, record) pair in cell order."""
-    jobs = [(alg, label, d, r, plan) for alg, label, d, r in cells]
-    if plan.parallelism <= 1 or len(jobs) < 2:
-        yield from map(_run_cell, jobs)
+    """Run the cells a group at a time (a pool worker takes a whole group),
+    yielding the finished (key, record) pairs of each group in cell order."""
+    jobs = [(group, plan) for group in _groups(cells)]
+    if plan.parallelism == 1 or len(jobs) < 2:
+        for job in jobs:
+            yield from _run_group(job)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=plan.parallelism) as pool:
-            yield from pool.map(_run_cell, jobs, chunksize=4)
+            for finished in pool.map(_run_group, jobs):
+                yield from finished
 
 
 def execute(plan: ExperimentPlan, outdir) -> list[tuple]:
@@ -286,10 +310,12 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     Refuses to touch a store whose manifest digest does not match the plan,
     or whose records are not the first cells of `plan.cells()` in that order.
     The missing cells are the rest of that list: if any are missing or the
-    file is torn, the records read are rewritten once, then each finished
-    cell is appended to runs.jsonl as it completes, so an interruption loses
-    only the cells in flight (at parallelism > 1, the chunks being computed),
-    and runs.jsonl has the same bytes wherever earlier runs were interrupted.
+    file is torn, the records read are rewritten once, then the missing
+    cells run a group at a time (_groups) and each group's records are
+    appended to runs.jsonl as the group completes, so an interruption loses
+    only the group in flight (at parallelism > 1, the groups being
+    computed), and runs.jsonl has the same bytes wherever earlier runs were
+    interrupted.
     """
     store = ResultStore(outdir)
     if not store.exists():

@@ -42,7 +42,24 @@ class Box:
         return cls(np.full(dim, float(lower)), np.full(dim, float(upper)))
 
 
-def _check_point(x, box: Box) -> np.ndarray:
+@dataclass(frozen=True)
+class BoxStack:
+    """The boxes of R stacked runs of one dimension, their bounds shaped
+    (R, 1, d) to broadcast against (R, n, d) stacks of points."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @classmethod
+    def of(cls, boxes) -> "BoxStack":
+        return cls(np.array([b.lower for b in boxes])[:, None], np.array([b.upper for b in boxes])[:, None])
+
+    @property
+    def dim(self) -> int:
+        return self.lower.shape[-1]
+
+
+def _check_point(x, box: Box | BoxStack) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != box.dim:
         raise ValueError(f"point has dimension {x.shape[-1]}, box has {box.dim}")
@@ -62,11 +79,17 @@ def project(x, box: Box) -> np.ndarray:
     return np.clip(x, box.lower, box.upper)
 
 
-def contains(x, box: Box) -> bool:
+def contains(x, box: Box | BoxStack, axis=None):
     """True iff every coordinate of a point (d,) or batch (n, d) lies within
-    the (closed) box; a NaN coordinate lies outside it."""
+    the (closed) box; a NaN coordinate lies outside it.
+
+    With `axis`, the test reduces over those axes only and gives one flag per
+    remaining index: contains(X, stack, axis=(1, 2)) flags each run of an
+    (R, n, d) stack X against its own box of the BoxStack `stack`.
+    """
     x = _check_point(x, box)
-    return bool(((x >= box.lower) & (x <= box.upper)).all())
+    inside = (x >= box.lower) & (x <= box.upper)
+    return bool(inside.all()) if axis is None else inside.all(axis=axis)
 
 
 def sample_uniform(box: Box, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

@@ -566,3 +566,78 @@ def test_failed_draw_self_check_selects_loop(monkeypatch):
         assert len(blocks) == checked  # ... and no step used it
     finally:
         algorithms._block_draws_agree.cache_clear()
+
+
+# Stacked runs: run() given sequences steps them as one (R, n, d) stack, and
+# each record must be the one the run gives alone.  Each dimension's members
+# mix boxes: Bukin6 (F4) is no cube, Michalewicz5 (F15) exists only at d=5.
+
+STACK_MEMBERS = {2: ("F4", "F5", "F7"), 5: ("F15", "F26", "F27")}
+STACK_SEEDS, STACK_ITERS, STACK_CPS = (1, 2, 3), 30, (0, 10, 30)
+
+
+def _stack_cells(d, plain):
+    specs = [objectives.get(f) for f in STACK_MEMBERS[d]]
+    fbatches = [objectives.batch_evaluator(spec, d) for spec in specs]
+    if plain:  # no per_point: DE evaluates its trials one row per call
+        fbatches = [lambda X, fb=fb: fb(X) for fb in fbatches]
+    boxes = [objectives.default_domain(spec, d) for spec in specs]
+    return [(fb, box, seed) for fb, box in zip(fbatches, boxes) for seed in STACK_SEEDS]
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["evaluator", "plain"])
+@pytest.mark.parametrize("label", ALGORITHM_LABELS)
+def test_stacked_runs_equal_solo_runs(label, plain):
+    cfg = config_for_label(label, n=8)
+    for d in STACK_MEMBERS:
+        cells = _stack_cells(d, plain)
+        solo = [run(cfg, *cell, STACK_ITERS, STACK_CPS).to_dict() for cell in cells]
+        # member-major (one objective call per member) and seed-major (one per run)
+        for order in (cells, sorted(cells, key=lambda cell: cell[2])):
+            stacked = run(cfg, *map(list, zip(*order)), STACK_ITERS, STACK_CPS)
+            assert [rec.to_dict() for rec in stacked] == [solo[cells.index(cell)] for cell in order], (d, len(order))
+
+
+def _failing_after(fbatch, calls_ok):
+    """fbatch, giving NaN for every row from its (calls_ok + 1)-th call on."""
+    calls = []
+
+    def f(X):
+        calls.append(None)
+        return fbatch(X) if len(calls) <= calls_ok else np.full(np.shape(X)[:-1], np.nan)
+
+    return f
+
+
+@pytest.mark.parametrize("label", ["PSO", "hmBAT", "mCSO", "hmDE"])
+def test_failed_run_leaves_the_rest_of_its_stack_alone(label):
+    cfg = config_for_label(label, n=8)
+    cells = _stack_cells(5, plain=False)
+    # run 1 fails at initialisation, run 4 at its fifth step, run 7 at its last
+    calls_at_step = 1 if cfg.family != "DE" else 8  # DE values its trials row by row here
+    broken = {1: 0, 4: 1 + 4 * calls_at_step, 7: 1 + (STACK_ITERS - 1) * calls_at_step}
+    cells = [(_failing_after(fb, broken[i]), box, seed) if i in broken else (fb, box, seed)
+             for i, (fb, box, seed) in enumerate(cells)]
+    stacked = [rec.to_dict() for rec in run(cfg, *map(list, zip(*cells)), STACK_ITERS, STACK_CPS)]
+    for i, (fb, box, seed) in enumerate(cells):
+        if i in broken:
+            reason = "during initialization" if i == 1 else f"in a {cfg.family} step"
+            assert stacked[i] == RunRecord(seed, cfg.digest(), {}, None, None,
+                                           status=f"failed: non-finite objective value {reason}").to_dict()
+        else:
+            assert stacked[i] == run(cfg, fb, box, seed, STACK_ITERS, STACK_CPS).to_dict()
+    # alone, each broken run raises what its record says
+    for i in broken:
+        fb, box, seed = cells[i]
+        with pytest.raises(algorithms.RunFailure, match=stacked[i]["status"].removeprefix("failed: ")):
+            run(cfg, _failing_after(_stack_cells(5, plain=False)[i][0], broken[i]), box, seed, STACK_ITERS, STACK_CPS)
+    # a stack whose every run fails at its first step still gives one record each
+    fbatches, boxes, seeds = zip(*_stack_cells(5, plain=False))
+    every = run(cfg, [_failing_after(fb, 1) for fb in fbatches], boxes, seeds, STACK_ITERS, STACK_CPS)
+    assert [rec.status for rec in every] == [f"failed: non-finite objective value in a {cfg.family} step"] * len(seeds)
+
+
+def test_run_stack_needs_one_box_and_objective_per_seed():
+    cfg = AlgorithmConfig("PSO", n=4)
+    with pytest.raises(ValueError, match="one objective and one box per seed"):
+        run(cfg, [sphere, sphere], [BOX], [1, 2], 5, [5])

@@ -74,6 +74,14 @@ def test_run_invalid_plan(tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "s"))
         assert code == 2 and message in err
         assert not (tmp_path / "s").exists()
+    # and an integer field that is not an int: before, 2.0 made a manifest and
+    # then failed mid-run with exit 1
+    for key, value in (("runs", 2.0), ("max_iter", 5.0), ("runs", True), ("dimensions", [5.0]),
+                       ("master_seed", "7"), ("parallelism", 0)):
+        write_plan(tmp_path, **{key: value})
+        code, _, err = run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))
+        assert code == 2 and err.startswith("error: invalid plan:"), (key, value)
+        assert not (tmp_path / "s").exists()
 
 
 def test_seed_override_changes_runs_not_schema(tmp_path, capsys):

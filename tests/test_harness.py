@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import swarmpp
-from swarmpp import algorithms, harness
+from swarmpp import algorithms, harness, objectives
 from swarmpp.cli import main
 from swarmpp.harness import (
     ExperimentPlan,
@@ -96,6 +96,18 @@ def test_plan_validation():
     assert [type(t) for t in small_plan(checkpoints=(10.0, 30)).checkpoints] == [int, int]
 
 
+def test_plan_refuses_non_integer_fields():
+    base = small_plan().to_dict()
+    for key, value in (("runs", 2.0), ("max_iter", 5.0), ("n", 32.0), ("parallelism", 2.5), ("runs", True),
+                       ("dimensions", [5.0]), ("master_seed", 1.5), ("master_seed", "7"), ("master_seed", False)):
+        with pytest.raises(TypeError, match="must be an integer"):
+            ExperimentPlan.from_dict(base | {key: value})
+    for parallelism in (0, -3):
+        with pytest.raises(ValueError, match="parallelism must be at least 1"):
+            ExperimentPlan.from_dict(base | {"parallelism": parallelism})
+    assert ExperimentPlan.from_dict(base) == small_plan()
+
+
 def test_plan_json_roundtrip(tmp_path):
     plan = small_plan(noise=NoiseModel(kind="scaled_t", df=10))
     path = tmp_path / "plan.json"
@@ -141,6 +153,31 @@ def test_parallel_schedule_independent(tmp_path):
     assert (tmp_path / "p1" / "runs.jsonl").read_bytes() == (
         tmp_path / "p4" / "runs.jsonl"
     ).read_bytes()
+
+
+def test_groups_run_alike_at_any_parallelism(tmp_path):
+    # members sorted by (label, dimension) alternate between d=5 and d=2, so
+    # each algorithm's cells cut into four groups: F15@5, F18@2, F26@5 with
+    # F27@5 (four runs), and F4@2 (Bukin6, whose box is no cube)
+    plan = small_plan(runs=2, dimensions=(2, 5), functions=("F4", "F15", "F18", "F26", "F27"))
+    cells = plan.cells()
+    groups = harness._groups(cells)
+    assert [len(g) for g in groups] == [2, 2, 4, 2] * 2
+    assert sum(groups, []) == cells
+    assert all(len({(alg, d) for alg, _, d, _ in g}) == 1 for g in groups)
+    assert all(a[-1][::2] != b[0][::2] for a, b in zip(groups, groups[1:]))  # maximal stretches
+    execute(plan, tmp_path / "p1")
+    execute(replace(plan, parallelism=2), tmp_path / "p2")
+    for name in ("runs.jsonl", "metrics.csv"):
+        assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
+    # each record is the one its cell gives run alone
+    records = ResultStore(tmp_path / "p1").read_runs()
+    for alg, label, d, r in cells[:: len(cells) // 7]:
+        spec = objectives.get(label)
+        config = algorithms.config_for_label(alg, n=plan.n, noise=plan.noise)
+        alone = algorithms.run(config, objectives.batch_evaluator(spec, d), objectives.default_domain(spec, d),
+                               derive_seed(plan.master_seed, alg, label, d, r), plan.max_iter, plan.checkpoints)
+        assert json.loads(json.dumps(alone.to_dict())).items() <= records[(alg, label, d, r)].items()
 
 
 def test_max_iter_zero_reports_initial_best(tmp_path):
@@ -230,14 +267,25 @@ def test_metric_rows_match_direct_computation(tmp_path):
 
 
 def test_failed_cell_record_excluded_from_metrics(tmp_path, monkeypatch):
+    # groups: (PSO, 5) and (mPSO, 5), three runs each; mPSO run 1 meets a NaN
+    # at its first step, and runs 0 and 2 of its group go on
     plan = small_plan()
+    execute(plan, tmp_path / "whole")
     failing = derive_seed(7, "mPSO", "F27", 5, 1)
     real_run = algorithms.run
 
-    def run(config, fbatch, box, seed, *args, **kwargs):
-        if seed == failing:
-            raise algorithms.RunFailure("non-finite objective value in a PSO step")
-        return real_run(config, fbatch, box, seed, *args, **kwargs)
+    def nan_after_init(fbatch):
+        calls = []
+
+        def f(X):
+            calls.append(None)
+            return fbatch(X) if len(calls) == 1 else np.full(len(X), np.nan)
+
+        return f
+
+    def run(config, fbatches, boxes, seeds, *args, **kwargs):
+        fbatches = [nan_after_init(fb) if seed == failing else fb for fb, seed in zip(fbatches, seeds)]
+        return real_run(config, fbatches, boxes, seeds, *args, **kwargs)
 
     monkeypatch.setattr(algorithms, "run", run)
     out = tmp_path / "f"
@@ -251,6 +299,8 @@ def test_failed_cell_record_excluded_from_metrics(tmp_path, monkeypatch):
         '"status": "failed: non-finite objective value in a PSO step", '
         '"violations_c1": 0, "violations_c3": 0}'
     ]
+    whole = (tmp_path / "whole" / "runs.jsonl").read_text().splitlines()
+    assert [line for line in (out / "runs.jsonl").read_text().splitlines() if line not in whole] == failed
     records = ResultStore(out).read_runs()
     from swarmpp.metrics import win_fraction
 
@@ -267,7 +317,8 @@ class Interrupted(Exception):
 
 
 def test_interrupted_execute_keeps_finished_cells(tmp_path, monkeypatch):
-    # the plan lists mPSO first; cells still run and are stored in key order
+    # the plan lists mPSO first; cells still run and are stored in key order,
+    # as two groups of five runs, (PSO, 5) then (mPSO, 5), one run() call each
     plan = small_plan(runs=5, algorithms=("mPSO", "PSO"))
     execute(plan, tmp_path / "whole")
     real_run = algorithms.run
@@ -275,7 +326,7 @@ def test_interrupted_execute_keeps_finished_cells(tmp_path, monkeypatch):
 
     def run(*args, **kwargs):
         calls.append(None)
-        if len(calls) == 8:
+        if len(calls) == 2:
             raise Interrupted
         return real_run(*args, **kwargs)
 
@@ -283,7 +334,7 @@ def test_interrupted_execute_keeps_finished_cells(tmp_path, monkeypatch):
     out = tmp_path / "cut"
     with pytest.raises(Interrupted):
         execute(plan, out)
-    assert len(ResultStore(out).read_runs()) == 7
+    assert len(ResultStore(out).read_runs()) == 5  # the finished group, no more
     monkeypatch.undo()
     resume(plan, out)
     for name in ("runs.jsonl", "metrics.csv"):
@@ -300,10 +351,12 @@ def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
     full_runs = (out / "runs.jsonl").read_bytes()
     full_metrics = (out / "metrics.csv").read_bytes()
     lines = full_runs.decode().splitlines(keepends=True)
-    (out / "runs.jsonl").write_text("".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
-    assert len(ResultStore(out).read_runs()) == 3
-    # as each cell starts, the store on disk holds every cell finished before
-    # it, and the torn fragment is gone (a line after it would not parse)
+    (out / "runs.jsonl").write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+    assert len(ResultStore(out).read_runs()) == 2
+    # the rest is two groups: the last run of (PSO, 5), then the three of
+    # (mPSO, 5).  As each group starts, the store on disk holds every cell
+    # finished before it, and the torn fragment is gone (a line after it
+    # would not parse)
     real_run = algorithms.run
     on_disk = []
 
@@ -313,7 +366,7 @@ def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
 
     monkeypatch.setattr(algorithms, "run", run)
     resume(plan, out)
-    assert on_disk == [3, 4, 5]
+    assert on_disk == [2, 3]
     assert (out / "runs.jsonl").read_bytes() == full_runs
     assert (out / "metrics.csv").read_bytes() == full_metrics
     # only the last line may be cut short; a corrupt earlier line still raises
@@ -379,8 +432,9 @@ def test_resume_refuses_store_out_of_cell_order(tmp_path, capsys, doctor):
 
 
 def test_killed_child_run_resumes_identically(tmp_path):
-    # 120 cells of ~10 ms each: the child is killed after its first record,
-    # long before its last
+    # two groups of 60 runs, (PSO, 5) then (mPSO, 5), of ~0.1 s each: the
+    # child is killed after the first group's first record, before the
+    # second group's last
     plan = small_plan(runs=20, functions=("F27", "F16", "F1"), max_iter=100, checkpoints=(50, 100))
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan.to_dict()))
