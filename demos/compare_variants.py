@@ -23,11 +23,13 @@ plan = ExperimentPlan(
     master_seed=42,
 )
 
-outdir = Path(tempfile.mkdtemp(prefix="swarmpp_demo_"))
-print(f"executing {len(plan.cells())} cells into {outdir} ...")
-execute(plan, outdir)
-
-rows = list(csv.DictReader(open(outdir / "metrics.csv")))
+with tempfile.TemporaryDirectory(prefix="swarmpp_demo_") as tmp:
+    outdir = Path(tmp)
+    print(f"executing {len(plan.cells())} cells into {outdir} ...")
+    execute(plan, outdir)
+    with open(outdir / "metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    contents = sorted(p.name for p in outdir.iterdir())
 
 print("\nwinning proportion of hmCSO over CSO (ties count 1/2):")
 for row in rows:
@@ -43,5 +45,5 @@ for row in rows:
         elif row["metric"] == "relative_error_mod":
             print(f"  hmCSO  RE = {float(row['value']):.3f}")
 
-print(f"\nstore contents: {sorted(p.name for p in outdir.iterdir())}")
+print(f"\nstore contents: {contents} (removed on exit)")
 print("re-running `execute` with the same plan reproduces metrics.csv byte for byte.")

@@ -22,9 +22,9 @@ def median_best(label, spec, d, noise):
     cfg = sp.config_for_label(label)
     if noise is not None:
         cfg = sp.AlgorithmConfig(**{**cfg.__dict__, "noise": noise})
-    finals = [
-        sp.run(cfg, fb, box, seed, 2000, [2000]).checkpoints[2000] for seed in SEEDS
-    ]
+    # the seeds step together as one stack of runs, each giving its solo record
+    records = sp.run(cfg, [fb] * len(SEEDS), [box] * len(SEEDS), SEEDS, 2000, [2000])
+    finals = [rec.checkpoints[2000] for rec in records]
     return float(np.median(finals))
 
 

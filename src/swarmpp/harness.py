@@ -4,8 +4,9 @@ result persistence and metric computation.
 A plan fully determines every stored number: each (algorithm, function,
 dimension, run) cell derives its own 64-bit seed from the master seed, so
 runs are independent of execution order and parallelism degree.  Cells run
-in groups, each a maximal stretch of consecutive cells that share
-(algorithm, dimension), stepped as one stack of runs (algorithms.run).
+in cell order (algorithm, dimension, function label, run), one group per
+(algorithm, dimension), each group stepped as one stack of runs
+(algorithms.run).
 
 Store layout: <outdir>/manifest.json, <outdir>/runs.jsonl, <outdir>/metrics.csv.
 """
@@ -73,6 +74,11 @@ class ExperimentPlan:
         for d in self.dimensions:
             if d not in objectives.COLLECTION_DIMS:
                 raise ValueError(f"dimension {d} not in {objectives.COLLECTION_DIMS}")
+        # a repeated entry would write its metric rows twice
+        for name in ("dimensions", "pairs"):
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"{name} must be distinct, got {list(entries)}")
         unknown = [f for f in self.functions or () if f not in objectives.REGISTRY]
         if unknown:
             raise ValueError(f"unknown function label(s): {', '.join(unknown)}")
@@ -125,17 +131,19 @@ class ExperimentPlan:
         return members
 
     def cells(self) -> list[tuple[str, str, int, int]]:
-        """All (algorithm, function, dimension, run) work items in key order:
-        sorted algorithms, then sorted (label, dimension) members, then runs
-        ascending.  Cells run in this order and runs.jsonl stores them in it."""
+        """All (algorithm, function, dimension, run) work items in cell order:
+        sorted algorithms, then members sorted by (dimension, label), then
+        runs ascending, so each (algorithm, dimension) is one stretch.  Cells
+        run in this order and runs.jsonl stores them in it."""
         algs = sorted(set(self.algorithms))
-        members = sorted({(spec.label, d) for spec, d in self.collection()})
-        return [(alg, label, d, r) for alg in algs for label, d in members for r in range(self.runs)]
+        members = sorted({(d, spec.label) for spec, d in self.collection()})
+        return [(alg, label, d, r) for alg in algs for d, label in members for r in range(self.runs)]
 
 
 def _groups(cells) -> list[list[tuple]]:
     """The cells cut into groups: maximal stretches of consecutive cells that
-    share (algorithm, dimension)."""
+    share (algorithm, dimension).  Over `ExperimentPlan.cells` that is one
+    group per (algorithm, dimension)."""
     return [list(group) for _, group in itertools.groupby(cells, key=lambda cell: (cell[0], cell[2]))]
 
 
@@ -308,10 +316,13 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     metric rows.
 
     Refuses to touch a store whose manifest digest does not match the plan,
-    or whose records are not the first cells of `plan.cells()` in that order.
-    The missing cells are the rest of that list: if any are missing or the
-    file is torn, the records read are rewritten once, then the missing
-    cells run a group at a time (_groups) and each group's records are
+    or whose records are not the first cells of `plan.cells()` in cell
+    order; a store written in another order, such as a multi-dimension store
+    from before cells were ordered by dimension ahead of label, is refused
+    with the first record out of place named.  The missing cells are the
+    rest of that list: if any are missing or the file is torn, the records
+    read are rewritten once, then the missing cells run a group, one
+    (algorithm, dimension), at a time (_groups) and each group's records are
     appended to runs.jsonl as the group completes, so an interruption loses
     only the group in flight (at parallelism > 1, the groups being
     computed), and runs.jsonl has the same bytes wherever earlier runs were
@@ -328,7 +339,7 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     if done != cells[: len(done)]:
         i = next((i for i, (key, cell) in enumerate(zip(done, cells)) if key != cell), len(cells))
         raise ValueError(
-            f"runs.jsonl record {i + 1} is cell {done[i]}, not the plan's next cell in key order; "
+            f"runs.jsonl record {i + 1} is cell {done[i]}, not the plan's next cell in cell order; "
             "refusing to resume (use --force to recompute the store)"
         )
     if len(done) < len(cells) or store.torn:

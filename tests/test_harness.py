@@ -155,17 +155,31 @@ def test_parallel_schedule_independent(tmp_path):
     ).read_bytes()
 
 
+def test_groups_one_per_algorithm_and_dimension():
+    # the cells of the full protocol, at 4 runs: 12 labels x 70 members at
+    # 5 dimensions make 60 groups
+    plan = small_plan(algorithms=algorithms.ALGORITHM_LABELS, dimensions=(40, 2, 10, 5, 20), functions=None, runs=4)
+    cells = plan.cells()
+    assert len(cells) == 12 * 70 * 4
+    groups = harness._groups(cells)
+    keys = [(g[0][0], g[0][2]) for g in groups]
+    assert keys == list(dict.fromkeys((alg, d) for alg, _, d, _ in cells))  # in cell order
+    assert len(keys) == len(set(keys)) == 12 * 5
+    assert sum(groups, []) == cells
+    assert all({(alg, d) for alg, _, d, _ in g} == {key} for g, key in zip(groups, keys))
+
+
 def test_groups_run_alike_at_any_parallelism(tmp_path):
-    # members sorted by (label, dimension) alternate between d=5 and d=2, so
-    # each algorithm's cells cut into four groups: F15@5, F18@2, F26@5 with
-    # F27@5 (four runs), and F4@2 (Bukin6, whose box is no cube)
+    # members sorted by (dimension, label): each algorithm's cells cut into
+    # two groups, F18@2 with F4@2 (Bukin6, whose box is no cube), then F15@5,
+    # F26@5 and F27@5
     plan = small_plan(runs=2, dimensions=(2, 5), functions=("F4", "F15", "F18", "F26", "F27"))
     cells = plan.cells()
     groups = harness._groups(cells)
-    assert [len(g) for g in groups] == [2, 2, 4, 2] * 2
+    assert [len(g) for g in groups] == [4, 6] * 2
     assert sum(groups, []) == cells
-    assert all(len({(alg, d) for alg, _, d, _ in g}) == 1 for g in groups)
-    assert all(a[-1][::2] != b[0][::2] for a, b in zip(groups, groups[1:]))  # maximal stretches
+    assert [(g[0][0], g[0][2]) for g in groups] == [("PSO", 2), ("PSO", 5), ("mPSO", 2), ("mPSO", 5)]
+    assert all(len({(alg, d) for alg, _, d, _ in g}) == 1 for g in groups)  # one per (algorithm, dimension)
     execute(plan, tmp_path / "p1")
     execute(replace(plan, parallelism=2), tmp_path / "p2")
     for name in ("runs.jsonl", "metrics.csv"):
@@ -317,7 +331,7 @@ class Interrupted(Exception):
 
 
 def test_interrupted_execute_keeps_finished_cells(tmp_path, monkeypatch):
-    # the plan lists mPSO first; cells still run and are stored in key order,
+    # the plan lists mPSO first; cells still run and are stored in cell order,
     # as two groups of five runs, (PSO, 5) then (mPSO, 5), one run() call each
     plan = small_plan(runs=5, algorithms=("mPSO", "PSO"))
     execute(plan, tmp_path / "whole")
@@ -341,7 +355,7 @@ def test_interrupted_execute_keeps_finished_cells(tmp_path, monkeypatch):
         assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
     records = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
     keys = [(r["algorithm"], r["function"], r["dimension"], r["run"]) for r in records]
-    assert keys == sorted(keys)
+    assert keys == plan.cells()
 
 
 def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
@@ -375,13 +389,28 @@ def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
         ResultStore(out).read_runs()
 
 
-def test_cells_in_key_order():
-    # a label listed twice still gives each cell once
+def test_cells_in_cell_order():
+    # a label listed twice still gives each cell once; cells sort by
+    # algorithm, dimension, function label, run
     plan = small_plan(algorithms=("mPSO", "PSO", "mPSO"), dimensions=(5, 2), functions=("F27", "F13", "F1"))
     cells = plan.cells()
-    assert cells == sorted(set(cells))
-    assert cells[0] == ("PSO", "F1", 5, 0) and cells[-1] == ("mPSO", "F27", 5, 2)
+    assert cells == sorted(set(cells), key=lambda cell: (cell[0], cell[2], cell[1], cell[3]))
+    assert cells[0] == ("PSO", "F13", 2, 0) and cells[-1] == ("mPSO", "F27", 5, 2)
+    assert cells[plan.runs] == ("PSO", "F1", 5, 0)
     assert len(cells) == 2 * len(plan.collection()) * plan.runs
+
+
+def test_plan_refuses_repeated_dimensions_and_pairs():
+    with pytest.raises(ValueError, match=r"dimensions must be distinct, got \[5, 2, 5\]"):
+        small_plan(dimensions=(5, 2, 5))
+    with pytest.raises(ValueError, match="pairs must be distinct"):
+        small_plan(pairs=(("PSO", "mPSO"), ("PSO", "mPSO")))
+    with pytest.raises(ValueError, match="dimensions must be distinct"):
+        ExperimentPlan.from_dict(small_plan().to_dict() | {"dimensions": [5, 5]})
+    with pytest.raises(ValueError, match="pairs must be distinct"):
+        ExperimentPlan.from_dict(small_plan().to_dict() | {"pairs": [["PSO", "mPSO"], ["PSO", "mPSO"]]})
+    # a pair and its reverse are two comparisons
+    assert len(small_plan(pairs=(("PSO", "mPSO"), ("mPSO", "PSO"))).pairs) == 2
 
 
 def test_execute_serialises_each_record_once(tmp_path, monkeypatch):
@@ -404,18 +433,27 @@ def _drop_middle_line(lines, plan):
 
 def _cell_outside_plan(lines, plan):
     stray = json.loads(lines[2]) | {"run": 99}
-    return lines[:2] + [json.dumps(stray, sort_keys=True) + "\n"], str(("PSO", "F27", 5, 99))
+    return lines[:2] + [json.dumps(stray, sort_keys=True) + "\n"], str(("PSO", "F4", 2, 99))
 
 
 def _repeated_line(lines, plan):
     return lines[:3] + lines[2:], str(plan.cells()[2])
 
 
-@pytest.mark.parametrize("doctor", [_drop_middle_line, _cell_outside_plan, _repeated_line])
+def _label_dimension_order(lines, plan):
+    # complete, in the order of stores written when members were sorted by
+    # (label, dimension): F27@5 before F4@2, so the first line is out of place
+    key = ("algorithm", "function", "dimension", "run")
+    named = "record 1 is cell ('PSO', 'F27', 5, 0), not the plan's next cell in cell order"
+    return sorted(lines, key=lambda line: tuple(json.loads(line)[k] for k in key)), named
+
+
+@pytest.mark.parametrize("doctor", [_drop_middle_line, _cell_outside_plan, _repeated_line, _label_dimension_order])
 def test_resume_refuses_store_out_of_cell_order(tmp_path, capsys, doctor):
-    plan = small_plan()
+    plan = small_plan(dimensions=(2, 5), functions=("F4", "F27"))
     out = tmp_path / "bad"
     execute(plan, out)
+    fresh = {name: (out / name).read_bytes() for name in ("runs.jsonl", "metrics.csv")}
     lines = (out / "runs.jsonl").read_text().splitlines(keepends=True)
     doctored, named_cell = doctor(lines, plan)
     (out / "runs.jsonl").write_text("".join(doctored))
@@ -429,6 +467,9 @@ def test_resume_refuses_store_out_of_cell_order(tmp_path, capsys, doctor):
     assert main(["run", str(plan_path), "--out", str(out)]) == 2
     assert named_cell in capsys.readouterr().err
     assert (out / "runs.jsonl").read_bytes() == before
+    assert main(["run", str(plan_path), "--out", str(out), "--force"]) == 0
+    for name, data in fresh.items():
+        assert (out / name).read_bytes() == data
 
 
 def test_killed_child_run_resumes_identically(tmp_path):
