@@ -1,10 +1,12 @@
 """Swarm kernels: PSO, BAT, CSO and DE, each in base / perturbed (pp) /
 half-perturbed (hpp) variants, sharing one step skeleton.
 
-Every run owns two independent random generators spawned from its seed: one
-for the algorithm's own dynamics and one for the exploration noise.  The base
-variant never touches the noise stream, so a perturbed variant with a
-degenerate noise scale replays the base trajectory bit for bit.
+Every run owns two independent random generators derived from its seed:
+default_rng(child), a PCG64 Generator, for each of the two children of
+SeedSequence(seed).spawn(2), the first for the algorithm's own dynamics and
+the second for the exploration noise.  The base variant never touches the
+noise stream, so a perturbed variant with a degenerate noise scale replays
+the base trajectory bit for bit.
 
 A step (`step`) is the same for every family: the family proposes m raw
 candidate rows from its dynamics; the skeleton clamps them into the box and,
@@ -61,6 +63,17 @@ its run alone.  Each run's record is therefore bit for bit the one it gets
 alone; `run` with one seed, `init_state` and `step` are the R=1 case of
 this code.
 
+A stack sets its runs up in array code.  SeedSequence's hash is fixed
+uint32 arithmetic, so _spawned_words derives every run's two PCG64 seed words
+(each child's generate_state(4, uint64)) in one pass over the stack's seeds;
+a seed that is not an int in [0, 2**64) goes to SeedSequence as given.  The
+start positions are drawn as random() values and scaled to the BoxStack in
+one expression, the per-element arithmetic of Generator.uniform, so each run
+starts where sample_uniform would start it.  A check made once per process,
+at its first stack, compares both with numpy's own calls; if they differ,
+every stack of the process takes the per-run calls (init_state always does)
+and a DrawFallbackWarning says so.
+
 A run whose objective gives a non-finite value, at initialisation or in a
 step, fails alone: it gets a failed record, its row is taken out of the
 stack, and the other runs go on as they would without it.
@@ -72,6 +85,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -86,6 +100,11 @@ VARIANTS = ("base", "pp", "hpp")
 
 class RunFailure(RuntimeError):
     """A run produced a non-finite objective value and was aborted."""
+
+
+class DrawFallbackWarning(RuntimeWarning):
+    """A once-per-process self-check found that an emulation of numpy's draws
+    differs from numpy's own calls, so the slower per-run calls are used."""
 
 
 @dataclass(frozen=True)
@@ -256,7 +275,7 @@ class RunRecord:
             "checkpoints": {str(t): v for t, v in self.checkpoints.items()},
             "final_best_point": None
             if self.final_best_point is None
-            else [float(v) for v in self.final_best_point],
+            else self.final_best_point.tolist(),
             "final_best_value": self.final_best_value,
             "violations_c1": self.violations_c1,
             "violations_c3": self.violations_c3,
@@ -265,10 +284,138 @@ class RunRecord:
         }
 
 
-def _init(config: AlgorithmConfig, runs: _Runs) -> tuple[SwarmState, np.ndarray]:
-    """Uniform initial positions, zero velocities, memory seeded from each
-    swarm, for R stacked runs; also flags the runs with a non-finite value."""
-    X = np.stack([sample_uniform(box, rng, config.n) for box, rng in zip(runs.boxes, runs.rngs)])
+_UINT32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, rounds: int):
+    """The constants of SeedSequence's first `rounds` hash rounds: the one each
+    XORs in and the one it multiplies by, as (rounds, 1) uint32 arrays."""
+    consts = [init]
+    for _ in range(rounds):
+        consts.append(consts[-1] * mult & _UINT32)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ value >> np.uint32(16)
+
+
+def _mix(x, y):
+    mixed = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return mixed ^ mixed >> np.uint32(16)
+
+
+def _spawned_words(seeds) -> np.ndarray:
+    """SeedSequence(seed).spawn(2)[c].generate_state(4, np.uint64) for each
+    seed, an int in [0, 2**64), and c in (0, 1): an (R, 2, 4) uint64 array.
+
+    A child's entropy is the seed's low and high uint32 words, two zeros
+    (entropy is padded to the pool's four words when a spawn key follows) and
+    its spawn key c.  mix_entropy hashes the first four into the pool, mixes
+    every pool word into every other, then mixes c into each; generate_state
+    hashes the pool out as eight uint32s, paired low word first.  Each line
+    below is one of those steps for all seeds at once; a source word's three
+    mixes run together, as none of them writes a word another reads.
+    """
+    ax, am = _hash_constants(0x43B0D7E5, 0x931E8875, 20)
+    bx, bm = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+    seeds = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
+    pool = _hashmix(pool, ax[:4], am[:4])
+    for src in range(4):
+        dst, k = [w for w in range(4) if w != src], slice(4 + 3 * src, 7 + 3 * src)
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], ax[k], am[k]))
+    child = _hashmix(np.arange(2, dtype=np.uint32), ax[16:], am[16:])  # (4, 2)
+    pool = _mix(pool[:, :, None], child[:, None])  # (4, R, 2)
+    state = _hashmix(pool[[0, 1, 2, 3] * 2], bx[..., None], bm[..., None]).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).transpose(1, 2, 0))
+
+
+@functools.cache
+def _seed_words() -> type:
+    """The seed sequence class whose instances are given by precomputed words:
+    PCG64 takes its state and increment from generate_state(4, np.uint64).
+    Made at first use, so that importing swarmpp does not import numpy.random."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def _seed_value(seed):
+    """A seed of any integer type as a Python int, so that its record
+    serialises; anything else as given, for SeedSequence to take or refuse."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        return seed
+
+
+def _run_generators(seeds) -> list[np.random.Generator]:
+    """Each run's dynamics and noise generators, run after run:
+    default_rng(child) for the two children of SeedSequence(seed).spawn(2),
+    built from _spawned_words for a seed that is an int in [0, 2**64)."""
+    exact = [_stack_setup_agrees() and isinstance(s, int) and 0 <= s < 1 << 64 for s in seeds]
+    words = iter(_spawned_words(list(itertools.compress(seeds, exact))) if any(exact) else ())
+    children = [map(_seed_words(), next(words)) if e else np.random.SeedSequence(s).spawn(2) for s, e in zip(seeds, exact)]
+    return [np.random.Generator(np.random.PCG64(child)) for pair in children for child in pair]
+
+
+def _stacked_uniform(box: BoxStack, rngs, n: int) -> np.ndarray:
+    """n points per run (R, n, d), uniform over each run's box: random() values
+    scaled as Generator.uniform scales each element, low + (high - low) * u."""
+    U = np.empty((len(rngs), n, box.dim))
+    for r, rng in enumerate(rngs):
+        rng.random(out=U[r])
+    return box.lower + (box.upper - box.lower) * U
+
+
+def _starts(n: int, runs: _Runs) -> np.ndarray:
+    """Each run's sample_uniform(box, rng, n), stacked."""
+    if _stack_setup_agrees():
+        X = _stacked_uniform(runs.box, runs.rngs, n)
+        if np.isfinite(X).all():  # else a box's span overflows, and uniform raises
+            return X
+    return np.stack([sample_uniform(box, rng, n) for box, rng in zip(runs.boxes, runs.rngs)])
+
+
+@functools.cache
+def _stack_setup_agrees() -> bool:
+    """Whether _spawned_words gives SeedSequence's child states and
+    _stacked_uniform gives sample_uniform's values, sign bits included, under
+    this numpy: for edge and random 64-bit seeds, and boxes that are no cube
+    or straddle zero.  Checked once per process, at the first stack's setup;
+    if it fails, stacks take the per-run calls."""
+    seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 0x2545F4914F6CDD1D]
+    boxes = [Box([-15.0, -3.0], [-5.0, 3.0]), Box([-5.0, 0.0], [10.0, 15.0]), Box.cube(-1e-3, 0.5, 2)]
+    try:
+        for seed, words in zip(seeds, _spawned_words(seeds)):
+            for child, w in zip(np.random.SeedSequence(seed).spawn(2), words):
+                ours = np.random.Generator(np.random.PCG64(_seed_words()(w))).bit_generator.state
+                if ours != np.random.default_rng(child).bit_generator.state:
+                    raise ValueError(f"seed {seed}: generator state differs from SeedSequence's")
+        ours = _stacked_uniform(BoxStack.of(boxes), [np.random.default_rng(s) for s in seeds[:3]], 16)
+        ref = [sample_uniform(box, np.random.default_rng(s), 16) for box, s in zip(boxes, seeds)]
+        if ours.tobytes() != np.stack(ref).tobytes():
+            raise ValueError("start positions differ from Generator.uniform's")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # another numpy's API or arithmetic
+        warnings.warn(f"stacks set their runs up one by one: {exc}", DrawFallbackWarning, stacklevel=2)
+        return False
+    return True
+
+
+def _init(config: AlgorithmConfig, runs: _Runs, X: np.ndarray) -> tuple[SwarmState, np.ndarray]:
+    """The state of R stacked runs at their start positions X (R, n, d): zero
+    velocities, memory seeded from each swarm; also flags the runs with a
+    non-finite value."""
     fvals = runs.evaluate(X)
     rows, j = np.arange(len(X)), np.argmin(fvals, axis=1)
     state = SwarmState(
@@ -291,7 +438,7 @@ _INIT_FAILURE = "non-finite objective value during initialization"
 
 def init_state(config: AlgorithmConfig, box: Box, fbatch, rng: np.random.Generator) -> SwarmState:
     """One run's initial state: the R=1 case of _init."""
-    state, failed = _init(config, _Runs([fbatch], [box], [rng], [None]))
+    state, failed = _init(config, _Runs([fbatch], [box], [rng], [None]), sample_uniform(box, rng, config.n)[None])
     if failed[0]:
         raise RunFailure(_INIT_FAILURE)
     return _unstacked(state)
@@ -431,9 +578,6 @@ def _de_draws_loop(rng, n: int, d: int):
     return J, K, forced, coins
 
 
-_UINT32 = 0xFFFFFFFF
-
-
 def _de_draws_block(rng: np.random.Generator, n: int, d: int):
     """_de_draws_loop's draws, read off one block of raw words of the
     generator's PCG64 and leaving it in the state the loop leaves it in.
@@ -515,7 +659,7 @@ def _block_draws_agree() -> bool:
                 if not all(map(np.array_equal, ours, ref)) or block.bit_generator.state != loop.bit_generator.state:
                     raise ValueError(f"n={n}, d={d}: block draws differ from the loop's")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # another numpy's API or stream
-        warnings.warn(f"DE uses its per-agent draw loop: {exc}", RuntimeWarning, stacklevel=2)
+        warnings.warn(f"DE uses its per-agent draw loop: {exc}", DrawFallbackWarning, stacklevel=2)
         return False
     return True
 
@@ -657,10 +801,11 @@ def _run_stack(config, fbatches, boxes, seeds, max_iter, checkpoints, check_inva
     if not len(fbatches) == len(boxes) == len(seeds):
         raise ValueError("need one objective and one box per seed")
     digest = config.digest()
+    seeds = [_seed_value(seed) for seed in seeds]
     records = [RunRecord(seed, digest, {}, None, np.inf) for seed in seeds]
-    generators = [np.random.default_rng(ss) for seed in seeds for ss in np.random.SeedSequence(seed).spawn(2)]
+    generators = _run_generators(seeds)
     runs = _Runs(fbatches, boxes, generators[0::2], generators[1::2])
-    state, failed = _init(config, runs)
+    state, failed = _init(config, runs, _starts(config.n, runs))
     runs.drop(state, failed, records, _INIT_FAILURE)
     for t in range(max_iter + 1):
         if not runs.rows:

@@ -163,8 +163,11 @@ def _run_group(args) -> list[tuple[tuple, dict]]:
     return [(cell, rec.to_dict() | dict(zip(keys, cell))) for cell, rec in zip(cells, records)]
 
 
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(rec, sort_keys=True)'s encoder
+
+
 def _record_line(rec: dict) -> str:
-    return json.dumps(rec, sort_keys=True) + "\n"
+    return _RECORD_ENCODER.encode(rec) + "\n"
 
 
 def _replace_text(path: Path, text: str):

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ from swarmpp import algorithms, objectives
 from swarmpp.algorithms import (
     ALGORITHM_LABELS,
     AlgorithmConfig,
+    DrawFallbackWarning,
     RunRecord,
     _check_invariants,
     _de_draws_block,
@@ -19,7 +23,7 @@ from swarmpp.algorithms import (
     step,
 )
 from swarmpp.perturbation import NoiseModel
-from swarmpp.search_space import Box, contains
+from swarmpp.search_space import Box, contains, sample_uniform
 
 BOX = Box.cube(-1, 1, 2)
 
@@ -558,7 +562,7 @@ def test_failed_draw_self_check_selects_loop(monkeypatch):
     monkeypatch.setattr(algorithms, "_de_draws_block", broken)
     algorithms._block_draws_agree.cache_clear()
     try:
-        with pytest.warns(RuntimeWarning, match="per-agent draw loop"):
+        with pytest.warns(DrawFallbackWarning, match="per-agent draw loop"):
             assert run(cfg, fbatch, box, 3, 30, [30]).to_dict() == ref
         checked = len(blocks)
         assert checked > 0  # the self-check ran the broken block ...
@@ -641,3 +645,113 @@ def test_run_stack_needs_one_box_and_objective_per_seed():
     cfg = AlgorithmConfig("PSO", n=4)
     with pytest.raises(ValueError, match="one objective and one box per seed"):
         run(cfg, [sphere, sphere], [BOX], [1, 2], 5, [5])
+
+
+# Stack setup: a stack derives its runs' generators and start positions in
+# array code, and each must be what the per-run numpy calls give.
+
+EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("numpy_ints", [False, True], ids=["int", "numpy"])
+def test_stack_generator_states_equal_seed_sequence(numpy_ints):
+    seeds = EDGE_SEEDS + np.random.default_rng(11).integers(0, 2**64, 500, dtype=np.uint64).tolist()
+    given = [np.uint64(s) for s in seeds] if numpy_ints else seeds
+    children = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
+    words = algorithms._spawned_words(given)
+    assert words.tolist() == [[ss.generate_state(4, np.uint64).tolist() for ss in pair] for pair in children]
+    generators = algorithms._run_generators([algorithms._seed_value(s) for s in given])
+    assert len(generators) == 2 * len(seeds)
+    for gen, child in zip(generators, (ss for pair in children for ss in pair)):
+        assert type(gen.bit_generator) is np.random.PCG64
+        assert gen.bit_generator.state == np.random.default_rng(child).bit_generator.state
+
+
+def test_stacked_starts_equal_sample_uniform():
+    n, seeds, labels = 8, range(20), set()
+    for d in objectives.COLLECTION_DIMS:
+        members = objectives.list_collection(d)
+        labels.update((spec.label, d) for spec, _ in members)
+        # one stack per dimension, mixing every member's box
+        boxes = [objectives.default_domain(spec, d) for spec, _ in members for _ in seeds]
+        ref = [sample_uniform(box, np.random.default_rng(s), n) for box, s in zip(boxes, [*seeds] * len(members))]
+        rngs = [np.random.default_rng(s) for _ in members for s in seeds]
+        runs = algorithms._Runs([None] * len(boxes), boxes, rngs, [None] * len(boxes))
+        assert algorithms._starts(n, runs).tobytes() == np.stack(ref).tobytes(), d
+    assert len(labels) == 70 and {("F4", 2), ("F9", 2), ("F14", 2)} <= labels  # per-coordinate boxes
+    # a span past the largest double: Generator.uniform refuses it, alone or stacked
+    with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
+        run(config_for_label("PSO", n=4), [sphere] * 2, [BOX, Box.cube(-1e308, 1e308, 2)], [1, 2], 5, [5])
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the stack setup builds on numpy.random at its first use, not at import
+    code = "import sys, swarmpp.cli; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _broken_words(real):
+    return lambda seeds: real(seeds) ^ np.uint64(1)
+
+
+def _broken_starts(real):
+    return lambda box, rngs, n: np.nextafter(real(box, rngs, n), np.inf)
+
+
+@pytest.mark.parametrize("part, breaks", [("_spawned_words", _broken_words), ("_stacked_uniform", _broken_starts)])
+def test_failed_setup_self_check_selects_per_run_calls(monkeypatch, part, breaks):
+    cfg = config_for_label("hmPSO", n=8)
+    cells = list(zip(*_stack_cells(5, plain=False)))
+    ref = [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)]
+    calls, wrong = [], breaks(getattr(algorithms, part))
+
+    def broken(*args):
+        calls.append(None)
+        return wrong(*args)
+
+    monkeypatch.setattr(algorithms, part, broken)
+    algorithms._stack_setup_agrees.cache_clear()
+    try:
+        with pytest.warns(DrawFallbackWarning, match="set their runs up one by one"):
+            assert [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)] == ref
+        checked = len(calls)
+        assert checked > 0  # the self-check ran the broken emulation ...
+        assert [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)] == ref
+        assert len(calls) == checked  # ... and no stack used it
+    finally:
+        algorithms._stack_setup_agrees.cache_clear()
+
+
+def _replayed(cfg, fbatch, box, seed, max_iter):
+    """init_state/step driven with the generators of SeedSequence(seed)."""
+    rng, rng_noise = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    state = init_state(cfg, box, fbatch, rng)
+    for _ in range(max_iter):
+        step(state, cfg, box, fbatch, rng, rng_noise)
+    return state
+
+
+def test_seeds_outside_uint64_go_to_seed_sequence():
+    cfg = config_for_label("mCSO", n=8)
+    seeds = [5, 2**64, 2**70, 2**64 - 1]
+    records = run(cfg, [sphere] * 4, [BOX] * 4, seeds, 20, [20])
+    for seed, rec in zip(seeds, records):
+        state = _replayed(cfg, sphere, BOX, seed, 20)
+        assert (rec.seed, rec.final_best_value, rec.final_best_point.tolist()) == (seed, state.best_f, state.best_x.tolist())
+    with pytest.raises(ValueError, match="non-negative"):
+        run(cfg, [sphere] * 2, [BOX] * 2, [1, -1], 20, [20])
+    with pytest.raises(ValueError, match="non-negative"):
+        run(cfg, sphere, BOX, -1, 20, [20])
+    with pytest.raises(TypeError, match="SeedSequence expects int"):
+        run(cfg, sphere, BOX, 1.5, 20, [20])
+
+
+def test_numpy_integer_seeds_give_python_int_records():
+    cfg = config_for_label("hmDE", n=8)
+    stacked = run(cfg, [sphere] * 2, [BOX] * 2, np.array([1, 2]), 3, [3])
+    assert [json.dumps(rec.to_dict()) for rec in stacked] == [
+        json.dumps(rec.to_dict()) for rec in run(cfg, [sphere] * 2, [BOX] * 2, [1, 2], 3, [3])]
+    assert json.dumps(run(cfg, sphere, BOX, np.int64(7), 3, [3]).to_dict()) == json.dumps(
+        run(cfg, sphere, BOX, 7, 3, [3]).to_dict())
+    assert type(stacked[0].seed) is int

@@ -413,6 +413,15 @@ def test_plan_refuses_repeated_dimensions_and_pairs():
     assert len(small_plan(pairs=(("PSO", "mPSO"), ("mPSO", "PSO"))).pairs) == 2
 
 
+def test_record_line_is_sorted_json_dumps():
+    cfg = algorithms.config_for_label("mPSO", n=4)
+    box = objectives.default_domain(objectives.get("F27"), 20)
+    ok = algorithms.run(cfg, objectives.batch_evaluator(objectives.get("F27"), 20), box, 3, 5, [0, 5]).to_dict()
+    failed = algorithms.RunRecord(3, cfg.digest(), {}, None, None, status="failed: non-finite").to_dict()
+    for rec in (ok | {"function": "F27", "dimension": 20}, failed):
+        assert harness._record_line(rec) == json.dumps(rec, sort_keys=True) + "\n"
+
+
 def test_execute_serialises_each_record_once(tmp_path, monkeypatch):
     plan = small_plan()
     real_record_line = harness._record_line

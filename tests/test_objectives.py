@@ -120,11 +120,11 @@ def test_powell_block_convention():
 
 def test_schwefel_formula_verbatim():
     spec = ob.get("F24")
-    # the printed formula has minimum ~0 near x_i = 420.9687; known_min keeps
-    # the table's -418.9829d column
+    # the printed, shifted formula has minimum ~1.27e-5*d near x_i = 420.9687,
+    # which known_min records as 0
     val = ob.evaluate(spec, 5, np.full(5, 420.9687))
     assert abs(val) < 1e-2
-    assert spec.min_value(5) == -418.9829 * 5
+    assert spec.min_value(5) == 0.0
 
 
 
