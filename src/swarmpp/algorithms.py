@@ -34,11 +34,10 @@ PSO, BAT and CSO draw noise rows for all m candidates under hpp too, and use
 the first floor(m/2).
 
 DE's per-agent draw loop (_de_draws_loop) defines its draws.  On a numpy
-Generator over PCG64 a step reads the same draws off one block of raw words
-(_de_draws_block) and leaves the generator where the loop leaves it.  Any
-other generator (a proxy, say) takes the loop, and so does every DE step of
-a process in which a check made once, at its first DE step, finds the two
-disagree; a warning says so.
+Generator over PCG64 they are parsed off the raw words of its bit generator
+instead (_Words); a step on a caller's generator (_de_draws_block) then puts
+back the words it read past its draws, leaving the generator where the loop
+leaves it.  Any other generator (a proxy, say) takes the loop.
 
 DE values its trials as single points would be valued: one ulp in an
 accepted value changes its trajectory, and numpy's `**` on a value derived
@@ -74,9 +73,24 @@ at its first stack, compares both with numpy's own calls; if they differ,
 every stack of the process takes the per-run calls (init_state always does)
 and a DrawFallbackWarning says so.
 
+A stack reads its generators ahead: they are made for it and dropped with
+it, and no record shows where a generator stands.  DE's words are parsed
+several steps per call, each run keeping its unused words and uint32 half
+for the next call.  The fixed-shape draws, every pp/hpp noise block and
+PSO's U1 and U2, come K steps per call in one (K * rows, d) or (K, 2, n, d)
+block, which numpy fills with the values of K one-step calls.  K is at most
+the steps left, and a stream's block for all runs at most _BLOCK_BYTES.
+BAT's and CSO's dynamics stay per step: ziggurat `normal` and `permutation`
+read a varying number of words.  init_state and step draw one step at a time
+from the caller's generators.  A check made once per process, at its first
+stack or DE step, compares the parse and K-step blocks with numpy's per-step
+calls; if they differ, stacks draw one step at a time, DE takes its loop,
+and a DrawFallbackWarning says so.
+
 A run whose objective gives a non-finite value, at initialisation or in a
 step, fails alone: it gets a failed record, its row is taken out of the
-stack, and the other runs go on as they would without it.
+stack and of every block read ahead, and the other runs go on as they would
+without it.
 """
 
 from __future__ import annotations
@@ -206,11 +220,18 @@ def _unstacked(stack: SwarmState) -> SwarmState:
     return state
 
 
+_BLOCK_BYTES = 1 << 18  # the most a stack reads ahead of one stream, all its runs together
+
+
 class _Runs:
     """What R stacked runs own besides their state: their boxes (and the
-    BoxStack of them), dynamics and noise generators, objectives (and the
-    stretches of runs that share one), C1/C3 counts, and the index of each
-    run in the caller's sequence."""
+    BoxStack of them), dynamics and noise generators (with DE's word streams
+    and the blocks of draws read ahead), objectives (and the stretches of
+    runs that share one), C1/C3 counts, and the index of each run in the
+    caller's sequence.
+
+    `ahead` is the number of steps, this one included, whose draws may be
+    read now: 0 unless the generators are the stack's own."""
 
     def __init__(self, fbatches, boxes, rngs, rng_noises):
         self.fbatches, self.boxes = list(fbatches), list(boxes)
@@ -218,7 +239,20 @@ class _Runs:
         self.rows = list(range(len(self.rngs)))
         self.violations_c1 = np.zeros(len(self.rows), dtype=int)
         self.violations_c3 = np.zeros(len(self.rows), dtype=int)
+        self.ahead, self.words, self.blocks = 0, [], {}
         self._index()
+
+    def take(self, stream: str, step_bytes: int, fill):
+        """This step's (R, ...) slices of the block of draws read ahead from
+        `stream`.  When the block is used up, fill(K) draws the next K steps
+        of every run's stream as arrays (R, K, ...); K is 1 unless the stack
+        may read ahead, and the block holds at most _BLOCK_BYTES."""
+        block = self.blocks.get(stream)
+        if block is None or block[1] == block[0][0].shape[1]:
+            K = max(1, min(self.ahead, _BLOCK_BYTES // (step_bytes * len(self.rows))))
+            block = self.blocks[stream] = [fill(K), 0]
+        block[1] += 1
+        return tuple(a[:, block[1] - 1] for a in block[0])
 
     def _index(self):
         self.box = BoxStack.of(self.boxes)
@@ -245,9 +279,11 @@ class _Runs:
         for i in itertools.compress(self.rows, failed):
             records[i] = RunRecord(records[i].seed, records[i].config_digest, {}, None, None, status=f"failed: {reason}")
         keep = ~failed
-        for name in ("fbatches", "boxes", "rngs", "rng_noises", "rows"):
+        for name in ("fbatches", "boxes", "rngs", "rng_noises", "rows", "words"):
             setattr(self, name, list(itertools.compress(getattr(self, name), keep)))
         self.violations_c1, self.violations_c3 = self.violations_c1[keep], self.violations_c3[keep]
+        for block in self.blocks.values():
+            block[0] = tuple(a[keep] for a in block[0])
         for f in fields(SwarmState):
             value = getattr(state, f.name)
             if isinstance(value, np.ndarray):
@@ -381,9 +417,7 @@ def _stacked_uniform(box: BoxStack, rngs, n: int) -> np.ndarray:
 def _starts(n: int, runs: _Runs) -> np.ndarray:
     """Each run's sample_uniform(box, rng, n), stacked."""
     if _stack_setup_agrees():
-        X = _stacked_uniform(runs.box, runs.rngs, n)
-        if np.isfinite(X).all():  # else a box's span overflows, and uniform raises
-            return X
+        return _stacked_uniform(runs.box, runs.rngs, n)
     return np.stack([sample_uniform(box, rng, n) for box, rng in zip(runs.boxes, runs.rngs)])
 
 
@@ -448,23 +482,31 @@ def _clip(X, box: Box | BoxStack) -> np.ndarray:
     return np.clip(X, box.lower, box.upper)
 
 
-def perturb_project(Y, box: Box | BoxStack, noise: NoiseModel, rng_noise, k: int, rows: int) -> np.ndarray:
-    """Clamp the candidate rows Y into the box, add noise to the first k rows
-    and clamp those again; the other rows are only clamped.
+def perturb_project(Y, box: Box, noise: NoiseModel, rng_noise, k: int, rows: int) -> np.ndarray:
+    """Clamp one run's candidate rows Y (m, d) into the box, add noise to the
+    first k rows and clamp those again; the other rows are only clamped.
 
-    Y is one run's (m, d) rows with its box and noise generator, or R runs'
-    (R, m, d) rows with their BoxStack and a sequence of R generators.  Each
-    run draws rows >= k noise rows in one block from its own generator and
-    uses the first k, so its noise stream advances by the count each family
-    has always drawn.  The output is always inside the box, whatever the
-    noise magnitude.
+    The run draws rows >= k noise rows in one block from its noise generator
+    and uses the first k, so its noise stream advances by the count each
+    family has always drawn (a stack's steps do this for all runs at once).
+    The output is always inside the box, whatever the noise magnitude.
     """
-    if np.ndim(Y) == 2:
-        return perturb_project(np.asarray(Y)[None], box, noise, [rng_noise], k, rows)[0]
+    w = sample_noise(noise, box.dim, rng_noise, size=rows)
+    return _project(np.asarray(Y, dtype=float)[None], box, w[None], k)[0]
+
+
+def _noise(noise: NoiseModel, d: int, rng_noises, rows: int, K: int) -> np.ndarray:
+    """K steps of each run's noise rows (R, K, rows, d), one draw per run: a
+    (K * rows, d) block is what K draws of (rows, d) give."""
+    w = np.empty((len(rng_noises), K * rows, d))
+    for r, rng in enumerate(rng_noises):
+        w[r] = sample_noise(noise, d, rng, size=K * rows)
+    return w.reshape(-1, K, rows, d)
+
+
+def _project(Y, box: Box | BoxStack, w, k: int) -> np.ndarray:
+    """The rows Y (R, m, d) clamped, the first k with the noise w added first."""
     X = _clip(Y, box)
-    w = np.empty((len(X), rows, box.dim))
-    for r, rng in enumerate(rng_noise):
-        w[r] = sample_noise(noise, box.dim, rng, size=rows)
     X[:, :k] = _clip(X[:, :k] + w[:, :k], box)
     return X
 
@@ -477,9 +519,15 @@ def perturb_project(Y, box: Box | BoxStack, noise: NoiseModel, rng_noise, k: int
 
 
 def _pso_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
-    U = np.empty((len(state.X), 2, *state.X.shape[1:]))
-    for r, rng in enumerate(runs.rngs):
-        rng.random(out=U[r])  # U1 then U2, as two calls would draw them
+    R, n, d = state.X.shape
+
+    def fill(K):
+        U = np.empty((R, K, 2, n, d))
+        for r, rng in enumerate(runs.rngs):
+            rng.random(out=U[r])  # U1 then U2 of K steps, as 2K calls would draw them
+        return (U,)
+
+    (U,) = runs.take("U", 16 * n * d, fill)
     U1, U2 = U[:, 0], U[:, 1]
     state.V = (
         config.w * state.V
@@ -578,100 +626,161 @@ def _de_draws_loop(rng, n: int, d: int):
     return J, K, forced, coins
 
 
-def _de_draws_block(rng: np.random.Generator, n: int, d: int):
-    """_de_draws_loop's draws, read off one block of raw words of the
-    generator's PCG64 and leaving it in the state the loop leaves it in.
+class _Words:
+    """One PCG64's raw words, read ahead, and its buffered uint32 half: DE's
+    dynamics draws are parsed off them, any number of steps at a time, as
+    _de_draws_loop draws them from a Generator over that PCG64.
 
     Generator.integers(m) is Lemire's method on next_uint32, which returns the
     low half of a fresh 64-bit word and keeps the high half for the next call
     (state "has_uint32"/"uinteger"); random() is (next_uint64 >> 11) * 2**-53
-    and does not touch that buffer.  The integer draws are parsed from the
-    block in Python ints, the coins converted in one gather, the words left
-    over rewound and the buffer restored.
+    and does not touch that buffer.  The integer draws are parsed in Python
+    ints, Lemire's accept test inline, and a parse's coins converted in one
+    gather.  Words are read with random_raw as a parse needs them; the ones it
+    leaves wait for the next parse, and rewind() puts them back.
     """
-    bg = rng.bit_generator
-    state = bg.state
-    has, buf = state["has_uint32"], state["uinteger"]
-    chunk = n * (d + 2)  # a step's words at n >= 8, barring many redraws
-    raw = bg.random_raw(chunk)
-    words, pos = memoryview(raw), 0
 
-    def grow():
-        nonlocal raw, words
-        raw = np.concatenate((raw, bg.random_raw(chunk)))
-        words = memoryview(raw)
+    def __init__(self, bg):
+        state = bg.state
+        self.bg, self.has, self.buf = bg, state["has_uint32"], state["uinteger"]
+        self.raw = np.empty(0, dtype=np.uint64)
 
-    def integer(m: int) -> int:
-        nonlocal pos, has, buf
-        if m == 1:
-            return 0  # integers(1) draws nothing
-        threshold = (1 << 32) % m
+    def parse(self, steps: int, n: int, d: int):
+        """(J, K, forced, coins) of the next `steps` steps: (steps, n) donor
+        and forced indices, (steps, n, d) crossover coins."""
+        need = steps * n * (d + 2)  # the words of `steps` steps at n >= 8, barring many redraws
         while True:
-            if has:
-                has, v = 0, buf
-            else:
-                if pos == len(words):
-                    grow()
-                w = words[pos]
-                pos += 1
-                has, v, buf = 1, w & _UINT32, w >> 32
-            product = v * m
-            if product & _UINT32 >= threshold:
-                return product >> 32
+            if len(self.raw) < need:
+                self.raw = np.concatenate((self.raw, self.bg.random_raw(need - len(self.raw))))
+            try:
+                return self._parsed(steps, n, d)
+            except IndexError:  # the draws ran past the words (_parsed has changed nothing): read more
+                need += n * (d + 2)
 
-    J, K, forced, starts = [], [], [], []
-    for i in range(n):
-        j = integer(n)
-        while j == i:
-            j = integer(n)
-        k = integer(n)
-        while k == i or k == j:
-            k = integer(n)
-        J.append(j)
-        K.append(k)
-        forced.append(integer(d))
-        if pos + d > len(words):
-            grow()
-        starts.append(pos)
-        pos += d
-    coins = (raw[np.add.outer(starts, np.arange(d))] >> np.uint64(11)) * 2.0**-53
-    if pos < len(raw):
-        bg.advance((1 << 128) - (len(raw) - pos))  # PCG64 advances modulo 2**128
-    state = bg.state  # advance clears the uint32 buffer
-    state["has_uint32"], state["uinteger"] = has, buf
-    bg.state = state
-    return np.array(J), np.array(K), np.array(forced), coins
+    def _parsed(self, steps: int, n: int, d: int):
+        raw, pos, has, buf = self.raw, 0, self.has, self.buf
+        words = memoryview(raw)
+        low_n, low_d = (1 << 32) % n, (1 << 32) % d  # Lemire rejects v * m whose low half is below 2**32 mod m
+        ints = []  # j, k, forced and the first coin's word, agent by agent
+        for i in [*range(n)] * steps:
+            while True:  # donor j != i
+                if has:
+                    has, v = 0, buf
+                else:
+                    w, pos = words[pos], pos + 1
+                    has, v, buf = 1, w & _UINT32, w >> 32
+                v *= n
+                if v & _UINT32 >= low_n and v >> 32 != i:
+                    break
+            j = v >> 32
+            while True:  # donor k not in {i, j}
+                if has:
+                    has, v = 0, buf
+                else:
+                    w, pos = words[pos], pos + 1
+                    has, v, buf = 1, w & _UINT32, w >> 32
+                v *= n
+                if v & _UINT32 >= low_n and v >> 32 != i and v >> 32 != j:
+                    break
+            k, v = v >> 32, 0
+            while d > 1:  # the forced index; integers(1) draws nothing
+                if has:
+                    has, v = 0, buf
+                else:
+                    w, pos = words[pos], pos + 1
+                    has, v, buf = 1, w & _UINT32, w >> 32
+                v *= d
+                if v & _UINT32 >= low_d:
+                    break
+            ints += j, k, v >> 32, pos  # the coins are the d words from pos
+            pos += d
+        ints = np.array(ints, dtype=np.intp).reshape(steps, n, 4)
+        coins = (raw[ints[..., 3:] + np.arange(d)] >> np.uint64(11)) * 2.0**-53
+        self.raw, self.has, self.buf = raw[pos:].copy(), has, buf
+        return ints[..., 0], ints[..., 1], ints[..., 2], coins
+
+    def rewind(self):
+        """Leave the generator where the draws parsed so far leave it."""
+        if len(self.raw):
+            self.bg.advance((1 << 128) - len(self.raw))  # PCG64 advances modulo 2**128
+        state = self.bg.state  # advance clears the uint32 buffer
+        state["has_uint32"], state["uinteger"] = self.has, self.buf
+        self.bg.state = state
+
+
+def _de_draws_block(rng: np.random.Generator, n: int, d: int):
+    """_de_draws_loop's draws, parsed off the raw words of the generator's
+    PCG64 (_Words), which is left in the state the loop leaves it in."""
+    words = _Words(rng.bit_generator)
+    draws = words.parse(1, n, d)
+    words.rewind()
+    return tuple(a[0] for a in draws)
 
 
 @functools.cache
 def _block_draws_agree() -> bool:
-    """Whether _de_draws_block gives _de_draws_loop's draws and generator
-    state under this numpy, for odd, even and power-of-two swarms and a
-    buffered uint32 at the start of a step.  Checked once per process, at
-    the first DE step on a PCG64 Generator; if it fails, DE keeps the loop."""
+    """Whether the draws DE parses off raw words, and the draws a stack reads
+    ahead, are numpy's own under this numpy.  DE: _de_draws_block, and _Words
+    parsing 1, then 3 steps per call, give _de_draws_loop's draws and, block
+    and rewound words alike, its generator state, for odd, even and
+    power-of-two swarms and a buffered uint32 at the start (at n=4, d=5 a
+    parse runs out of words and reads more).  Blocks: K steps of sample_noise
+    (Gaussian and scaled t) and of random(out=) in one call give K per-step
+    calls' values and generator state.  Checked once per process, at its
+    first stack or DE step on a PCG64 Generator; if it fails, stacks draw
+    step by step and DE keeps the loop."""
     try:
         for n, d in ((4, 1), (4, 5), (5, 2), (8, 3), (33, 10)):
-            block, loop = np.random.default_rng(n), np.random.default_rng(n)
-            block.integers(3)
-            loop.integers(3)
-            for _ in range(4):
-                ours, ref = _de_draws_block(block, n, d), _de_draws_loop(loop, n, d)
-                if not all(map(np.array_equal, ours, ref)) or block.bit_generator.state != loop.bit_generator.state:
-                    raise ValueError(f"n={n}, d={d}: block draws differ from the loop's")
+            block, ahead, loop = (np.random.default_rng(n) for _ in range(3))
+            for rng in (block, ahead, loop):
+                rng.integers(3)
+            words = _Words(ahead.bit_generator)
+            for steps in (1, 3):
+                parsed = words.parse(steps, n, d)
+                for t in range(steps):
+                    ref = _de_draws_loop(loop, n, d)
+                    if not all(map(np.array_equal, _de_draws_block(block, n, d), ref)):
+                        raise ValueError(f"n={n}, d={d}: block draws differ from the loop's")
+                    if not all(np.array_equal(a[t], b) for a, b in zip(parsed, ref)):
+                        raise ValueError(f"n={n}, d={d}: a {steps}-step parse differs from the loop's draws")
+            words.rewind()
+            if not block.bit_generator.state == ahead.bit_generator.state == loop.bit_generator.state:
+                raise ValueError(f"n={n}, d={d}: parsed draws leave another generator state than the loop")
+        K, rows, d = 4, 5, 3
+        draws = [lambda rng, k, noise=noise: _noise(noise, d, [rng], rows, k)
+                 for noise in (NoiseModel(sigma=0.5), NoiseModel(kind="scaled_t", df=5))]
+        draws.append(lambda rng, k: rng.random(out=np.empty((k, 2, rows, d))))
+        for draw in draws:
+            ahead, loop = np.random.default_rng(K), np.random.default_rng(K)
+            block, ref = draw(ahead, K).ravel(), np.concatenate([draw(loop, 1).ravel() for _ in range(K)])
+            if block.tobytes() != ref.tobytes() or ahead.bit_generator.state != loop.bit_generator.state:
+                raise ValueError("a block of K steps' draws differs from K steps' draws")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # another numpy's API or stream
-        warnings.warn(f"DE uses its per-agent draw loop: {exc}", DrawFallbackWarning, stacklevel=2)
+        warnings.warn(f"stacks draw step by step and DE uses its per-agent draw loop: {exc}",
+                      DrawFallbackWarning, stacklevel=2)
         return False
     return True
 
 
 def _de_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
     R, n, d = state.X.shape
-    J, K, forced = np.empty((3, R, n), dtype=np.intp)
-    coins = np.empty((R, n, d))
-    for r, rng in enumerate(runs.rngs):
-        fast = type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64
-        draws = _de_draws_block if fast and _block_draws_agree() else _de_draws_loop
-        J[r], K[r], forced[r], coins[r] = draws(rng, n, d)
+
+    def fill(steps):
+        J, K, forced = np.empty((3, R, steps, n), dtype=np.intp)
+        coins = np.empty((R, steps, n, d))
+        if runs.ahead:
+            runs.words = runs.words or [_Words(rng.bit_generator) for rng in runs.rngs]
+        for r, rng in enumerate(runs.rngs):
+            if runs.ahead:
+                draws = runs.words[r].parse(steps, n, d)
+            else:  # a caller's generator, drawn one step at a time
+                fast = type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64
+                draws = (_de_draws_block if fast and _block_draws_agree() else _de_draws_loop)(rng, n, d)
+            J[r], K[r], forced[r], coins[r] = draws
+        return J, K, forced, coins
+
+    # a run's parse holds its words and gathers, about as much again as the block
+    J, K, forced, coins = runs.take("DE", 16 * n * (d + 3), fill)
     rows, X = np.arange(R)[:, None], state.X
     keep = coins < config.crossover
     keep[rows, np.arange(n), forced] = True
@@ -711,7 +820,9 @@ def _step(state: SwarmState, config: AlgorithmConfig, runs: _Runs) -> np.ndarray
     else:
         m = Y.shape[1]
         k = m if config.variant == "pp" else m // 2
-        X = perturb_project(Y, runs.box, config.noise, runs.rng_noises, k, rows=k if de else m)
+        drawn, d = k if de else m, Y.shape[2]
+        (w,) = runs.take("noise", 8 * drawn * d, lambda K: (_noise(config.noise, d, runs.rng_noises, drawn, K),))
+        X = _project(Y, runs.box, w, k)
     f = runs.evaluate(X, per_point=de)
     state.n_evals += X.shape[1]
     accept(state, config, X, f, ctx, runs)
@@ -800,6 +911,11 @@ def _run_stack(config, fbatches, boxes, seeds, max_iter, checkpoints, check_inva
     checkpoints = set(check_checkpoints(checkpoints, max_iter))
     if not len(fbatches) == len(boxes) == len(seeds):
         raise ValueError("need one objective and one box per seed")
+    if len(seeds) == 0:
+        return []
+    dims = sorted({box.dim for box in boxes})
+    if len(dims) > 1:
+        raise ValueError(f"a stack's boxes must share one dimension, got dimensions {dims}")
     digest = config.digest()
     seeds = [_seed_value(seed) for seed in seeds]
     records = [RunRecord(seed, digest, {}, None, np.inf) for seed in seeds]
@@ -807,10 +923,12 @@ def _run_stack(config, fbatches, boxes, seeds, max_iter, checkpoints, check_inva
     runs = _Runs(fbatches, boxes, generators[0::2], generators[1::2])
     state, failed = _init(config, runs, _starts(config.n, runs))
     runs.drop(state, failed, records, _INIT_FAILURE)
+    ahead = _block_draws_agree()  # the generators are the stack's own: it may read them ahead
     for t in range(max_iter + 1):
         if not runs.rows:
             break
         if t > 0:
+            runs.ahead = max_iter - t + 1 if ahead else 0
             prev_best = state.best_f
             failed = _step(state, config, runs)
             if check_invariants:

@@ -25,11 +25,18 @@ class NoiseModel:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}")
         if self.kind == "gaussian":
+            if self.df is not None:
+                raise ValueError("gaussian noise takes only 'sigma'; unused key(s): df")
             if not (np.isfinite(self.sigma) and self.sigma > 0):
                 raise ValueError("gaussian noise needs finite sigma > 0")
         else:
+            if self.sigma != NoiseModel.sigma:  # the scale is pinned by df; sigma stays its default
+                raise ValueError("scaled_t noise takes only 'df'; unused key(s): sigma")
+            if self.df is not None and self.df != int(self.df):
+                raise ValueError(f"scaled_t df must be an integer, got {self.df!r}")
             if self.df is None or self.df <= 2:
                 raise ValueError("scaled_t noise needs df > 2 so the variance exists")
+            object.__setattr__(self, "df", int(self.df))
 
     def to_dict(self) -> dict:
         if self.kind == "gaussian":
@@ -39,8 +46,8 @@ class NoiseModel:
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
         """The inverse of to_dict.  A missing kind is Gaussian and a missing
-        sigma takes its default; a key the kind does not use, or a
-        non-integral df, is refused."""
+        sigma takes its default; a key the kind does not use is refused, and
+        so, by the constructor, is a non-integral df."""
         kind = d.get("kind", "gaussian")
         if kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}")
@@ -50,10 +57,7 @@ class NoiseModel:
             raise ValueError(f"{kind} noise takes only {param!r}; unused key(s): {', '.join(unused)}")
         if kind == "gaussian":
             return cls(sigma=float(d.get("sigma", cls.sigma)))
-        df = d.get("df")
-        if df is not None and df != int(df):
-            raise ValueError(f"scaled_t df must be an integer, got {df!r}")
-        return cls(kind=kind, df=df if df is None else int(df))
+        return cls(kind=kind, df=d.get("df"))
 
 
 def sample_noise(model: NoiseModel, d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

@@ -29,6 +29,9 @@ class Box:
             raise ValueError("box bounds must be finite")
         if not np.all(lower < upper):
             raise ValueError("need lower[k] < upper[k] in every dimension")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(upper - lower)):
+                raise ValueError("box spans must be finite: upper - lower overflows a double")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 

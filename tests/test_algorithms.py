@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -505,6 +506,33 @@ def test_de_block_draws_equal_loop(n):
             assert block.bit_generator.state == loop.bit_generator.state, (n, d, t)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 32, 33, 64])
+def test_de_multistep_parse_equals_loop(n, monkeypatch):
+    # a stack parses several steps per call off words it keeps between calls,
+    # reading more as it runs out, even in the middle of a step
+    reads, parsed_from = [], algorithms._Words._parsed
+    monkeypatch.setattr(algorithms._Words, "_parsed", lambda self, *a: reads.append(a) or parsed_from(self, *a))
+    refills = 0
+    for d in (1, 2, 5, 10, 40):
+        for steps in (1, 3, 17):
+            parsed, loop = np.random.default_rng([n, d, steps]), np.random.default_rng([n, d, steps])
+            while not parsed.bit_generator.state["has_uint32"]:
+                parsed.integers(9)  # start with a buffered uint32 half
+                loop.integers(9)
+            words = algorithms._Words(parsed.bit_generator)
+            for call in range(2):  # the second call starts on the words the first left
+                reads.clear()
+                draws = words.parse(steps, n, d)
+                refills += len(reads) - 1  # a parse that runs out of words reads more and starts over
+                assert [a.shape for a in draws] == [(steps, n)] * 3 + [(steps, n, d)]
+                for t in range(steps):
+                    for a, b in zip(draws, _de_draws_loop(loop, n, d)):
+                        np.testing.assert_array_equal(a[t], b, err_msg=f"d={d}, steps={steps}, call {call}, step {t}")
+            words.rewind()
+            assert parsed.bit_generator.state == loop.bit_generator.state, (d, steps)
+    assert refills > 0 or n >= 8  # small swarms redraw donors often enough to outrun the first read
+
+
 class ProxyGenerator:
     """A Generator look-alike that forwards every call and counts them."""
 
@@ -592,14 +620,15 @@ def _stack_cells(d, plain):
 @pytest.mark.parametrize("plain", [False, True], ids=["evaluator", "plain"])
 @pytest.mark.parametrize("label", ALGORITHM_LABELS)
 def test_stacked_runs_equal_solo_runs(label, plain):
-    cfg = config_for_label(label, n=8)
-    for d in STACK_MEMBERS:
+    base = config_for_label(label).variant == "base"  # base runs draw no noise
+    noises = [NoiseModel()] + ([] if base else [NoiseModel(kind="scaled_t", df=5)])
+    for cfg, d in itertools.product((config_for_label(label, n=8, noise=noise) for noise in noises), STACK_MEMBERS):
         cells = _stack_cells(d, plain)
         solo = [run(cfg, *cell, STACK_ITERS, STACK_CPS).to_dict() for cell in cells]
         # member-major (one objective call per member) and seed-major (one per run)
         for order in (cells, sorted(cells, key=lambda cell: cell[2])):
             stacked = run(cfg, *map(list, zip(*order)), STACK_ITERS, STACK_CPS)
-            assert [rec.to_dict() for rec in stacked] == [solo[cells.index(cell)] for cell in order], (d, len(order))
+            assert [rec.to_dict() for rec in stacked] == [solo[cells.index(cell)] for cell in order], (cfg.noise, d)
 
 
 def _failing_after(fbatch, calls_ok):
@@ -613,8 +642,20 @@ def _failing_after(fbatch, calls_ok):
     return f
 
 
-@pytest.mark.parametrize("label", ["PSO", "hmBAT", "mCSO", "hmDE"])
-def test_failed_run_leaves_the_rest_of_its_stack_alone(label):
+def _block_steps(monkeypatch):
+    """A list that gets K, the steps of each block of draws that stacks fill
+    from now on."""
+    steps, take = [], algorithms._Runs.take
+
+    def spy(self, stream, step_bytes, fill):
+        return take(self, stream, step_bytes, lambda K: steps.append(K) or fill(K))
+
+    monkeypatch.setattr(algorithms._Runs, "take", spy)
+    return steps
+
+
+@pytest.mark.parametrize("label", ["PSO", "hmPSO", "hmBAT", "mCSO", "hmDE"])
+def test_failed_run_leaves_the_rest_of_its_stack_alone(label, monkeypatch):
     cfg = config_for_label(label, n=8)
     cells = _stack_cells(5, plain=False)
     # run 1 fails at initialisation, run 4 at its fifth step, run 7 at its last
@@ -622,7 +663,11 @@ def test_failed_run_leaves_the_rest_of_its_stack_alone(label):
     broken = {1: 0, 4: 1 + 4 * calls_at_step, 7: 1 + (STACK_ITERS - 1) * calls_at_step}
     cells = [(_failing_after(fb, broken[i]), box, seed) if i in broken else (fb, box, seed)
              for i, (fb, box, seed) in enumerate(cells)]
-    stacked = [rec.to_dict() for rec in run(cfg, *map(list, zip(*cells)), STACK_ITERS, STACK_CPS)]
+    with monkeypatch.context() as patch:
+        block_steps = _block_steps(patch)
+        stacked = [rec.to_dict() for rec in run(cfg, *map(list, zip(*cells)), STACK_ITERS, STACK_CPS)]
+    # the stack read its first blocks of draws past step 5, where run 4 fails
+    assert block_steps and block_steps[0] == STACK_ITERS
     for i, (fb, box, seed) in enumerate(cells):
         if i in broken:
             reason = "during initialization" if i == 1 else f"in a {cfg.family} step"
@@ -645,6 +690,35 @@ def test_run_stack_needs_one_box_and_objective_per_seed():
     cfg = AlgorithmConfig("PSO", n=4)
     with pytest.raises(ValueError, match="one objective and one box per seed"):
         run(cfg, [sphere, sphere], [BOX], [1, 2], 5, [5])
+
+
+def test_empty_stack_gives_no_records():
+    for label in ("hmPSO", "hmDE"):
+        assert run(config_for_label(label, n=8), [], [], [], 3, [3]) == []
+
+
+def test_stack_refuses_boxes_of_two_dimensions():
+    spec = objectives.get("F27")
+    boxes = [objectives.default_domain(spec, d) for d in (5, 10, 5)]
+    with pytest.raises(ValueError, match=r"share one dimension, got dimensions \[5, 10\]"):
+        run(config_for_label("PSO", n=8), [sphere] * 3, boxes, [1, 2, 3], 3, [3])
+
+
+@pytest.mark.parametrize("label", ["hmPSO", "mBAT", "hmCSO", "mDE"])
+def test_short_stacks_read_no_further_than_their_last_step(label, monkeypatch):
+    # max_iter 0, 1 and below the block size a longer stack would read:
+    # each record is the one init_state/step give, drawing step by step
+    cfg = config_for_label(label, n=8)
+    fbatches, boxes, seeds = zip(*_stack_cells(5, plain=False))
+    block_steps = _block_steps(monkeypatch)
+    for max_iter in (0, 1, 3):
+        block_steps.clear()
+        records = run(cfg, fbatches, boxes, seeds, max_iter, sorted({0, max_iter}))
+        assert set(block_steps) == ({max_iter} if max_iter else set())
+        for rec, fb, box, seed in zip(records, fbatches, boxes, seeds):
+            state = _replayed(cfg, fb, box, seed, max_iter)
+            assert (rec.final_best_value, rec.final_best_point.tolist(), rec.n_evals) == (
+                state.best_f, state.best_x.tolist(), state.n_evals), (max_iter, seed)
 
 
 # Stack setup: a stack derives its runs' generators and start positions in
@@ -679,8 +753,8 @@ def test_stacked_starts_equal_sample_uniform():
         runs = algorithms._Runs([None] * len(boxes), boxes, rngs, [None] * len(boxes))
         assert algorithms._starts(n, runs).tobytes() == np.stack(ref).tobytes(), d
     assert len(labels) == 70 and {("F4", 2), ("F9", 2), ("F14", 2)} <= labels  # per-coordinate boxes
-    # a span past the largest double: Generator.uniform refuses it, alone or stacked
-    with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
+    # a span past the largest double, which Generator.uniform would refuse, is no box
+    with pytest.raises(ValueError, match="spans must be finite"):
         run(config_for_label("PSO", n=4), [sphere] * 2, [BOX, Box.cube(-1e308, 1e308, 2)], [1, 2], 5, [5])
 
 
@@ -721,6 +795,37 @@ def test_failed_setup_self_check_selects_per_run_calls(monkeypatch, part, breaks
         assert len(calls) == checked  # ... and no stack used it
     finally:
         algorithms._stack_setup_agrees.cache_clear()
+
+
+def _broken_parse(real):
+    def parse(self, steps, n, d):  # wrong past a parse's first step
+        J, K, forced, coins = real(self, steps, n, d)
+        return J, K, forced, np.concatenate((coins[:1], coins[1:] * 0.5))
+    return parse
+
+
+def _broken_noise(real):
+    return lambda noise, d, rngs, rows, K: real(noise, d, rngs, rows, K) * np.arange(1, K + 1)[:, None, None]
+
+
+@pytest.mark.parametrize("label, owner, part, breaks", [
+    ("hmDE", algorithms._Words, "parse", _broken_parse),
+    ("mPSO", algorithms, "_noise", _broken_noise),
+])
+def test_failed_read_ahead_self_check_draws_step_by_step(monkeypatch, label, owner, part, breaks):
+    cfg = config_for_label(label, n=8)
+    cells = list(zip(*_stack_cells(5, plain=False)))
+    ref = [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)]
+    monkeypatch.setattr(owner, part, breaks(getattr(owner, part)))
+    algorithms._block_draws_agree.cache_clear()
+    try:
+        block_steps = _block_steps(monkeypatch)
+        with pytest.warns(DrawFallbackWarning, match="stacks draw step by step"):
+            assert [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)] == ref
+        assert [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)] == ref
+        assert set(block_steps) == {1}  # the stacks read no step ahead
+    finally:
+        algorithms._block_draws_agree.cache_clear()
 
 
 def _replayed(cfg, fbatch, box, seed, max_iter):

@@ -16,6 +16,22 @@ def test_noise_model_validation():
     NoiseModel(kind="scaled_t", df=5)
 
 
+def test_noise_model_refuses_what_from_dict_refuses():
+    # a df the Gaussian kind would drop from to_dict() and the digest
+    with pytest.raises(ValueError, match="gaussian noise takes only 'sigma'; unused key"):
+        NoiseModel(kind="gaussian", df=5)
+    with pytest.raises(ValueError, match="df must be an integer, got 3.5"):
+        NoiseModel(kind="scaled_t", df=3.5)
+    # a sigma the scaled t would drop likewise
+    with pytest.raises(ValueError, match="scaled_t noise takes only 'df'; unused key"):
+        NoiseModel(kind="scaled_t", df=5, sigma=0.1)
+    # an integral df of any type is stored, serialised and digested as an int
+    for df in (10.0, np.int64(10)):
+        model = NoiseModel(kind="scaled_t", df=df)
+        assert type(model.df) is int and model == NoiseModel(kind="scaled_t", df=10)
+        assert model.to_dict() == {"kind": "scaled_t", "df": 10}
+
+
 def test_gaussian_degenerate_limit():
     rng = np.random.default_rng(0)
     w = sample_noise(NoiseModel(sigma=1e-300), 10, rng)

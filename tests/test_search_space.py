@@ -15,6 +15,15 @@ def test_box_validation():
     assert b.dim == 3
 
 
+def test_box_refuses_a_span_past_the_largest_double():
+    with pytest.raises(ValueError, match="spans must be finite"):
+        Box.cube(-1e308, 1e308, 2)
+    with pytest.raises(ValueError, match="spans must be finite"):
+        Box([0.0, -1.7e308], [1.0, 1.7e308])
+    # the widest span a double holds is a box
+    assert Box.cube(-8e307, 8e307, 2).dim == 2
+
+
 def test_project_clamps_one_coordinate():
     box = Box.cube(-1, 1, 2)
     np.testing.assert_array_equal(project([2.0, 0.5], box), [1.0, 0.5])
