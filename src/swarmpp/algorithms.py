@@ -14,9 +14,10 @@ for pp and hpp, adds noise to the perturbed rows and clamps those again
 (`perturb_project`); it evaluates the rows, the family accepts or rejects
 them, and the skeleton updates the best-so-far memory.
 
-The hpp rule: pp perturbs all m rows, hpp the first floor(m/2).  m is n for
-PSO, BAT and DE, so hpp perturbs agents 0..n/2-1; for CSO the rows are the
-n/2 losers in pair order, so hpp perturbs the losers of pairs 0..n/4-1.
+The variants differ only in k, the number of rows perturbed: base perturbs
+none, pp all m rows, hpp the first floor(m/2).  m is n for PSO, BAT and DE,
+so hpp perturbs agents 0..n/2-1; for CSO the rows are the n/2 losers in
+pair order, so hpp perturbs the losers of pairs 0..n/4-1.
 
 Random draw order inside each step is part of the contract (golden-trace
 tests pin it):
@@ -47,20 +48,25 @@ scalar, C pow) and a block (an array).  A registered objective's
 call; any other callable is called once per row.  tests/golden_runs.json
 pins cases that a plain batched call breaks.
 
-Runs of one configuration and dimension step as one stack (`run` given
-sequences of objectives, boxes and seeds).  Their state arrays carry a
-leading run axis: positions (R, n, d), values (R, n), one memory and one
+Runs of one family and dimension step as one stack (`run` given sequences
+of objectives, boxes and seeds, and one config or one per seed).  A stack
+may mix the family's variants: its configs agree in every field but
+`variant`, and each run perturbs its own k rows.  Their state arrays carry
+a leading run axis: positions (R, n, d), values (R, n), one memory and one
 best-so-far per run, box bounds (R, 1, d) (search_space.BoxStack).  Only
 the draws loop over the runs: each run draws from its own two generators,
 in the order above, as it would alone, and the streams are never merged.
-The arithmetic, the clamp and noise step, acceptance, best-so-far tracking,
-the invariant check (one containment test per array, counted per run) and
-the checkpoint record act once on the whole stack.  The objective is called
-once per stretch of runs that share it, on all their rows: an objective
-values each row on its own, so a row gets the value it gets in a call of
-its run alone.  Each run's record is therefore bit for bit the one it gets
-alone; `run` with one seed, `init_state` and `step` are the R=1 case of
-this code.
+The arithmetic, the clamp, acceptance, best-so-far tracking, the invariant
+check (one containment test per array, counted per run) and the checkpoint
+record act once on the whole stack.  The noise step acts once on the runs
+of each perturbed variant (_project), through a slice when they are
+consecutive, as the harness orders them, else through an index array: a
+stack of one variant does the arithmetic a lone run does.  The objective is
+called once on the rows of all the runs that share it, wherever they sit:
+an objective values each row on its own, so a row gets the value it gets
+in a call of its run alone.  Each run's record is therefore bit for bit the
+one it gets alone; `run` with one seed, `init_state`, `step` and
+`perturb_project` are the R=1 case of this code.
 
 A stack sets its runs up in array code.  SeedSequence's hash is fixed
 uint32 arithmetic, so _spawned_words derives every run's two PCG64 seed words
@@ -76,10 +82,11 @@ and a DrawFallbackWarning says so.
 A stack reads its generators ahead: they are made for it and dropped with
 it, and no record shows where a generator stands.  DE's words are parsed
 several steps per call, each run keeping its unused words and uint32 half
-for the next call.  The fixed-shape draws, every pp/hpp noise block and
-PSO's U1 and U2, come K steps per call in one (K * rows, d) or (K, 2, n, d)
-block, which numpy fills with the values of K one-step calls.  K is at most
-the steps left, and a stream's block for all runs at most _BLOCK_BYTES.
+for the next call.  The fixed-shape draws, the noise of each perturbed
+variant's runs and PSO's U1 and U2, come K steps per call in one
+(K * rows, d) or (K, 2, n, d) block per run, which numpy fills with the
+values of K one-step calls.  K is at most the steps left, and a stream's
+block for all its runs at most _BLOCK_BYTES.
 BAT's and CSO's dynamics stay per step: ziggurat `normal` and `permutation`
 read a varying number of words.  init_state and step draw one step at a time
 from the caller's generators.  A check made once per process, at its first
@@ -89,8 +96,8 @@ and a DrawFallbackWarning says so.
 
 A run whose objective gives a non-finite value, at initialisation or in a
 step, fails alone: it gets a failed record, its row is taken out of the
-stack and of every block read ahead, and the other runs go on as they would
-without it.
+stack and of every block read ahead (a variant's noise block holds that
+variant's runs only), and the other runs go on as they would without it.
 """
 
 from __future__ import annotations
@@ -165,7 +172,8 @@ class AlgorithmConfig:
 
 
 # label <-> (family, variant): PSO, mPSO, hmPSO, ...
-def config_for_label(label: str, **overrides) -> AlgorithmConfig:
+def split_label(label: str) -> tuple[str, str]:
+    """The (family, variant) an algorithm label names."""
     variant = "base"
     fam = label
     if label.startswith("hm"):
@@ -174,6 +182,11 @@ def config_for_label(label: str, **overrides) -> AlgorithmConfig:
         variant, fam = "pp", label[1:]
     if fam not in FAMILIES:
         raise ValueError(f"unknown algorithm label {label!r}")
+    return fam, variant
+
+
+def config_for_label(label: str, **overrides) -> AlgorithmConfig:
+    fam, variant = split_label(label)
     return AlgorithmConfig(family=fam, variant=variant, **overrides)
 
 
@@ -225,71 +238,90 @@ _BLOCK_BYTES = 1 << 18  # the most a stack reads ahead of one stream, all its ru
 
 class _Runs:
     """What R stacked runs own besides their state: their boxes (and the
-    BoxStack of them), dynamics and noise generators (with DE's word streams
-    and the blocks of draws read ahead), objectives (and the stretches of
-    runs that share one), C1/C3 counts, and the index of each run in the
-    caller's sequence.
+    BoxStack of them), variants, dynamics and noise generators (with DE's
+    word streams and the blocks of draws read ahead), objectives, C1/C3
+    counts, and the index of each run in the caller's sequence.
 
     `ahead` is the number of steps, this one included, whose draws may be
     read now: 0 unless the generators are the stack's own."""
 
-    def __init__(self, fbatches, boxes, rngs, rng_noises):
+    def __init__(self, fbatches, boxes, rngs, rng_noises, variants):
         self.fbatches, self.boxes = list(fbatches), list(boxes)
         self.rngs, self.rng_noises = list(rngs), list(rng_noises)
+        self.variants = list(variants)
         self.rows = list(range(len(self.rngs)))
         self.violations_c1 = np.zeros(len(self.rows), dtype=int)
         self.violations_c3 = np.zeros(len(self.rows), dtype=int)
         self.ahead, self.words, self.blocks = 0, [], {}
         self._index()
 
-    def take(self, stream: str, step_bytes: int, fill):
-        """This step's (R, ...) slices of the block of draws read ahead from
-        `stream`.  When the block is used up, fill(K) draws the next K steps
-        of every run's stream as arrays (R, K, ...); K is 1 unless the stack
-        may read ahead, and the block holds at most _BLOCK_BYTES."""
+    def take(self, stream, step_bytes: int, fill):
+        """This step's slices of the block of draws read ahead from `stream`,
+        whose runs' draws take `step_bytes` a step.  When the block is used
+        up, fill(K) draws the next K steps of each of those runs as arrays
+        (runs, K, ...); K is 1 unless the stack may read ahead, and the block
+        holds at most _BLOCK_BYTES."""
         block = self.blocks.get(stream)
         if block is None or block[1] == block[0][0].shape[1]:
-            K = max(1, min(self.ahead, _BLOCK_BYTES // (step_bytes * len(self.rows))))
+            K = max(1, min(self.ahead, _BLOCK_BYTES // step_bytes))
             block = self.blocks[stream] = [fill(K), 0]
         block[1] += 1
         return tuple(a[:, block[1] - 1] for a in block[0])
 
     def _index(self):
         self.box = BoxStack.of(self.boxes)
-        self.stretches, start = [], 0  # (objective, first run, last run + 1)
-        for _, same in itertools.groupby(self.fbatches, key=id):
-            same = list(same)
-            self.stretches.append((same[0], start, start + len(same)))
-            start += len(same)
+        # (objective, its runs) and (variant, its runs, their noise generators)
+        self.objectives = [(self.fbatches[rows[0]], _as_index(rows))
+                           for rows in _positions_by_key(map(id, self.fbatches))]
+        self.variant_runs = [(self.variants[rows[0]], _as_index(rows), [self.rng_noises[r] for r in rows])
+                             for rows in _positions_by_key(self.variants)]
 
     def evaluate(self, X, per_point: bool = False) -> np.ndarray:
         """Values (R, m) of the rows X (R, m, d): one objective call on the
-        rows of each stretch of runs that share an objective."""
+        rows of all the runs that share an objective."""
         R, m, d = X.shape
         f = np.empty((R, m))
-        for fbatch, start, stop in self.stretches:
+        for fbatch, rows in self.objectives:
             fbatch = _per_point(fbatch) if per_point else fbatch
-            f[start:stop] = np.asarray(fbatch(X[start:stop].reshape(-1, d)), dtype=float).reshape(-1, m)
+            f[rows] = np.asarray(fbatch(X[rows].reshape(-1, d)), dtype=float).reshape(-1, m)
         return f
 
     def drop(self, state: SwarmState, failed: np.ndarray, records: list, reason: str):
-        """Give each flagged run a failed record and take it out of the stack."""
+        """Give each flagged run a failed record and take it out of the stack
+        and of every block read ahead."""
         if not failed.any():
             return
         for i in itertools.compress(self.rows, failed):
             records[i] = RunRecord(records[i].seed, records[i].config_digest, {}, None, None, status=f"failed: {reason}")
-        keep = ~failed
-        for name in ("fbatches", "boxes", "rngs", "rng_noises", "rows", "words"):
+        keep, variants = ~failed, np.array(self.variants)
+        for stream, block in self.blocks.items():  # a noise stream, named by its variant, holds its runs only
+            mine = keep[variants == stream] if stream in VARIANTS else keep
+            block[0] = tuple(a[mine] for a in block[0])
+        for name in ("fbatches", "boxes", "rngs", "rng_noises", "variants", "rows", "words"):
             setattr(self, name, list(itertools.compress(getattr(self, name), keep)))
         self.violations_c1, self.violations_c3 = self.violations_c1[keep], self.violations_c3[keep]
-        for block in self.blocks.values():
-            block[0] = tuple(a[keep] for a in block[0])
         for f in fields(SwarmState):
             value = getattr(state, f.name)
             if isinstance(value, np.ndarray):
                 setattr(state, f.name, value[keep])
         if self.rows:
             self._index()
+
+
+def _positions_by_key(keys) -> list[list[int]]:
+    """The positions of each distinct key, in order of first appearance."""
+    runs = {}
+    for i, key in enumerate(keys):
+        runs.setdefault(key, []).append(i)
+    return list(runs.values())
+
+
+def _as_index(rows: list[int]):
+    """Ascending positions as an index into a run axis: a slice when they
+    are consecutive, so that the index gives a view, else an array."""
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return np.array(rows)
 
 
 @dataclass
@@ -472,7 +504,8 @@ _INIT_FAILURE = "non-finite objective value during initialization"
 
 def init_state(config: AlgorithmConfig, box: Box, fbatch, rng: np.random.Generator) -> SwarmState:
     """One run's initial state: the R=1 case of _init."""
-    state, failed = _init(config, _Runs([fbatch], [box], [rng], [None]), sample_uniform(box, rng, config.n)[None])
+    runs = _Runs([fbatch], [box], [rng], [None], [config.variant])
+    state, failed = _init(config, runs, sample_uniform(box, rng, config.n)[None])
     if failed[0]:
         raise RunFailure(_INIT_FAILURE)
     return _unstacked(state)
@@ -488,11 +521,11 @@ def perturb_project(Y, box: Box, noise: NoiseModel, rng_noise, k: int, rows: int
 
     The run draws rows >= k noise rows in one block from its noise generator
     and uses the first k, so its noise stream advances by the count each
-    family has always drawn (a stack's steps do this for all runs at once).
-    The output is always inside the box, whatever the noise magnitude.
+    family has always drawn: the R=1 case of a stack's step.  The output is
+    always inside the box, whatever the noise magnitude.
     """
     w = sample_noise(noise, box.dim, rng_noise, size=rows)
-    return _project(np.asarray(Y, dtype=float)[None], box, w[None], k)[0]
+    return _project(np.asarray(Y, dtype=float)[None], BoxStack.of([box]), [(slice(0, 1), k, w[None])])[0]
 
 
 def _noise(noise: NoiseModel, d: int, rng_noises, rows: int, K: int) -> np.ndarray:
@@ -504,10 +537,14 @@ def _noise(noise: NoiseModel, d: int, rng_noises, rows: int, K: int) -> np.ndarr
     return w.reshape(-1, K, rows, d)
 
 
-def _project(Y, box: Box | BoxStack, w, k: int) -> np.ndarray:
-    """The rows Y (R, m, d) clamped, the first k with the noise w added first."""
+def _project(Y, box: BoxStack, perturbed) -> np.ndarray:
+    """The rows Y (R, m, d) clamped into their runs' boxes.  Each (runs, k, w)
+    of `perturbed` names some runs (a slice or an index array) and the noise
+    w, at least k rows per run: their first k rows get it added and are
+    clamped again."""
     X = _clip(Y, box)
-    X[:, :k] = _clip(X[:, :k] + w[:, :k], box)
+    for runs, k, w in perturbed:
+        X[runs, :k] = np.clip(X[runs, :k] + w[:, :k], box.lower[runs], box.upper[runs])
     return X
 
 
@@ -527,7 +564,7 @@ def _pso_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
             rng.random(out=U[r])  # U1 then U2 of K steps, as 2K calls would draw them
         return (U,)
 
-    (U,) = runs.take("U", 16 * n * d, fill)
+    (U,) = runs.take("U", 16 * n * d * R, fill)
     U1, U2 = U[:, 0], U[:, 1]
     state.V = (
         config.w * state.V
@@ -780,7 +817,7 @@ def _de_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
         return J, K, forced, coins
 
     # a run's parse holds its words and gathers, about as much again as the block
-    J, K, forced, coins = runs.take("DE", 16 * n * (d + 3), fill)
+    J, K, forced, coins = runs.take("DE", 16 * n * (d + 3) * R, fill)
     rows, X = np.arange(R)[:, None], state.X
     keep = coins < config.crossover
     keep[rows, np.arange(n), forced] = True
@@ -811,20 +848,23 @@ def _per_point(fbatch):
 
 def _step(state: SwarmState, config: AlgorithmConfig, runs: _Runs) -> np.ndarray:
     """One iteration of R stacked runs: propose, perturb-project, evaluate,
-    accept, track the best.  Flags the runs that met a non-finite value."""
+    accept, track the best.  Each run perturbs k of its m candidate rows, k
+    set by its variant (runs.variants; config's own is not read).  Flags the
+    runs that met a non-finite value."""
     propose, accept = _KERNELS[config.family]
     Y, ctx = propose(state, config, runs)
-    de = config.family == "DE"
-    if config.variant == "base":
-        X = _clip(Y, runs.box)
-    else:
-        m = Y.shape[1]
-        k = m if config.variant == "pp" else m // 2
-        drawn, d = k if de else m, Y.shape[2]
-        (w,) = runs.take("noise", 8 * drawn * d, lambda K: (_noise(config.noise, d, runs.rng_noises, drawn, K),))
-        X = _project(Y, runs.box, w, k)
+    de, (m, d) = config.family == "DE", Y.shape[1:]
+    perturbed = []
+    for variant, rows, rng_noises in runs.variant_runs:
+        if variant != "base":
+            k = m if variant == "pp" else m // 2
+            drawn = k if de else m
+            (w,) = runs.take(variant, 8 * drawn * d * len(rng_noises),
+                             lambda K: (_noise(config.noise, d, rng_noises, drawn, K),))
+            perturbed.append((rows, k, w))
+    X = _project(Y, runs.box, perturbed)
     f = runs.evaluate(X, per_point=de)
-    state.n_evals += X.shape[1]
+    state.n_evals += m
     accept(state, config, X, f, ctx, runs)
     if config.family != "PSO":  # PSO's accept moves its memory under condition H
         rows, j = np.arange(len(f)), np.argmin(state.fvals, axis=1)
@@ -839,7 +879,7 @@ def _step(state: SwarmState, config: AlgorithmConfig, runs: _Runs) -> np.ndarray
 def step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, rng_noise) -> SwarmState:
     """One iteration of one run's state: the R=1 case of _step."""
     stack = _stacked(state)
-    if _step(stack, config, _Runs([fbatch], [box], [rng], [rng_noise]))[0]:
+    if _step(stack, config, _Runs([fbatch], [box], [rng], [rng_noise], [config.variant]))[0]:
         raise RunFailure(_step_failure(config))
     vars(state).update(vars(_unstacked(stack)))
     return state
@@ -878,7 +918,7 @@ def check_checkpoints(checkpoints, max_iter: int) -> list[int]:
 
 
 def run(
-    config: AlgorithmConfig,
+    configs,
     fbatch,
     box: Box,
     seed: int,
@@ -894,33 +934,42 @@ def run(
 
     Given equal-length sequences of objectives, boxes (of one dimension) and
     seeds instead, steps those runs as one stack and returns their records in
-    order, each the record the run gives alone.  A run that meets a
-    non-finite value gets a record with status "failed: <reason>" and no
-    results, and the others go on.  Consecutive runs given the same
-    objective object are evaluated in one call.
+    order, each the record the run gives alone.  `configs` is then one
+    AlgorithmConfig or one per seed; configs per seed may differ only in
+    variant, and each record carries its own config's digest.  A run that
+    meets a non-finite value gets a record with status "failed: <reason>"
+    and no results, and the others go on.  Runs given the same objective
+    object are evaluated in one call per step.
     """
     if np.ndim(seed) != 0:
-        return _run_stack(config, fbatch, box, seed, max_iter, checkpoints, check_invariants)
-    (record,) = _run_stack(config, [fbatch], [box], [seed], max_iter, checkpoints, check_invariants)
+        return _run_stack(configs, fbatch, box, seed, max_iter, checkpoints, check_invariants)
+    (record,) = _run_stack(configs, [fbatch], [box], [seed], max_iter, checkpoints, check_invariants)
     if record.status != "ok":
         raise RunFailure(record.status.removeprefix("failed: "))
     return record
 
 
-def _run_stack(config, fbatches, boxes, seeds, max_iter, checkpoints, check_invariants) -> list[RunRecord]:
+def _run_stack(configs, fbatches, boxes, seeds, max_iter, checkpoints, check_invariants) -> list[RunRecord]:
     checkpoints = set(check_checkpoints(checkpoints, max_iter))
-    if not len(fbatches) == len(boxes) == len(seeds):
-        raise ValueError("need one objective and one box per seed")
+    configs = [configs] * len(seeds) if isinstance(configs, AlgorithmConfig) else list(configs)
+    if not len(configs) == len(fbatches) == len(boxes) == len(seeds):
+        raise ValueError("need one objective and one box per seed, and one config or one per seed")
     if len(seeds) == 0:
         return []
     dims = sorted({box.dim for box in boxes})
     if len(dims) > 1:
         raise ValueError(f"a stack's boxes must share one dimension, got dimensions {dims}")
-    digest = config.digest()
+    config, distinct = configs[0], {id(c): c for c in configs}
+    for other in distinct.values():
+        differ = [f.name for f in fields(config)
+                  if f.name != "variant" and getattr(other, f.name) != getattr(config, f.name)]
+        if differ:
+            raise ValueError(f"a stack's configs may differ only in variant; two differ in {', '.join(differ)}")
+    digests = {key: c.digest() for key, c in distinct.items()}
     seeds = [_seed_value(seed) for seed in seeds]
-    records = [RunRecord(seed, digest, {}, None, np.inf) for seed in seeds]
+    records = [RunRecord(seed, digests[id(c)], {}, None, np.inf) for seed, c in zip(seeds, configs)]
     generators = _run_generators(seeds)
-    runs = _Runs(fbatches, boxes, generators[0::2], generators[1::2])
+    runs = _Runs(fbatches, boxes, generators[0::2], generators[1::2], [c.variant for c in configs])
     state, failed = _init(config, runs, _starts(config.n, runs))
     runs.drop(state, failed, records, _INIT_FAILURE)
     ahead = _block_draws_agree()  # the generators are the stack's own: it may read them ahead

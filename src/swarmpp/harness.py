@@ -3,10 +3,18 @@ result persistence and metric computation.
 
 A plan fully determines every stored number: each (algorithm, function,
 dimension, run) cell derives its own 64-bit seed from the master seed, so
-runs are independent of execution order and parallelism degree.  Cells run
-in cell order (algorithm, dimension, function label, run), one group per
-(algorithm, dimension), each group stepped as one stack of runs
-(algorithms.run).
+runs are independent of execution order and parallelism degree.
+
+Cells run in cell order (ExperimentPlan.cells): by family (BAT, CSO, DE,
+PSO), dimension, algorithm label (PSO < hmPSO < mPSO), function label and
+run.  The cells of one (label, dimension) are a group; a stack is one call
+of algorithms.run, which steps its runs together.  A group joins the stack
+before it while both share family and dimension and the stack's runs x d
+stays within the plan's largest group's (_groups), so a family's base, hpp
+and pp runs at a dimension step together as far as they fit, and no stack
+holds more than the largest group of its plan.  A stack's records are
+appended to runs.jsonl in cell order when it finishes: an interruption
+loses the stack in flight (at parallelism > 1, the stacks being computed).
 
 Store layout: <outdir>/manifest.json, <outdir>/runs.jsonl, <outdir>/metrics.csv.
 """
@@ -24,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithms, metrics, objectives
-from .algorithms import config_for_label
+from .algorithms import config_for_label, split_label
 from .perturbation import NoiseModel
 
 DEFAULT_CHECKPOINTS = (50, 100, 200, 400, 1000, 3000, 10000)
@@ -64,6 +72,9 @@ class ExperimentPlan:
             _check_int(name, getattr(self, name))
         for d in self.dimensions:
             _check_int("a dimensions entry", d)
+        unsafe = [c for c in (",", '"', "\r", "\n") if c in str(self.name)]
+        if unsafe:  # metrics.csv writes the name unquoted
+            raise ValueError(f"name must not contain {' or '.join(map(repr, unsafe))}, got {self.name!r}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
         for label in self.algorithms:
@@ -132,32 +143,56 @@ class ExperimentPlan:
 
     def cells(self) -> list[tuple[str, str, int, int]]:
         """All (algorithm, function, dimension, run) work items in cell order:
-        sorted algorithms, then members sorted by (dimension, label), then
-        runs ascending, so each (algorithm, dimension) is one stretch.  Cells
-        run in this order and runs.jsonl stores them in it."""
-        algs = sorted(set(self.algorithms))
-        members = sorted({(d, spec.label) for spec, d in self.collection()})
-        return [(alg, label, d, r) for alg in algs for d, label in members for r in range(self.runs)]
+        by family, dimension, algorithm label, function label and run, so the
+        cells of one family and dimension are one stretch, and each
+        (algorithm, dimension) a stretch within it.  Cells run in this order
+        and runs.jsonl stores them in it."""
+        family = {alg: split_label(alg)[0] for alg in set(self.algorithms)}
+        labels = {}  # dimension -> its members' function labels, sorted
+        for d, label in sorted({(d, spec.label) for spec, d in self.collection()}):
+            labels.setdefault(d, []).append(label)
+        return [(alg, label, d, r) for _, d, alg in sorted((family[alg], d, alg) for alg in family for d in labels)
+                for label in labels[d] for r in range(self.runs)]
 
 
-def _groups(cells) -> list[list[tuple]]:
-    """The cells cut into groups: maximal stretches of consecutive cells that
-    share (algorithm, dimension).  Over `ExperimentPlan.cells` that is one
-    group per (algorithm, dimension)."""
+def _label_groups(cells) -> list[list[tuple]]:
+    """Maximal stretches of consecutive cells that share (algorithm, dimension)."""
     return [list(group) for _, group in itertools.groupby(cells, key=lambda cell: (cell[0], cell[2]))]
 
 
+def _largest(cells) -> int:
+    """The largest runs x d of a (label, dimension) group of the cells."""
+    return max(len(group) * group[0][2] for group in _label_groups(cells))
+
+
+def _groups(cells, cap: int) -> list[list[tuple]]:
+    """The cells cut into stacks: each (label, dimension) group joins the
+    stack before it while they share family and dimension and the stack's
+    runs x d stays within `cap`, the largest group's of the whole plan
+    (_largest).  Over `ExperimentPlan.cells` that merges the base, hpp and
+    pp groups of a family at a dimension as far as they fit."""
+    stacks = []  # ((family, dimension), cells)
+    for group in _label_groups(cells):
+        alg, _, d, _ = group[0]
+        key = split_label(alg)[0], d
+        if stacks and stacks[-1][0] == key and (len(stacks[-1][1]) + len(group)) * d <= cap:
+            stacks[-1][1].extend(group)
+        else:
+            stacks.append((key, group))
+    return [stack for _, stack in stacks]
+
+
 def _run_group(args) -> list[tuple[tuple, dict]]:
-    """Run one group's cells as one stack of runs; (key, record) pairs in cell order."""
+    """Run one stack's cells as one stack of runs; (key, record) pairs in cell order."""
     cells, plan = args
-    alg, _, d, _ = cells[0]
-    labels = [label for _, label, _, _ in cells]
+    d = cells[0][2]
+    labels, algs = [label for _, label, _, _ in cells], [alg for alg, _, _, _ in cells]
     specs = {label: objectives.get(label) for label in labels}
     fbatch = {label: objectives.batch_evaluator(spec, d) for label, spec in specs.items()}  # one per member
     box = {label: objectives.default_domain(spec, d) for label, spec in specs.items()}
+    config = {alg: config_for_label(alg, n=plan.n, noise=plan.noise) for alg in set(algs)}  # one per label
     seeds = [derive_seed(plan.master_seed, *cell) for cell in cells]
-    config = config_for_label(alg, n=plan.n, noise=plan.noise)
-    records = algorithms.run(config, [fbatch[f] for f in labels], [box[f] for f in labels], seeds,
+    records = algorithms.run([config[a] for a in algs], [fbatch[f] for f in labels], [box[f] for f in labels], seeds,
                              plan.max_iter, plan.checkpoints)
     keys = ("algorithm", "function", "dimension", "run")
     return [(cell, rec.to_dict() | dict(zip(keys, cell))) for cell, rec in zip(cells, records)]
@@ -293,10 +328,11 @@ def compute_metric_rows(plan: ExperimentPlan, records: dict[tuple, dict]) -> lis
     return rows
 
 
-def _execute_cells(plan: ExperimentPlan, cells):
-    """Run the cells a group at a time (a pool worker takes a whole group),
-    yielding the finished (key, record) pairs of each group in cell order."""
-    jobs = [(group, plan) for group in _groups(cells)]
+def _execute_cells(plan: ExperimentPlan, cells, cap: int):
+    """Run the cells a stack at a time (_groups under `cap`; a pool worker
+    takes a whole stack), yielding the finished (key, record) pairs of each
+    stack in cell order."""
+    jobs = [(group, plan) for group in _groups(cells, cap)]
     if plan.parallelism == 1 or len(jobs) < 2:
         for job in jobs:
             yield from _run_group(job)
@@ -320,16 +356,16 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
 
     Refuses to touch a store whose manifest digest does not match the plan,
     or whose records are not the first cells of `plan.cells()` in cell
-    order; a store written in another order, such as a multi-dimension store
-    from before cells were ordered by dimension ahead of label, is refused
-    with the first record out of place named.  The missing cells are the
-    rest of that list: if any are missing or the file is torn, the records
-    read are rewritten once, then the missing cells run a group, one
-    (algorithm, dimension), at a time (_groups) and each group's records are
-    appended to runs.jsonl as the group completes, so an interruption loses
-    only the group in flight (at parallelism > 1, the groups being
-    computed), and runs.jsonl has the same bytes wherever earlier runs were
-    interrupted.
+    order; a store written in another order, such as a store of more than
+    one family or dimension from before cells were ordered by family first,
+    is refused with the first record out of place named.  The missing cells
+    are the rest of that list: if any are missing or the file is torn, the
+    records read are rewritten once, then the missing cells run a stack at a
+    time (_groups, under the cap of the whole plan's cells) and each stack's
+    records are appended to runs.jsonl as the stack completes, so an
+    interruption loses only the stack in flight (at parallelism > 1, the
+    stacks being computed), and runs.jsonl has the same bytes wherever
+    earlier runs were interrupted.
     """
     store = ResultStore(outdir)
     if not store.exists():
@@ -347,7 +383,7 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
         )
     if len(done) < len(cells) or store.torn:
         store.write_runs(records)  # drops a torn last line before appending
-        records.update(store.append_runs(_execute_cells(plan, cells[len(done):])))
+        records.update(store.append_runs(_execute_cells(plan, cells[len(done):], _largest(cells))))
     rows = compute_metric_rows(plan, records)
     store.write_metrics(rows)
     return rows

@@ -3,7 +3,8 @@
 Plots are views of metrics.csv: every plotted value is carried verbatim into
 a companion CSV, and regenerating from the same store yields identical bytes.
 Dashed curves are the original algorithm, solid curves the modified one,
-on a log-scaled checkpoint axis with the metric range [0, 1].
+on a log-scaled checkpoint axis with the metric range [0, 1]; checkpoint 0,
+which has no log, sits at the axis' left edge.
 """
 
 from __future__ import annotations
@@ -19,14 +20,23 @@ MARGIN_R = 12
 PLOT_W = PANEL_W - MARGIN_L - MARGIN_R
 PLOT_H = PANEL_H - MARGIN_T - MARGIN_B
 
+ZERO_GAP = PLOT_W // 10  # between checkpoint 0 and the log axis of the others
+
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
-def _xpos(t, t_min, t_max):
+def _xpos(t, t_min, t_max, zero=False):
+    """x of checkpoint t on the log axis from t_min to t_max, the least and
+    greatest positive checkpoints.  Checkpoint 0 has no log: with `zero` it
+    sits at the axis' left edge and the log axis starts ZERO_GAP to its right."""
+    if t == 0:
+        return MARGIN_L
+    left = MARGIN_L + ZERO_GAP if zero else MARGIN_L
+    width = MARGIN_L + PLOT_W - left
     if t_max == t_min:
-        return MARGIN_L + PLOT_W / 2
+        return left + width / 2
     u = (math.log(t) - math.log(t_min)) / (math.log(t_max) - math.log(t_min))
-    return MARGIN_L + u * PLOT_W
+    return left + u * width
 
 
 def _ypos(v):
@@ -54,7 +64,8 @@ def render_panels(panels, title: str) -> str:
         all_t = sorted({t for _, _, pts in series for t, _ in pts})
         if not all_t:
             continue
-        t_min, t_max = all_t[0], all_t[-1]
+        zero = all_t[0] == 0
+        t_min, t_max = (all_t[zero:] or all_t)[0], all_t[-1]
         out.append(f'<g transform="translate({ox},20)">')
         out.append(
             f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{PLOT_W}" height="{PLOT_H}" '
@@ -72,14 +83,14 @@ def render_panels(panels, title: str) -> str:
                 f'<text x="{MARGIN_L - 6}" y="{y + 3}" text-anchor="end">{frac:g}</text>'
             )
         for t in all_t:
-            x = _xpos(t, t_min, t_max)
+            x = _xpos(t, t_min, t_max, zero)
             yb = MARGIN_T + PLOT_H
             out.append(f'<line x1="{x}" y1="{yb}" x2="{x}" y2="{yb + 4}" stroke="#333"/>')
             out.append(f'<text x="{x}" y="{yb + 14}" text-anchor="middle">{t}</text>')
         for si, (label, dashed, pts) in enumerate(series):
             color = COLORS[si % len(COLORS)]
             coords = " ".join(
-                f"{_xpos(t, t_min, t_max):.2f},{_ypos(float(v)):.2f}" for t, v in pts
+                f"{_xpos(t, t_min, t_max, zero):.2f},{_ypos(float(v)):.2f}" for t, v in pts
             )
             dash = ' stroke-dasharray="6,4"' if dashed else ""
             out.append(

@@ -123,11 +123,10 @@ def test_criterion_5_convergence_smoke():
     ok = True
     for label in ("mPSO", "mBAT", "mCSO"):
         cfg = sp.config_for_label(label)
-        hits = 0
-        for run_idx in range(20):
-            seed = derive_seed(500, label, "F27", 5, run_idx)
-            rec = sp.run(cfg, fb, box, seed, 10_000, [10_000], check_invariants=False)
-            hits += rec.checkpoints[10_000] <= 1e-2
+        # the 20 seeds step as one stack; each record is its seed's run alone
+        seeds = [derive_seed(500, label, "F27", 5, run_idx) for run_idx in range(20)]
+        recs = sp.run(cfg, [fb] * 20, [box] * 20, seeds, 10_000, [10_000], check_invariants=False)
+        hits = sum(rec.checkpoints[10_000] <= 1e-2 for rec in recs)
         print(f"  {label}: {hits}/20 runs reached 1e-2")
         ok &= hits >= 18
     _report(5, "convergence smoke", bool(ok))

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -617,18 +618,62 @@ def _stack_cells(d, plain):
     return [(fb, box, seed) for fb, box in zip(fbatches, boxes) for seed in STACK_SEEDS]
 
 
+# A label of the form "PSO+hmPSO+mPSO" names a stack that mixes a family's
+# variants: the labels' runs on the same cells, label-major (the harness's
+# order).
+MIXED = tuple(f"{family}+hm{family}+m{family}" for family in ("PSO", "BAT", "CSO", "DE"))
+
+
+def _label_cells(label, d, plain=False, **overrides):
+    """(config, objective, box, seed) of each label's runs on the stack
+    members at d, label after label; the labels share the objectives."""
+    cells = _stack_cells(d, plain)
+    return [(config_for_label(one, n=8, **overrides), *cell) for one in label.split("+") for cell in cells]
+
+
 @pytest.mark.parametrize("plain", [False, True], ids=["evaluator", "plain"])
-@pytest.mark.parametrize("label", ALGORITHM_LABELS)
+@pytest.mark.parametrize("label", ALGORITHM_LABELS + MIXED)
 def test_stacked_runs_equal_solo_runs(label, plain):
-    base = config_for_label(label).variant == "base"  # base runs draw no noise
-    noises = [NoiseModel()] + ([] if base else [NoiseModel(kind="scaled_t", df=5)])
-    for cfg, d in itertools.product((config_for_label(label, n=8, noise=noise) for noise in noises), STACK_MEMBERS):
-        cells = _stack_cells(d, plain)
-        solo = [run(cfg, *cell, STACK_ITERS, STACK_CPS).to_dict() for cell in cells]
-        # member-major (one objective call per member) and seed-major (one per run)
-        for order in (cells, sorted(cells, key=lambda cell: cell[2])):
-            stacked = run(cfg, *map(list, zip(*order)), STACK_ITERS, STACK_CPS)
-            assert [rec.to_dict() for rec in stacked] == [solo[cells.index(cell)] for cell in order], (cfg.noise, d)
+    base = label in ("PSO", "BAT", "CSO", "DE")  # base runs draw no noise
+    for noise, d in itertools.product([NoiseModel()] + ([] if base else [NoiseModel(kind="scaled_t", df=5)]),
+                                      STACK_MEMBERS):
+        cells = _label_cells(label, d, plain, noise=noise)
+        solo = [run(*cell, STACK_ITERS, STACK_CPS).to_dict() for cell in cells]
+        member = {key: i for i, key in enumerate(dict.fromkeys(id(cell[1]) for cell in cells))}
+        # label-major, member-major (one objective call per member either
+        # way) and seed-major
+        orders = cells, sorted(cells, key=lambda cell: member[id(cell[1])]), sorted(cells, key=lambda cell: cell[3])
+        for order in orders:
+            stacked = run(*map(list, zip(*order)), STACK_ITERS, STACK_CPS)
+            assert [rec.to_dict() for rec in stacked] == [solo[cells.index(cell)] for cell in order], (noise, d)
+
+
+def test_mixed_stacks_value_an_objective_once_per_step():
+    # label-major order puts each member's runs in three variant blocks;
+    # the stack still values each member's rows in one call per step
+    calls = collections.Counter()
+
+    def counting(fb):
+        return lambda X: calls.update([fb]) or fb(X)
+
+    counted = {}
+    cells = [(cfg, counted.setdefault(id(fb), counting(fb)), box, seed)
+             for cfg, fb, box, seed in _label_cells("PSO+hmPSO+mPSO", 5)]
+    run(*map(list, zip(*cells)), STACK_ITERS, STACK_CPS)
+    assert sorted(calls.values()) == [1 + STACK_ITERS] * len(STACK_MEMBERS[5])
+
+
+def test_stack_configs_may_differ_only_in_variant():
+    fbatches, boxes, seeds = map(list, zip(*_stack_cells(5, plain=False)))
+    configs = [config_for_label(label, n=8) for label in ("PSO", "mPSO", "hmPSO")] * 3
+    records = run(configs, fbatches, boxes, seeds, 3, [3])
+    assert [rec.config_digest for rec in records] == [cfg.digest() for cfg in configs]
+    for other in (config_for_label("mPSO", n=10), config_for_label("mPSO", n=8, noise=NoiseModel(sigma=0.01)),
+                  AlgorithmConfig("PSO", "pp", n=8, w=0.5), config_for_label("mCSO", n=8)):
+        with pytest.raises(ValueError, match="may differ only in variant; two differ in"):
+            run(configs[:-1] + [other], fbatches, boxes, seeds, 3, [3])
+    with pytest.raises(ValueError, match="one config or one per seed"):
+        run(configs[:-1], fbatches, boxes, seeds, 3, [3])
 
 
 def _failing_after(fbatch, calls_ok):
@@ -642,48 +687,60 @@ def _failing_after(fbatch, calls_ok):
     return f
 
 
-def _block_steps(monkeypatch):
+def _block_steps(monkeypatch, streams=None):
     """A list that gets K, the steps of each block of draws that stacks fill
-    from now on."""
+    from now on, of the named streams or of all."""
     steps, take = [], algorithms._Runs.take
 
     def spy(self, stream, step_bytes, fill):
+        if streams is not None and stream not in streams:
+            return take(self, stream, step_bytes, fill)
         return take(self, stream, step_bytes, lambda K: steps.append(K) or fill(K))
 
     monkeypatch.setattr(algorithms._Runs, "take", spy)
     return steps
 
 
-@pytest.mark.parametrize("label", ["PSO", "hmPSO", "hmBAT", "mCSO", "hmDE"])
+@pytest.mark.parametrize("label", ("PSO", "hmPSO", "hmBAT", "mCSO", "hmDE") + MIXED)
 def test_failed_run_leaves_the_rest_of_its_stack_alone(label, monkeypatch):
-    cfg = config_for_label(label, n=8)
-    cells = _stack_cells(5, plain=False)
-    # run 1 fails at initialisation, run 4 at its fifth step, run 7 at its last
-    calls_at_step = 1 if cfg.family != "DE" else 8  # DE values its trials row by row here
-    broken = {1: 0, 4: 1 + 4 * calls_at_step, 7: 1 + (STACK_ITERS - 1) * calls_at_step}
-    cells = [(_failing_after(fb, broken[i]), box, seed) if i in broken else (fb, box, seed)
-             for i, (fb, box, seed) in enumerate(cells)]
-    with monkeypatch.context() as patch:
-        block_steps = _block_steps(patch)
-        stacked = [rec.to_dict() for rec in run(cfg, *map(list, zip(*cells)), STACK_ITERS, STACK_CPS)]
-    # the stack read its first blocks of draws past step 5, where run 4 fails
-    assert block_steps and block_steps[0] == STACK_ITERS
-    for i, (fb, box, seed) in enumerate(cells):
-        if i in broken:
-            reason = "during initialization" if i == 1 else f"in a {cfg.family} step"
-            assert stacked[i] == RunRecord(seed, cfg.digest(), {}, None, None,
-                                           status=f"failed: non-finite objective value {reason}").to_dict()
-        else:
-            assert stacked[i] == run(cfg, fb, box, seed, STACK_ITERS, STACK_CPS).to_dict()
+    cells = _label_cells(label, 5)
+    family, mixed = cells[0][0].family, "+" in label
+    # alone: run 1 fails at initialisation, run 4 at its fifth step, run 7 at
+    # its last; mixed: base run 1, hpp run 13 and pp run 22 in those steps
+    calls_at_step = 1 if family != "DE" else 8  # DE values its trials row by row here
+    broken = dict(zip((1, 13, 22) if mixed else (1, 4, 7),
+                      (0, 1 + 4 * calls_at_step, 1 + (STACK_ITERS - 1) * calls_at_step)))
+    # a mixed stack runs label-major, then seed-major, each variant's runs
+    # spread over the stack
+    orders = [list(range(len(cells)))]
+    if mixed:
+        orders.append(sorted(orders[0], key=lambda i: cells[i][3]))
+    for order in orders:
+        cells = [(cfg, _failing_after(fb, broken[i]), box, seed) if i in broken else (cfg, fb, box, seed)
+                 for i, (cfg, fb, box, seed) in enumerate(_label_cells(label, 5))]
+        with monkeypatch.context() as patch:
+            block_steps = _block_steps(patch, streams=("hpp", "pp") if mixed else None)
+            stacked = run(*map(list, zip(*(cells[i] for i in order))), STACK_ITERS, STACK_CPS)
+        # the stack read its first block of draws (mixed: of each variant's
+        # noise) past step 5, where a run fails
+        assert block_steps[:1] == [STACK_ITERS] and (not mixed or block_steps == [STACK_ITERS] * 2)
+        for i, rec in zip(order, stacked):
+            cfg, fb, box, seed = cells[i]
+            if i in broken:
+                reason = "during initialization" if i == 1 else f"in a {family} step"
+                assert rec.to_dict() == RunRecord(seed, cfg.digest(), {}, None, None,
+                                                  status=f"failed: non-finite objective value {reason}").to_dict()
+            else:
+                assert rec.to_dict() == run(cfg, fb, box, seed, STACK_ITERS, STACK_CPS).to_dict()
     # alone, each broken run raises what its record says
     for i in broken:
-        fb, box, seed = cells[i]
-        with pytest.raises(algorithms.RunFailure, match=stacked[i]["status"].removeprefix("failed: ")):
-            run(cfg, _failing_after(_stack_cells(5, plain=False)[i][0], broken[i]), box, seed, STACK_ITERS, STACK_CPS)
+        cfg, fb, box, seed = cells[i]
+        with pytest.raises(algorithms.RunFailure, match=stacked[order.index(i)].status.removeprefix("failed: ")):
+            run(cfg, _failing_after(_label_cells(label, 5)[i][1], broken[i]), box, seed, STACK_ITERS, STACK_CPS)
     # a stack whose every run fails at its first step still gives one record each
-    fbatches, boxes, seeds = zip(*_stack_cells(5, plain=False))
-    every = run(cfg, [_failing_after(fb, 1) for fb in fbatches], boxes, seeds, STACK_ITERS, STACK_CPS)
-    assert [rec.status for rec in every] == [f"failed: non-finite objective value in a {cfg.family} step"] * len(seeds)
+    configs, fbatches, boxes, seeds = zip(*_label_cells(label, 5))
+    every = run(configs, [_failing_after(fb, 1) for fb in fbatches], boxes, seeds, STACK_ITERS, STACK_CPS)
+    assert [rec.status for rec in every] == [f"failed: non-finite objective value in a {family} step"] * len(seeds)
 
 
 def test_run_stack_needs_one_box_and_objective_per_seed():
@@ -750,7 +807,7 @@ def test_stacked_starts_equal_sample_uniform():
         boxes = [objectives.default_domain(spec, d) for spec, _ in members for _ in seeds]
         ref = [sample_uniform(box, np.random.default_rng(s), n) for box, s in zip(boxes, [*seeds] * len(members))]
         rngs = [np.random.default_rng(s) for _ in members for s in seeds]
-        runs = algorithms._Runs([None] * len(boxes), boxes, rngs, [None] * len(boxes))
+        runs = algorithms._Runs([None] * len(boxes), boxes, rngs, [None] * len(boxes), ["base"] * len(boxes))
         assert algorithms._starts(n, runs).tobytes() == np.stack(ref).tobytes(), d
     assert len(labels) == 70 and {("F4", 2), ("F9", 2), ("F14", 2)} <= labels  # per-coordinate boxes
     # a span past the largest double, which Generator.uniform would refuse, is no box

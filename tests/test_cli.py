@@ -214,3 +214,49 @@ def test_sweep_requires_values(tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", str(plan), "--out", str(tmp_path / "x"), flag, value)
         assert code == 2 and err.startswith("error:"), (flag, value)
         assert not (tmp_path / "x").exists()
+
+
+def test_report_places_checkpoint_zero_at_the_left_edge(tmp_path, capsys):
+    # checkpoint 0 (the initial swarm) has no log; before, report died on
+    # math.log(0) with a traceback
+    plan = write_plan(tmp_path, checkpoints=[0, 5, 10])
+    out = tmp_path / "store"
+    assert run_cli(capsys, "run", str(plan), "--out", str(out))[0] == 0
+    for kind in ("winning", "relerr"):
+        code, _, err = run_cli(capsys, "report", str(out), "--plot", kind, "--pair", "PSO:mPSO")
+        assert code == 0, err
+    svg = (out / "winning_PSO_mPSO.svg").read_text()
+    xs = [float(point.split(",")[0]) for point in svg.split('<polyline points="')[1].split('"')[0].split()]
+    # 0 at the left edge, 5 and 10 at the ends of the log axis after the gap
+    assert xs == [48.0, 72.0, 288.0]
+    # the companion CSV keeps the t=0 rows verbatim from metrics.csv
+    metric_lines = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+    agg = {p[4]: p[6] for p in metric_lines if p[2] == "ALL" and p[5] == "winning_proportion"}
+    companion = (out / "winning_PSO_mPSO.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[2] for line in companion] == ["0", "5", "10"]
+    assert all(line.split(",")[4] == agg[line.split(",")[2]] for line in companion)
+
+
+def test_report_without_checkpoint_zero_keeps_its_layout(tmp_path, capsys):
+    # a store without checkpoint 0 is drawn as before: the log axis spans
+    # the whole plot, 48 to 288, each checkpoint at the x it always had
+    plan = write_plan(tmp_path, checkpoints=[2, 5, 10])
+    out = tmp_path / "store"
+    run_cli(capsys, "run", str(plan), "--out", str(out))
+    run_cli(capsys, "report", str(out), "--plot", "winning", "--pair", "PSO:mPSO")
+    svg = (out / "winning_PSO_mPSO.svg").read_text()
+    xs = svg.split('<polyline points="')[1].split('"')[0].split()
+    assert [x.split(",")[0] for x in xs] == ["48.00", "184.64", "288.00"]
+
+
+def test_run_refuses_a_name_that_would_break_metrics_csv(tmp_path, capsys):
+    # metrics.csv writes the name unquoted: "a,b" gave 9-field rows under its
+    # 8-column header, and report then found no rows
+    for name in ("a,b", 'a"b', "a\nb", "a\rb"):
+        write_plan(tmp_path, name=name)
+        code, _, err = run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))
+        assert code == 2 and err.startswith("error: invalid plan: name must not contain"), name
+        assert not (tmp_path / "s").exists()
+    write_plan(tmp_path, name="a b;c")
+    assert run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))[0] == 0
+    assert all(len(line.split(",")) == 8 for line in (tmp_path / "s" / "metrics.csv").read_text().splitlines())

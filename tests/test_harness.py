@@ -1,5 +1,8 @@
+import collections
+import itertools
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -94,6 +97,14 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="integers"):
         small_plan(checkpoints=(2.5, 3))
     assert [type(t) for t in small_plan(checkpoints=(10.0, 30)).checkpoints] == [int, int]
+    # metrics.csv writes the name unquoted, so a name that would break its
+    # rows is refused: "a,b" made 9-field rows under the 8-column header
+    for name, named in (("a,b", "','"), ('say "hi"', "'\"'"), ("a\nb", "'\\n'"), ("a\r\nb", "'\\r' or '\\n'")):
+        with pytest.raises(ValueError, match=f"name must not contain {re.escape(named)}, got"):
+            small_plan(name=name)
+        with pytest.raises(ValueError, match="name must not contain"):
+            ExperimentPlan.from_dict(small_plan().to_dict() | {"name": name})
+    assert small_plan(name="a b;c|d").name == "a b;c|d"
 
 
 def test_plan_refuses_non_integer_fields():
@@ -156,30 +167,41 @@ def test_parallel_schedule_independent(tmp_path):
 
 
 def test_groups_one_per_algorithm_and_dimension():
-    # the cells of the full protocol, at 4 runs: 12 labels x 70 members at
-    # 5 dimensions make 60 groups
+    # the cells of the full protocol, at 4 runs: 12 labels x 70 members at 5
+    # dimensions make 60 (label, dimension) groups, the largest (any label at
+    # d=40) 14 members x 4 runs x 40 = 2240 run-coordinates.  Each family's
+    # groups at d=2, 5 and 10 fit in one stack, at d=20 two of three do, and
+    # at d=40 none: 32 stacks
     plan = small_plan(algorithms=algorithms.ALGORITHM_LABELS, dimensions=(40, 2, 10, 5, 20), functions=None, runs=4)
     cells = plan.cells()
     assert len(cells) == 12 * 70 * 4
-    groups = harness._groups(cells)
-    keys = [(g[0][0], g[0][2]) for g in groups]
-    assert keys == list(dict.fromkeys((alg, d) for alg, _, d, _ in cells))  # in cell order
-    assert len(keys) == len(set(keys)) == 12 * 5
+    groups = harness._groups(cells, harness._largest(cells))
     assert sum(groups, []) == cells
-    assert all({(alg, d) for alg, _, d, _ in g} == {key} for g, key in zip(groups, keys))
+    per_family = [(("", "hm", "m"), 2, 156), (("", "hm", "m"), 5, 180), (("", "hm", "m"), 10, 168),
+                  (("", "hm"), 20, 112), (("m",), 20, 56), (("",), 40, 56), (("hm",), 40, 56), (("m",), 40, 56)]
+    expected = [(tuple(p + fam for p in prefixes), d, runs)
+                for fam in ("BAT", "CSO", "DE", "PSO") for prefixes, d, runs in per_family]
+    assert [(tuple(dict.fromkeys(alg for alg, _, _, _ in g)), g[0][2], len(g)) for g in groups] == expected
+    assert all({d for _, _, d, _ in g} == {g[0][2]} for g in groups)
+    assert max(len(g) * g[0][2] for g in groups) == 2240
 
 
 def test_groups_run_alike_at_any_parallelism(tmp_path):
-    # members sorted by (dimension, label): each algorithm's cells cut into
-    # two groups, F18@2 with F4@2 (Bukin6, whose box is no cube), then F15@5,
-    # F26@5 and F27@5
+    # members sorted by (dimension, label): the d=2 groups, F18@2 with F4@2
+    # (Bukin6, whose box is no cube) for PSO then mPSO, make one stack of 8
+    # runs x d=2, within the largest group's 6 runs x d=5; the d=5 groups
+    # (F15@5, F26@5 and F27@5) cannot merge, so each stands alone
     plan = small_plan(runs=2, dimensions=(2, 5), functions=("F4", "F15", "F18", "F26", "F27"))
     cells = plan.cells()
-    groups = harness._groups(cells)
-    assert [len(g) for g in groups] == [4, 6] * 2
+    groups = harness._groups(cells, harness._largest(cells))
+    assert [len(g) for g in groups] == [8, 6, 6]
     assert sum(groups, []) == cells
-    assert [(g[0][0], g[0][2]) for g in groups] == [("PSO", 2), ("PSO", 5), ("mPSO", 2), ("mPSO", 5)]
-    assert all(len({(alg, d) for alg, _, d, _ in g}) == 1 for g in groups)  # one per (algorithm, dimension)
+    assert [[(alg, label) for alg, label, _, _ in g[::2]] for g in groups] == [
+        [("PSO", "F18"), ("PSO", "F4"), ("mPSO", "F18"), ("mPSO", "F4")],
+        [("PSO", "F15"), ("PSO", "F26"), ("PSO", "F27")],
+        [("mPSO", "F15"), ("mPSO", "F26"), ("mPSO", "F27")],
+    ]
+    assert [g[0][2] for g in groups] == [2, 5, 5]
     execute(plan, tmp_path / "p1")
     execute(replace(plan, parallelism=2), tmp_path / "p2")
     for name in ("runs.jsonl", "metrics.csv"):
@@ -216,6 +238,28 @@ def test_resume_completes_partial_store(tmp_path):
     resume(plan, out)
     assert (out / "runs.jsonl").read_bytes() == full_runs
     assert (out / "metrics.csv").read_bytes() == full_metrics
+
+
+def test_resume_stacks_under_the_whole_plans_cap(tmp_path, monkeypatch):
+    # resumed after 15 of the 20 cells, the 5 left are cut into stacks under
+    # the cap taken from all the plan's cells (the largest group's 6 runs x
+    # d=5), not from the cells left (5 x 5)
+    plan = small_plan(runs=2, dimensions=(2, 5), functions=("F4", "F15", "F18", "F26", "F27"))
+    out = tmp_path / "r"
+    execute(plan, out)
+    full = {name: (out / name).read_bytes() for name in ("runs.jsonl", "metrics.csv")}
+    store = ResultStore(out)
+    store.write_runs(dict(list(store.read_runs().items())[:15]))
+    real_groups, cut = harness._groups, []
+
+    def groups(cells, cap):
+        cut.append((len(cells), cap))
+        return real_groups(cells, cap)
+
+    monkeypatch.setattr(harness, "_groups", groups)
+    resume(plan, out)
+    assert cut == [(5, 30)]
+    assert {name: (out / name).read_bytes() for name in full} == full
 
 
 def test_resume_complete_store_runs_nothing(tmp_path):
@@ -390,14 +434,68 @@ def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
 
 
 def test_cells_in_cell_order():
-    # a label listed twice still gives each cell once; cells sort by
-    # algorithm, dimension, function label, run
-    plan = small_plan(algorithms=("mPSO", "PSO", "mPSO"), dimensions=(5, 2), functions=("F27", "F13", "F1"))
+    # a label listed twice still gives each cell once; cells sort by family,
+    # dimension, algorithm label, function label, run
+    plan = small_plan(algorithms=("mPSO", "hmCSO", "PSO", "CSO", "hmPSO", "mPSO"),
+                      dimensions=(5, 2), functions=("F27", "F13", "F1"))
     cells = plan.cells()
-    assert cells == sorted(set(cells), key=lambda cell: (cell[0], cell[2], cell[1], cell[3]))
-    assert cells[0] == ("PSO", "F13", 2, 0) and cells[-1] == ("mPSO", "F27", 5, 2)
-    assert cells[plan.runs] == ("PSO", "F1", 5, 0)
-    assert len(cells) == 2 * len(plan.collection()) * plan.runs
+    family = {"CSO": 0, "hmCSO": 0, "PSO": 1, "hmPSO": 1, "mPSO": 1}
+    assert cells == sorted(set(cells), key=lambda cell: (family[cell[0]], cell[2], cell[0], cell[1], cell[3]))
+    assert len(cells) == 5 * len(plan.collection()) * plan.runs == 45
+    # F13 is the d=2 member, F1 and F27 the d=5 ones
+    assert [(alg, label, d) for alg, label, d, r in cells[:: plan.runs]] == [
+        ("CSO", "F13", 2), ("hmCSO", "F13", 2),
+        ("CSO", "F1", 5), ("CSO", "F27", 5), ("hmCSO", "F1", 5), ("hmCSO", "F27", 5),
+        ("PSO", "F13", 2), ("hmPSO", "F13", 2), ("mPSO", "F13", 2),
+        ("PSO", "F1", 5), ("PSO", "F27", 5), ("hmPSO", "F1", 5), ("hmPSO", "F27", 5),
+        ("mPSO", "F1", 5), ("mPSO", "F27", 5),
+    ]
+    assert [r for _, _, _, r in cells[:6]] == [0, 1, 2, 0, 1, 2]
+
+
+def _stacking_plans():
+    """Plans over a grid of label subsets, dimensions, function subsets and
+    runs, and the full protocol at 100 runs."""
+    labels = [("PSO",), ("PSO", "mPSO"), ("hmCSO", "CSO", "mDE"), ("BAT", "hmBAT", "mBAT", "DE"),
+              algorithms.ALGORITHM_LABELS]
+    dims = [(2,), (5, 40), (2, 10, 20), objectives.COLLECTION_DIMS]
+    functions = [None, ("F4", "F15", "F16", "F27")]
+    for algs, ds, fs, runs in itertools.product(labels, dims, functions, (1, 3)):
+        if any(spec.label in (fs or spec.label) for d in ds for spec, _ in objectives.list_collection(d)):
+            yield small_plan(algorithms=algs, pairs=(), dimensions=ds, functions=fs, runs=runs)
+    yield small_plan(algorithms=algorithms.ALGORITHM_LABELS, pairs=(), dimensions=objectives.COLLECTION_DIMS,
+                     functions=None, runs=100)
+
+
+def _check_stacks(stacks, cells, cap):
+    family = lambda alg: algorithms.split_label(alg)[0]  # noqa: E731
+    assert sum(stacks, []) == cells
+    for stack in stacks:
+        assert len({(family(alg), d) for alg, _, d, _ in stack}) == 1
+        assert len(stack) * stack[0][2] <= cap
+    # every merge that fits is made: a stack ends where the next group would
+    # break its family and dimension, or the cap
+    for stack, after in zip(stacks, stacks[1:]):
+        alg, _, d, _ = after[0]
+        if (family(alg), d) == (family(stack[0][0]), stack[0][2]):
+            first = sum(1 for _ in itertools.takewhile(lambda cell: cell[0] == alg, after))
+            assert (len(stack) + first) * d > cap
+
+
+def test_groups_merge_a_familys_groups_within_the_largest():
+    for plan in _stacking_plans():
+        cells = plan.cells()
+        sizes = collections.Counter((alg, d) for alg, _, d, _ in cells)
+        cap = max(n * d for (_, d), n in sizes.items())  # the plan's largest group
+        assert harness._largest(cells) == cap
+        stacks = harness._groups(cells, cap)
+        _check_stacks(stacks, cells, cap)
+        # each (label, dimension) group lies whole in one stack
+        assert all(sizes[key] == n for stack in stacks
+                   for key, n in collections.Counter((alg, d) for alg, _, d, _ in stack).items())
+        # the cells a resume runs are cut under the whole plan's cap
+        for done in (1, len(cells) // 3, len(cells) - 1):
+            _check_stacks(harness._groups(cells[done:], cap), cells[done:], cap)
 
 
 def test_plan_refuses_repeated_dimensions_and_pairs():
@@ -457,7 +555,16 @@ def _label_dimension_order(lines, plan):
     return sorted(lines, key=lambda line: tuple(json.loads(line)[k] for k in key)), named
 
 
-@pytest.mark.parametrize("doctor", [_drop_middle_line, _cell_outside_plan, _repeated_line, _label_dimension_order])
+def _label_major_order(lines, plan):
+    # complete, in the order of stores written when cells were sorted by
+    # algorithm label, then dimension: PSO's F27@5 before mPSO's F4@2
+    key = ("algorithm", "dimension", "function", "run")
+    named = "record 4 is cell ('PSO', 'F27', 5, 0), not the plan's next cell in cell order"
+    return sorted(lines, key=lambda line: tuple(json.loads(line)[k] for k in key)), named
+
+
+@pytest.mark.parametrize("doctor", [_drop_middle_line, _cell_outside_plan, _repeated_line, _label_dimension_order,
+                                    _label_major_order])
 def test_resume_refuses_store_out_of_cell_order(tmp_path, capsys, doctor):
     plan = small_plan(dimensions=(2, 5), functions=("F4", "F27"))
     out = tmp_path / "bad"
