@@ -34,11 +34,9 @@ tests pin it):
 PSO, BAT and CSO draw noise rows for all m candidates under hpp too, and use
 the first floor(m/2).
 
-DE's per-agent draw loop (_de_draws_loop) defines its draws.  On a numpy
-Generator over PCG64 they are parsed off the raw words of its bit generator
-instead (_Words); a step on a caller's generator (_de_draws_block) then puts
-back the words it read past its draws, leaving the generator where the loop
-leaves it.  Any other generator (a proxy, say) takes the loop.
+DE's per-agent draw loop (_de_draws_loop) defines its draws, and a step on
+a caller's generator takes it.  A stack parses them off the raw words of its
+runs' own PCG64s instead (_Words).
 
 DE values its trials as single points would be valued: one ulp in an
 accepted value changes its trajectory, and numpy's `**` on a value derived
@@ -74,10 +72,7 @@ uint32 arithmetic, so _spawned_words derives every run's two PCG64 seed words
 a seed that is not an int in [0, 2**64) goes to SeedSequence as given.  The
 start positions are drawn as random() values and scaled to the BoxStack in
 one expression, the per-element arithmetic of Generator.uniform, so each run
-starts where sample_uniform would start it.  A check made once per process,
-at its first stack, compares both with numpy's own calls; if they differ,
-every stack of the process takes the per-run calls (init_state always does)
-and a DrawFallbackWarning says so.
+starts where sample_uniform would start it.
 
 A stack reads its generators ahead: they are made for it and dropped with
 it, and no record shows where a generator stands.  DE's words are parsed
@@ -89,10 +84,12 @@ values of K one-step calls.  K is at most the steps left, and a stream's
 block for all its runs at most _BLOCK_BYTES.
 BAT's and CSO's dynamics stay per step: ziggurat `normal` and `permutation`
 read a varying number of words.  init_state and step draw one step at a time
-from the caller's generators.  A check made once per process, at its first
-stack or DE step, compares the parse and K-step blocks with numpy's per-step
-calls; if they differ, stacks draw one step at a time, DE takes its loop,
-and a DrawFallbackWarning says so.
+from the caller's generators with numpy's own calls.
+
+One check made once per process, at its first stack (_draws_agree), compares
+the setup, the parse and the K-step blocks with numpy's own calls; if any
+differs, every stack of the process sets its runs up and draws with numpy's
+per-run, per-step calls, and a DrawFallbackWarning says so.
 
 A run whose objective gives a non-finite value, at initialisation or in a
 step, fails alone: it gets a failed record, its row is taken out of the
@@ -431,7 +428,7 @@ def _run_generators(seeds) -> list[np.random.Generator]:
     """Each run's dynamics and noise generators, run after run:
     default_rng(child) for the two children of SeedSequence(seed).spawn(2),
     built from _spawned_words for a seed that is an int in [0, 2**64)."""
-    exact = [_stack_setup_agrees() and isinstance(s, int) and 0 <= s < 1 << 64 for s in seeds]
+    exact = [_draws_agree() and isinstance(s, int) and 0 <= s < 1 << 64 for s in seeds]
     words = iter(_spawned_words(list(itertools.compress(seeds, exact))) if any(exact) else ())
     children = [map(_seed_words(), next(words)) if e else np.random.SeedSequence(s).spawn(2) for s, e in zip(seeds, exact)]
     return [np.random.Generator(np.random.PCG64(child)) for pair in children for child in pair]
@@ -448,34 +445,9 @@ def _stacked_uniform(box: BoxStack, rngs, n: int) -> np.ndarray:
 
 def _starts(n: int, runs: _Runs) -> np.ndarray:
     """Each run's sample_uniform(box, rng, n), stacked."""
-    if _stack_setup_agrees():
+    if _draws_agree():
         return _stacked_uniform(runs.box, runs.rngs, n)
     return np.stack([sample_uniform(box, rng, n) for box, rng in zip(runs.boxes, runs.rngs)])
-
-
-@functools.cache
-def _stack_setup_agrees() -> bool:
-    """Whether _spawned_words gives SeedSequence's child states and
-    _stacked_uniform gives sample_uniform's values, sign bits included, under
-    this numpy: for edge and random 64-bit seeds, and boxes that are no cube
-    or straddle zero.  Checked once per process, at the first stack's setup;
-    if it fails, stacks take the per-run calls."""
-    seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 0x2545F4914F6CDD1D]
-    boxes = [Box([-15.0, -3.0], [-5.0, 3.0]), Box([-5.0, 0.0], [10.0, 15.0]), Box.cube(-1e-3, 0.5, 2)]
-    try:
-        for seed, words in zip(seeds, _spawned_words(seeds)):
-            for child, w in zip(np.random.SeedSequence(seed).spawn(2), words):
-                ours = np.random.Generator(np.random.PCG64(_seed_words()(w))).bit_generator.state
-                if ours != np.random.default_rng(child).bit_generator.state:
-                    raise ValueError(f"seed {seed}: generator state differs from SeedSequence's")
-        ours = _stacked_uniform(BoxStack.of(boxes), [np.random.default_rng(s) for s in seeds[:3]], 16)
-        ref = [sample_uniform(box, np.random.default_rng(s), 16) for box, s in zip(boxes, seeds)]
-        if ours.tobytes() != np.stack(ref).tobytes():
-            raise ValueError("start positions differ from Generator.uniform's")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # another numpy's API or arithmetic
-        warnings.warn(f"stacks set their runs up one by one: {exc}", DrawFallbackWarning, stacklevel=2)
-        return False
-    return True
 
 
 def _init(config: AlgorithmConfig, runs: _Runs, X: np.ndarray) -> tuple[SwarmState, np.ndarray]:
@@ -511,10 +483,6 @@ def init_state(config: AlgorithmConfig, box: Box, fbatch, rng: np.random.Generat
     return _unstacked(state)
 
 
-def _clip(X, box: Box | BoxStack) -> np.ndarray:
-    return np.clip(X, box.lower, box.upper)
-
-
 def perturb_project(Y, box: Box, noise: NoiseModel, rng_noise, k: int, rows: int) -> np.ndarray:
     """Clamp one run's candidate rows Y (m, d) into the box, add noise to the
     first k rows and clamp those again; the other rows are only clamped.
@@ -542,7 +510,7 @@ def _project(Y, box: BoxStack, perturbed) -> np.ndarray:
     of `perturbed` names some runs (a slice or an index array) and the noise
     w, at least k rows per run: their first k rows get it added and are
     clamped again."""
-    X = _clip(Y, box)
+    X = np.clip(Y, box.lower, box.upper)
     for runs, k, w in perturbed:
         X[runs, :k] = np.clip(X[runs, :k] + w[:, :k], box.lower[runs], box.upper[runs])
     return X
@@ -646,8 +614,8 @@ def _cso_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, runs: _Ru
 def _de_draws_loop(rng, n: int, d: int):
     """DE's dynamics draws for one step, agent by agent in index order: donor
     j != i and donor k not in {i, j}, each redrawn until it qualifies, the
-    forced crossover index, then d crossover coins.  The reference for
-    _de_draws_block, and the path for any other generator."""
+    forced crossover index, then d crossover coins.  The reference for _Words,
+    and the path for a caller's generator."""
     J, K, forced = (np.empty(n, dtype=np.intp) for _ in range(3))
     coins = np.empty((n, d))
     for i in range(n):
@@ -674,7 +642,8 @@ class _Words:
     and does not touch that buffer.  The integer draws are parsed in Python
     ints, Lemire's accept test inline, and a parse's coins converted in one
     gather.  Words are read with random_raw as a parse needs them; the ones it
-    leaves wait for the next parse, and rewind() puts them back.
+    leaves wait for the next parse.  A stack reads its own generators only,
+    so nothing puts the unused words back.
     """
 
     def __init__(self, bg):
@@ -736,53 +705,42 @@ class _Words:
         self.raw, self.has, self.buf = raw[pos:].copy(), has, buf
         return ints[..., 0], ints[..., 1], ints[..., 2], coins
 
-    def rewind(self):
-        """Leave the generator where the draws parsed so far leave it."""
-        if len(self.raw):
-            self.bg.advance((1 << 128) - len(self.raw))  # PCG64 advances modulo 2**128
-        state = self.bg.state  # advance clears the uint32 buffer
-        state["has_uint32"], state["uinteger"] = self.has, self.buf
-        self.bg.state = state
-
-
-def _de_draws_block(rng: np.random.Generator, n: int, d: int):
-    """_de_draws_loop's draws, parsed off the raw words of the generator's
-    PCG64 (_Words), which is left in the state the loop leaves it in."""
-    words = _Words(rng.bit_generator)
-    draws = words.parse(1, n, d)
-    words.rewind()
-    return tuple(a[0] for a in draws)
-
 
 @functools.cache
-def _block_draws_agree() -> bool:
-    """Whether the draws DE parses off raw words, and the draws a stack reads
-    ahead, are numpy's own under this numpy.  DE: _de_draws_block, and _Words
-    parsing 1, then 3 steps per call, give _de_draws_loop's draws and, block
-    and rewound words alike, its generator state, for odd, even and
-    power-of-two swarms and a buffered uint32 at the start (at n=4, d=5 a
-    parse runs out of words and reads more).  Blocks: K steps of sample_noise
-    (Gaussian and scaled t) and of random(out=) in one call give K per-step
-    calls' values and generator state.  Checked once per process, at its
-    first stack or DE step on a PCG64 Generator; if it fails, stacks draw
-    step by step and DE keeps the loop."""
+def _draws_agree() -> bool:
+    """Whether a stack's emulations of numpy's draws give numpy's own values
+    under this numpy.  Setup: _spawned_words gives SeedSequence's child
+    states, for edge and random 64-bit seeds, and _stacked_uniform gives
+    sample_uniform's values, sign bits included, for boxes that are no cube
+    or straddle zero.  DE: _Words parsing 1, then 3 steps per call gives
+    _de_draws_loop's draws, for odd, even and power-of-two swarms and a
+    buffered uint32 at the start (at n=4, d=5 a parse runs out of words and
+    reads more).  Blocks: K steps of sample_noise (Gaussian and scaled t) and
+    of random(out=) in one call give K per-step calls' values and generator
+    state.  Checked once per process, at its first stack; if it fails, stacks
+    take numpy's per-run, per-step calls for everything."""
+    seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 0x2545F4914F6CDD1D]
+    boxes = [Box([-15.0, -3.0], [-5.0, 3.0]), Box([-5.0, 0.0], [10.0, 15.0]), Box.cube(-1e-3, 0.5, 2)]
     try:
+        for seed, words in zip(seeds, _spawned_words(seeds)):
+            for child, w in zip(np.random.SeedSequence(seed).spawn(2), words):
+                ours = np.random.Generator(np.random.PCG64(_seed_words()(w))).bit_generator.state
+                if ours != np.random.default_rng(child).bit_generator.state:
+                    raise ValueError(f"seed {seed}: generator state differs from SeedSequence's")
+        ours = _stacked_uniform(BoxStack.of(boxes), [np.random.default_rng(s) for s in seeds[:3]], 16)
+        ref = [sample_uniform(box, np.random.default_rng(s), 16) for box, s in zip(boxes, seeds)]
+        if ours.tobytes() != np.stack(ref).tobytes():
+            raise ValueError("start positions differ from Generator.uniform's")
         for n, d in ((4, 1), (4, 5), (5, 2), (8, 3), (33, 10)):
-            block, ahead, loop = (np.random.default_rng(n) for _ in range(3))
-            for rng in (block, ahead, loop):
-                rng.integers(3)
+            ahead, loop = np.random.default_rng(n), np.random.default_rng(n)
+            ahead.integers(3)
+            loop.integers(3)
             words = _Words(ahead.bit_generator)
             for steps in (1, 3):
                 parsed = words.parse(steps, n, d)
                 for t in range(steps):
-                    ref = _de_draws_loop(loop, n, d)
-                    if not all(map(np.array_equal, _de_draws_block(block, n, d), ref)):
-                        raise ValueError(f"n={n}, d={d}: block draws differ from the loop's")
-                    if not all(np.array_equal(a[t], b) for a, b in zip(parsed, ref)):
+                    if not all(np.array_equal(a[t], b) for a, b in zip(parsed, _de_draws_loop(loop, n, d))):
                         raise ValueError(f"n={n}, d={d}: a {steps}-step parse differs from the loop's draws")
-            words.rewind()
-            if not block.bit_generator.state == ahead.bit_generator.state == loop.bit_generator.state:
-                raise ValueError(f"n={n}, d={d}: parsed draws leave another generator state than the loop")
         K, rows, d = 4, 5, 3
         draws = [lambda rng, k, noise=noise: _noise(noise, d, [rng], rows, k)
                  for noise in (NoiseModel(sigma=0.5), NoiseModel(kind="scaled_t", df=5))]
@@ -792,9 +750,8 @@ def _block_draws_agree() -> bool:
             block, ref = draw(ahead, K).ravel(), np.concatenate([draw(loop, 1).ravel() for _ in range(K)])
             if block.tobytes() != ref.tobytes() or ahead.bit_generator.state != loop.bit_generator.state:
                 raise ValueError("a block of K steps' draws differs from K steps' draws")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # another numpy's API or stream
-        warnings.warn(f"stacks draw step by step and DE uses its per-agent draw loop: {exc}",
-                      DrawFallbackWarning, stacklevel=2)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # another numpy's API, arithmetic or stream
+        warnings.warn(f"stacks take numpy's per-run, per-step calls: {exc}", DrawFallbackWarning, stacklevel=2)
         return False
     return True
 
@@ -808,11 +765,8 @@ def _de_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
         if runs.ahead:
             runs.words = runs.words or [_Words(rng.bit_generator) for rng in runs.rngs]
         for r, rng in enumerate(runs.rngs):
-            if runs.ahead:
-                draws = runs.words[r].parse(steps, n, d)
-            else:  # a caller's generator, drawn one step at a time
-                fast = type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64
-                draws = (_de_draws_block if fast and _block_draws_agree() else _de_draws_loop)(rng, n, d)
+            # a stack's own generator, parsed; a caller's, or any after a failed self-check, drawn by the loop
+            draws = runs.words[r].parse(steps, n, d) if runs.ahead else _de_draws_loop(rng, n, d)
             J[r], K[r], forced[r], coins[r] = draws
         return J, K, forced, coins
 
@@ -889,21 +843,20 @@ def _step_failure(config: AlgorithmConfig) -> str:
     return f"non-finite objective value in a {config.family} step"
 
 
-def _check_invariants(state: SwarmState, box: Box | BoxStack, prev_best, record):
-    """Count a C1 violation unless the swarm and its memory lie in the box,
-    and a C3 violation if best-so-far rose.  For one run's state and record,
-    or per run for a stack, its BoxStack and its _Runs."""
+def _check_invariants(state: SwarmState, box: BoxStack, prev_best, runs: _Runs):
+    """Count, per run of a stack, a C1 violation unless its swarm and memory
+    lie in its box, and a C3 violation if its best-so-far rose."""
     inside = contains(state.X, box, axis=(-2, -1)) & contains(state.gbest_x[..., None, :], box, axis=(-2, -1))
     if state.pbest_X is not None:
         inside &= contains(state.pbest_X, box, axis=(-2, -1))
-    record.violations_c1 += ~inside
-    record.violations_c3 += state.best_f > prev_best
+    runs.violations_c1 += ~inside
+    runs.violations_c3 += state.best_f > prev_best
 
 
 def check_checkpoints(checkpoints, max_iter: int) -> list[int]:
     """The checkpoint iterations as ints: increasing, from 0 to max_iter."""
     ints = [int(t) for t in checkpoints]
-    if ints != list(checkpoints):
+    if ints != list(checkpoints) or any(isinstance(t, (bool, np.bool_)) for t in checkpoints):
         raise ValueError(f"checkpoints must be integers, got {list(checkpoints)}")
     checkpoints = ints
     if sorted(checkpoints) != checkpoints:
@@ -972,7 +925,7 @@ def _run_stack(configs, fbatches, boxes, seeds, max_iter, checkpoints, check_inv
     runs = _Runs(fbatches, boxes, generators[0::2], generators[1::2], [c.variant for c in configs])
     state, failed = _init(config, runs, _starts(config.n, runs))
     runs.drop(state, failed, records, _INIT_FAILURE)
-    ahead = _block_draws_agree()  # the generators are the stack's own: it may read them ahead
+    ahead = _draws_agree()  # the generators are the stack's own: it may read them ahead
     for t in range(max_iter + 1):
         if not runs.rows:
             break

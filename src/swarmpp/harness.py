@@ -72,7 +72,9 @@ class ExperimentPlan:
             _check_int(name, getattr(self, name))
         for d in self.dimensions:
             _check_int("a dimensions entry", d)
-        unsafe = [c for c in (",", '"', "\r", "\n") if c in str(self.name)]
+        if not isinstance(self.name, str):
+            raise TypeError(f"name must be a string, got {self.name!r}")
+        unsafe = [c for c in (",", '"', "\r", "\n") if c in self.name]
         if unsafe:  # metrics.csv writes the name unquoted
             raise ValueError(f"name must not contain {' or '.join(map(repr, unsafe))}, got {self.name!r}")
         if self.parallelism < 1:

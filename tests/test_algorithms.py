@@ -17,7 +17,6 @@ from swarmpp.algorithms import (
     DrawFallbackWarning,
     RunRecord,
     _check_invariants,
-    _de_draws_block,
     _de_draws_loop,
     config_for_label,
     init_state,
@@ -269,9 +268,9 @@ def test_check_invariants_counts_each_violation(family):
         st = init_state(AlgorithmConfig(family, n=4), box, sphere, np.random.default_rng(5))
         if attr is not None:
             getattr(st, attr)[index] = value
-        record = RunRecord(0, "", {}, None, np.inf)
-        _check_invariants(st, box, st.best_f + prev_delta, record)
-        return record.violations_c1, record.violations_c3
+        stack, runs = algorithms._stacked(st), algorithms._Runs([sphere], [box], [None], [None], ["base"])
+        _check_invariants(stack, runs.box, stack.best_f + prev_delta, runs)
+        return int(runs.violations_c1[0]), int(runs.violations_c3[0])
 
     assert counts() == (0, 0)
     assert counts("X", (0, 0), 1.0) == (0, 0)  # the closed box holds its faces
@@ -488,29 +487,42 @@ def test_golden_pin_multistep():
     assert [k for k in pinned if got[k] != pinned[k]] == []
 
 
-# DE's dynamics draws: one block of raw PCG64 words, parsed as the per-agent
-# loop draws them, must give the loop's draws and leave the generator exactly
-# where the loop leaves it, its buffered uint32 half included.
+# DE's dynamics draws in a stack: raw PCG64 words, parsed as the per-agent
+# loop draws them, must give the loop's draws and stop where the loop stops,
+# its buffered uint32 half included.
+
+
+def _words_stand_where(words, gen):
+    """The next word `words` parses is `gen`'s next word, buffered half included."""
+    state, peek = gen.bit_generator.state, np.random.PCG64()
+    peek.state = state
+    return (words.has, words.buf) == (state["has_uint32"], state["uinteger"]) and (
+        words.raw.tolist() == peek.random_raw(len(words.raw)).tolist()
+    )
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 32, 33, 64])
 def test_de_block_draws_equal_loop(n):
+    # one step per parse, as a stack draws when its blocks hold one step, and a
+    # fresh stream on a buffered uint32 half every third step
     for d in (1, 2, 5, 10, 40):
-        block, loop = np.random.default_rng([n, d]), np.random.default_rng([n, d])
+        loop, bg = np.random.default_rng([n, d]), np.random.PCG64()
         for t in range(12):
-            while t % 3 == 0 and not block.bit_generator.state["has_uint32"]:
-                block.integers(9)  # start this step with a buffered uint32 half
-                loop.integers(9)
-            ours, ref = _de_draws_block(block, n, d), _de_draws_loop(loop, n, d)
+            if t % 3 == 0:
+                while not loop.bit_generator.state["has_uint32"]:
+                    loop.integers(9)  # start this step with a buffered uint32 half
+                bg.state = loop.bit_generator.state
+                words = algorithms._Words(bg)
+            ours, ref = words.parse(1, n, d), _de_draws_loop(loop, n, d)
             for a, b in zip(ours, ref):
-                np.testing.assert_array_equal(a, b)
-            assert block.bit_generator.state == loop.bit_generator.state, (n, d, t)
+                np.testing.assert_array_equal(a[0], b)
+            assert _words_stand_where(words, loop), (n, d, t)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 32, 33, 64])
 def test_de_multistep_parse_equals_loop(n, monkeypatch):
-    # a stack parses several steps per call off words it keeps between calls,
-    # reading more as it runs out, even in the middle of a step
+    # a stack parses one or several steps per call off words it keeps between
+    # calls, reading more as it runs out, even in the middle of a step
     reads, parsed_from = [], algorithms._Words._parsed
     monkeypatch.setattr(algorithms._Words, "_parsed", lambda self, *a: reads.append(a) or parsed_from(self, *a))
     refills = 0
@@ -529,8 +541,7 @@ def test_de_multistep_parse_equals_loop(n, monkeypatch):
                 for t in range(steps):
                     for a, b in zip(draws, _de_draws_loop(loop, n, d)):
                         np.testing.assert_array_equal(a[t], b, err_msg=f"d={d}, steps={steps}, call {call}, step {t}")
-            words.rewind()
-            assert parsed.bit_generator.state == loop.bit_generator.state, (d, steps)
+            assert _words_stand_where(words, loop), (d, steps)
     assert refills > 0 or n >= 8  # small swarms redraw donors often enough to outrun the first read
 
 
@@ -576,29 +587,6 @@ def test_de_fallbacks_give_the_same_record(label):
     assert rng.calls > 60 * 8 * 3
     assert (st.best_f, st.n_evals) == (rec["final_best_value"], rec["n_evals"])
     assert st.best_x.tolist() == rec["final_best_point"]
-
-
-def test_failed_draw_self_check_selects_loop(monkeypatch):
-    cfg, box, fbatch = _de_case()
-    ref = run(cfg, fbatch, box, 3, 30, [30]).to_dict()
-    blocks = []
-
-    def broken(rng, n, d):
-        blocks.append(n)
-        J, K, forced, coins = _de_draws_block(rng, n, d)
-        return J, K, forced, coins * 0.5
-
-    monkeypatch.setattr(algorithms, "_de_draws_block", broken)
-    algorithms._block_draws_agree.cache_clear()
-    try:
-        with pytest.warns(DrawFallbackWarning, match="per-agent draw loop"):
-            assert run(cfg, fbatch, box, 3, 30, [30]).to_dict() == ref
-        checked = len(blocks)
-        assert checked > 0  # the self-check ran the broken block ...
-        assert run(cfg, fbatch, box, 3, 30, [30]).to_dict() == ref
-        assert len(blocks) == checked  # ... and no step used it
-    finally:
-        algorithms._block_draws_agree.cache_clear()
 
 
 # Stacked runs: run() given sequences steps them as one (R, n, d) stack, and
@@ -830,30 +818,6 @@ def _broken_starts(real):
     return lambda box, rngs, n: np.nextafter(real(box, rngs, n), np.inf)
 
 
-@pytest.mark.parametrize("part, breaks", [("_spawned_words", _broken_words), ("_stacked_uniform", _broken_starts)])
-def test_failed_setup_self_check_selects_per_run_calls(monkeypatch, part, breaks):
-    cfg = config_for_label("hmPSO", n=8)
-    cells = list(zip(*_stack_cells(5, plain=False)))
-    ref = [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)]
-    calls, wrong = [], breaks(getattr(algorithms, part))
-
-    def broken(*args):
-        calls.append(None)
-        return wrong(*args)
-
-    monkeypatch.setattr(algorithms, part, broken)
-    algorithms._stack_setup_agrees.cache_clear()
-    try:
-        with pytest.warns(DrawFallbackWarning, match="set their runs up one by one"):
-            assert [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)] == ref
-        checked = len(calls)
-        assert checked > 0  # the self-check ran the broken emulation ...
-        assert [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)] == ref
-        assert len(calls) == checked  # ... and no stack used it
-    finally:
-        algorithms._stack_setup_agrees.cache_clear()
-
-
 def _broken_parse(real):
     def parse(self, steps, n, d):  # wrong past a parse's first step
         J, K, forced, coins = real(self, steps, n, d)
@@ -866,23 +830,35 @@ def _broken_noise(real):
 
 
 @pytest.mark.parametrize("label, owner, part, breaks", [
+    ("hmPSO", algorithms, "_spawned_words", _broken_words),
+    ("hmPSO", algorithms, "_stacked_uniform", _broken_starts),
     ("hmDE", algorithms._Words, "parse", _broken_parse),
     ("mPSO", algorithms, "_noise", _broken_noise),
-])
-def test_failed_read_ahead_self_check_draws_step_by_step(monkeypatch, label, owner, part, breaks):
+], ids=["_spawned_words", "_stacked_uniform", "_Words.parse", "_noise"])
+def test_failed_draw_self_check_selects_numpy_calls(monkeypatch, label, owner, part, breaks):
     cfg = config_for_label(label, n=8)
     cells = list(zip(*_stack_cells(5, plain=False)))
     ref = [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)]
-    monkeypatch.setattr(owner, part, breaks(getattr(owner, part)))
-    algorithms._block_draws_agree.cache_clear()
+    calls, wrong = [], breaks(getattr(owner, part))
+
+    def broken(*args):
+        calls.append(None)
+        return wrong(*args)
+
+    monkeypatch.setattr(owner, part, broken)
+    algorithms._draws_agree.cache_clear()
     try:
         block_steps = _block_steps(monkeypatch)
-        with pytest.warns(DrawFallbackWarning, match="stacks draw step by step"):
+        with pytest.warns(DrawFallbackWarning, match="per-run, per-step calls"):
             assert [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)] == ref
+        checked = len(calls)
+        assert checked > 0  # the self-check ran the broken emulation ...
         assert [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)] == ref
-        assert set(block_steps) == {1}  # the stacks read no step ahead
+        assert set(block_steps) == {1}  # ... the stacks read no step ahead ...
+        if part != "_noise":  # (a one-step noise block is each run's own sample_noise call)
+            assert len(calls) == checked  # ... and set up and parsed nothing themselves
     finally:
-        algorithms._block_draws_agree.cache_clear()
+        algorithms._draws_agree.cache_clear()
 
 
 def _replayed(cfg, fbatch, box, seed, max_iter):

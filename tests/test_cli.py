@@ -257,6 +257,10 @@ def test_run_refuses_a_name_that_would_break_metrics_csv(tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))
         assert code == 2 and err.startswith("error: invalid plan: name must not contain"), name
         assert not (tmp_path / "s").exists()
+    write_plan(tmp_path, name=["x"])
+    code, _, err = run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))
+    assert code == 2 and err.startswith("error: invalid plan: name must be a string")
+    assert not (tmp_path / "s").exists()
     write_plan(tmp_path, name="a b;c")
     assert run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))[0] == 0
     assert all(len(line.split(",")) == 8 for line in (tmp_path / "s" / "metrics.csv").read_text().splitlines())

@@ -97,6 +97,9 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="integers"):
         small_plan(checkpoints=(2.5, 3))
     assert [type(t) for t in small_plan(checkpoints=(10.0, 30)).checkpoints] == [int, int]
+    # a bool is no checkpoint, though int(True) is 1
+    with pytest.raises(ValueError, match="integers"):
+        ExperimentPlan.from_dict(small_plan().to_dict() | {"checkpoints": [True, 3]})
     # metrics.csv writes the name unquoted, so a name that would break its
     # rows is refused: "a,b" made 9-field rows under the 8-column header
     for name, named in (("a,b", "','"), ('say "hi"', "'\"'"), ("a\nb", "'\\n'"), ("a\r\nb", "'\\r' or '\\n'")):
@@ -105,6 +108,9 @@ def test_plan_validation():
         with pytest.raises(ValueError, match="name must not contain"):
             ExperimentPlan.from_dict(small_plan().to_dict() | {"name": name})
     assert small_plan(name="a b;c|d").name == "a b;c|d"
+    # and a name is a string: ["x"] was written into metrics.csv as ['x']
+    with pytest.raises(TypeError, match="name must be a string"):
+        ExperimentPlan.from_dict(small_plan().to_dict() | {"name": ["x"]})
 
 
 def test_plan_refuses_non_integer_fields():
