@@ -83,13 +83,15 @@ variant's runs and PSO's U1 and U2, come K steps per call in one
 values of K one-step calls.  K is at most the steps left, and a stream's
 block for all its runs at most _BLOCK_BYTES.
 BAT's and CSO's dynamics stay per step: ziggurat `normal` and `permutation`
-read a varying number of words.  init_state and step draw one step at a time
+read a varying number of words.  CSO's pairing permutations are drawn as
+numpy draws them, each an arange row shuffled in place (_pairings), without
+permutation's per-call set-up.  init_state and step draw one step at a time
 from the caller's generators with numpy's own calls.
 
 One check made once per process, at its first stack (_draws_agree), compares
-the setup, the parse and the K-step blocks with numpy's own calls; if any
-differs, every stack of the process sets its runs up and draws with numpy's
-per-run, per-step calls, and a DrawFallbackWarning says so.
+the setup, the parse, the pairings and the K-step blocks with numpy's own
+calls; if any differs, every stack of the process sets its runs up and draws
+with numpy's per-run, per-step calls, and a DrawFallbackWarning says so.
 
 A run whose objective gives a non-finite value, at initialisation or in a
 step, fails alone: it gets a failed record, its row is taken out of the
@@ -583,13 +585,21 @@ def _bat_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, runs: _Ru
     state.fvals = np.where(revert, state.fvals, f)
 
 
+def _pairings(rngs, n: int) -> np.ndarray:
+    """Each run's Generator.permutation(n), (R, n): numpy's permutation of an
+    int is arange(n) shuffled, so each row is preset and shuffled in place."""
+    perm = np.tile(np.arange(n), (len(rngs), 1))
+    for row, rng in zip(perm, rngs):
+        rng.shuffle(row)
+    return perm
+
+
 def _cso_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
     R, n, d = state.X.shape
-    perm = np.empty((R, n), dtype=np.intp)
+    perm = _pairings(runs.rngs, n) if _draws_agree() else np.array([rng.permutation(n) for rng in runs.rngs])
     U = np.empty((R, 3, n // 2, d))
     for r, rng in enumerate(runs.rngs):
-        perm[r] = rng.permutation(n)
-        rng.random(out=U[r])  # U1, U2 then U3, as three calls would draw them
+        rng.random(out=U[r])  # after the permutation: U1, U2 then U3, as three calls would draw them
     U1, U2, U3 = U[:, 0], U[:, 1], U[:, 2]
     rows = np.arange(R)[:, None]
     first, second = perm[:, 0::2], perm[:, 1::2]
@@ -715,10 +725,12 @@ def _draws_agree() -> bool:
     or straddle zero.  DE: _Words parsing 1, then 3 steps per call gives
     _de_draws_loop's draws, for odd, even and power-of-two swarms and a
     buffered uint32 at the start (at n=4, d=5 a parse runs out of words and
-    reads more).  Blocks: K steps of sample_noise (Gaussian and scaled t) and
-    of random(out=) in one call give K per-step calls' values and generator
-    state.  Checked once per process, at its first stack; if it fails, stacks
-    take numpy's per-run, per-step calls for everything."""
+    reads more).  CSO: _pairings gives permutation's values and generator
+    state, from a buffered uint32 too.  Blocks: K steps of sample_noise
+    (Gaussian and scaled t) and of random(out=) in one call give K per-step
+    calls' values and generator state.  Checked once per process, at its
+    first stack; if it fails, stacks take numpy's per-run, per-step calls for
+    everything."""
     seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 0x2545F4914F6CDD1D]
     boxes = [Box([-15.0, -3.0], [-5.0, 3.0]), Box([-5.0, 0.0], [10.0, 15.0]), Box.cube(-1e-3, 0.5, 2)]
     try:
@@ -741,6 +753,14 @@ def _draws_agree() -> bool:
                 for t in range(steps):
                     if not all(np.array_equal(a[t], b) for a, b in zip(parsed, _de_draws_loop(loop, n, d))):
                         raise ValueError(f"n={n}, d={d}: a {steps}-step parse differs from the loop's draws")
+        for n in (2, 5, 8, 33):
+            ours, loop = np.random.default_rng(n), np.random.default_rng(n)
+            ours.integers(3)
+            loop.integers(3)
+            perm = _pairings([ours] * 3, n)
+            if not np.array_equal(perm, [loop.permutation(n) for _ in range(3)]) or (
+                    ours.bit_generator.state != loop.bit_generator.state):
+                raise ValueError(f"n={n}: shuffled pairings differ from permutation's")
         K, rows, d = 4, 5, 3
         draws = [lambda rng, k, noise=noise: _noise(noise, d, [rng], rows, k)
                  for noise in (NoiseModel(sigma=0.5), NoiseModel(kind="scaled_t", df=5))]

@@ -10,11 +10,14 @@ PSO), dimension, algorithm label (PSO < hmPSO < mPSO), function label and
 run.  The cells of one (label, dimension) are a group; a stack is one call
 of algorithms.run, which steps its runs together.  A group joins the stack
 before it while both share family and dimension and the stack's runs x d
-stays within the plan's largest group's (_groups), so a family's base, hpp
-and pp runs at a dimension step together as far as they fit, and no stack
-holds more than the largest group of its plan.  A stack's records are
-appended to runs.jsonl in cell order when it finishes: an interruption
-loses the stack in flight (at parallelism > 1, the stacks being computed).
+stays within the cap (_groups, _cap), so a family's base, hpp and pp runs at
+a dimension step together as far as they fit.  At parallelism 1 the cap is
+the full protocol's largest group at the plan's runs, so no stack needs
+more memory than the full protocol's at the same runs; at parallelism > 1
+it is the plan's own largest group, so the workers get independent stacks.
+A stack's records are appended to runs.jsonl in cell order when it
+finishes: an interruption loses the stack in flight (at parallelism > 1,
+the stacks being computed).
 
 Store layout: <outdir>/manifest.json, <outdir>/runs.jsonl, <outdir>/metrics.csv.
 """
@@ -87,9 +90,10 @@ class ExperimentPlan:
         for d in self.dimensions:
             if d not in objectives.COLLECTION_DIMS:
                 raise ValueError(f"dimension {d} not in {objectives.COLLECTION_DIMS}")
-        # a repeated entry would write its metric rows twice
-        for name in ("dimensions", "pairs"):
-            entries = getattr(self, name)
+        # a repeated entry would write its metric rows twice, or run once
+        # while the manifest and digest keep it
+        for name in ("algorithms", "dimensions", "pairs", "functions"):
+            entries = getattr(self, name) or ()
             if len(set(entries)) != len(entries):
                 raise ValueError(f"{name} must be distinct, got {list(entries)}")
         unknown = [f for f in self.functions or () if f not in objectives.REGISTRY]
@@ -149,7 +153,7 @@ class ExperimentPlan:
         cells of one family and dimension are one stretch, and each
         (algorithm, dimension) a stretch within it.  Cells run in this order
         and runs.jsonl stores them in it."""
-        family = {alg: split_label(alg)[0] for alg in set(self.algorithms)}
+        family = {alg: split_label(alg)[0] for alg in self.algorithms}
         labels = {}  # dimension -> its members' function labels, sorted
         for d, label in sorted({(d, spec.label) for spec, d in self.collection()}):
             labels.setdefault(d, []).append(label)
@@ -162,17 +166,25 @@ def _label_groups(cells) -> list[list[tuple]]:
     return [list(group) for _, group in itertools.groupby(cells, key=lambda cell: (cell[0], cell[2]))]
 
 
-def _largest(cells) -> int:
-    """The largest runs x d of a (label, dimension) group of the cells."""
-    return max(len(group) * group[0][2] for group in _label_groups(cells))
+def _cap(plan: ExperimentPlan) -> int:
+    """The most runs x d a stack of the plan may hold.  At parallelism 1, the
+    largest (label, dimension) group of the full protocol at the plan's runs
+    (runs x 560, the 14 members at d=40): a plan of fewer members or
+    dimensions fuses its variants as the full protocol does, and none of its
+    stacks needs more memory than the full protocol's.  At parallelism > 1,
+    the largest group of the plan itself, so that its stacks stay many
+    enough to keep the workers busy."""
+    if plan.parallelism == 1:
+        return plan.runs * max(len(objectives.list_collection(d)) * d for d in objectives.COLLECTION_DIMS)
+    return max(len(group) * group[0][2] for group in _label_groups(plan.cells()))
 
 
 def _groups(cells, cap: int) -> list[list[tuple]]:
     """The cells cut into stacks: each (label, dimension) group joins the
     stack before it while they share family and dimension and the stack's
-    runs x d stays within `cap`, the largest group's of the whole plan
-    (_largest).  Over `ExperimentPlan.cells` that merges the base, hpp and
-    pp groups of a family at a dimension as far as they fit."""
+    runs x d stays within `cap` (_cap of the whole plan, also on resume).
+    Over `ExperimentPlan.cells` that merges the base, hpp and pp groups of a
+    family at a dimension as far as they fit."""
     stacks = []  # ((family, dimension), cells)
     for group in _label_groups(cells):
         alg, _, d, _ = group[0]
@@ -330,11 +342,11 @@ def compute_metric_rows(plan: ExperimentPlan, records: dict[tuple, dict]) -> lis
     return rows
 
 
-def _execute_cells(plan: ExperimentPlan, cells, cap: int):
-    """Run the cells a stack at a time (_groups under `cap`; a pool worker
-    takes a whole stack), yielding the finished (key, record) pairs of each
-    stack in cell order."""
-    jobs = [(group, plan) for group in _groups(cells, cap)]
+def _execute_cells(plan: ExperimentPlan, cells):
+    """Run the cells a stack at a time (_groups under the plan's _cap; a pool
+    worker takes a whole stack), yielding the finished (key, record) pairs of
+    each stack in cell order."""
+    jobs = [(group, plan) for group in _groups(cells, _cap(plan))]
     if plan.parallelism == 1 or len(jobs) < 2:
         for job in jobs:
             yield from _run_group(job)
@@ -363,11 +375,13 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     is refused with the first record out of place named.  The missing cells
     are the rest of that list: if any are missing or the file is torn, the
     records read are rewritten once, then the missing cells run a stack at a
-    time (_groups, under the cap of the whole plan's cells) and each stack's
-    records are appended to runs.jsonl as the stack completes, so an
-    interruption loses only the stack in flight (at parallelism > 1, the
-    stacks being computed), and runs.jsonl has the same bytes wherever
-    earlier runs were interrupted.
+    time (_groups, under the whole plan's _cap, not one taken from the cells
+    left) and each stack's records are appended to runs.jsonl as the stack
+    completes.  An interruption loses only the stack in flight (at
+    parallelism > 1, the stacks being computed), which at parallelism 1 is
+    no larger than the full protocol's largest group at the plan's runs;
+    on a plan of one dimension it may hold all of a family's runs.
+    runs.jsonl has the same bytes wherever earlier runs were interrupted.
     """
     store = ResultStore(outdir)
     if not store.exists():
@@ -385,7 +399,7 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
         )
     if len(done) < len(cells) or store.torn:
         store.write_runs(records)  # drops a torn last line before appending
-        records.update(store.append_runs(_execute_cells(plan, cells[len(done):], _largest(cells))))
+        records.update(store.append_runs(_execute_cells(plan, cells[len(done):])))
     rows = compute_metric_rows(plan, records)
     store.write_metrics(rows)
     return rows

@@ -44,8 +44,8 @@ COLLECTION_DIMS = (2, 5, 10, 20, 40)
 def _ackley(x, pw=pow):
     d = x.shape[-1]
     return (
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x**2, axis=-1) / d))
-        - np.exp(np.sum(np.cos(2 * np.pi * x), axis=-1) / d)
+        -20.0 * np.exp(-0.2 * np.sqrt(np.add.reduce(x**2, axis=-1) / d))
+        - np.exp(np.add.reduce(np.cos(2 * np.pi * x), axis=-1) / d)
         + 20.0
         + math.e
     )
@@ -53,7 +53,7 @@ def _ackley(x, pw=pow):
 
 def _bohachevsky1(x, pw=pow):
     a, b = x[..., :-1], x[..., 1:]
-    return np.sum(
+    return np.add.reduce(
         a**2 + 2 * b**2 - 0.3 * np.cos(3 * np.pi * a) - 0.4 * np.cos(4 * np.pi * b) + 0.7,
         axis=-1,
     )
@@ -61,7 +61,7 @@ def _bohachevsky1(x, pw=pow):
 
 def _bohachevsky2(x, pw=pow):
     a, b = x[..., :-1], x[..., 1:]
-    return np.sum(
+    return np.add.reduce(
         a**2 + 2 * b**2 - 0.3 * np.cos(3 * np.pi * a) * np.cos(4 * np.pi * b) + 0.3,
         axis=-1,
     )
@@ -69,7 +69,7 @@ def _bohachevsky2(x, pw=pow):
 
 def _bohachevsky3(x, pw=pow):
     a, b = x[..., :-1], x[..., 1:]
-    return np.sum(
+    return np.add.reduce(
         a**2 + 2 * b**2 - 0.3 * np.cos(3 * np.pi * a + 4 * np.pi * b) + 0.3,
         axis=-1,
     )
@@ -106,7 +106,7 @@ def _goldstein_price(x, pw=pow):
 def _griewank(x, pw=pow):
     d = x.shape[-1]
     i = np.arange(1, d + 1, dtype=float)
-    return 1.0 + np.sum(x**2, axis=-1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=-1)
+    return 1.0 + np.add.reduce(x**2, axis=-1) / 4000.0 - np.multiply.reduce(np.cos(x / np.sqrt(i)), axis=-1)
 
 
 def _mccormick(x, pw=pow):
@@ -143,18 +143,18 @@ def _branin(x, pw=pow):
 def _michalewicz(x, pw=pow):
     d = x.shape[-1]
     i = np.arange(1, d + 1, dtype=float)
-    return -np.sum(np.sin(x) * np.sin(i * x**2 / np.pi) ** 20, axis=-1)
+    return -np.add.reduce(np.sin(x) * np.sin(i * x**2 / np.pi) ** 20, axis=-1)
 
 
 def _rastrigin(x, pw=pow):
     d = x.shape[-1]
-    return 10.0 * d + np.sum(x**2 - 10.0 * np.cos(2 * np.pi * x), axis=-1)
+    return 10.0 * d + np.add.reduce(x**2 - 10.0 * np.cos(2 * np.pi * x), axis=-1)
 
 
 def _shubert(x, pw=pow):
     i = np.arange(1, 6, dtype=float)
-    t1 = np.sum(i * np.cos((i + 1) * x[..., 0, None] + i), axis=-1)
-    t2 = np.sum(i * np.cos((i + 1) * x[..., 1, None] + i), axis=-1)
+    t1 = np.add.reduce(i * np.cos((i + 1) * x[..., 0, None] + i), axis=-1)
+    t2 = np.add.reduce(i * np.cos((i + 1) * x[..., 1, None] + i), axis=-1)
     return t1 * t2
 
 
@@ -170,7 +170,7 @@ def _beale(x, pw=pow):
 def _dixon_price(x, pw=pow):
     d = x.shape[-1]
     i = np.arange(2, d + 1, dtype=float)
-    return pw(x[..., 0] - 1, 2) + np.sum(
+    return pw(x[..., 0] - 1, 2) + np.add.reduce(
         i * (2 * x[..., 1:] ** 2 - x[..., :-1]) ** 2, axis=-1
     )
 
@@ -204,33 +204,33 @@ def _powell(x, pw=pow):
 
 def _rosenbrock(x, pw=pow):
     a, b = x[..., :-1], x[..., 1:]
-    return np.sum(100.0 * (b - a**2) ** 2 + (a - 1) ** 2, axis=-1)
+    return np.add.reduce(100.0 * (b - a**2) ** 2 + (a - 1) ** 2, axis=-1)
 
 
 def _schwefel(x, pw=pow):
     d = x.shape[-1]
-    return 418.9829 * d - np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
+    return 418.9829 * d - np.add.reduce(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
 def _trid(x, pw=pow):
-    return np.sum((x - 1) ** 2, axis=-1) - np.sum(x[..., 1:] * x[..., :-1], axis=-1)
+    return np.add.reduce((x - 1) ** 2, axis=-1) - np.add.reduce(x[..., 1:] * x[..., :-1], axis=-1)
 
 
 def _zakharov(x, pw=pow):
     d = x.shape[-1]
     i = np.arange(1, d + 1, dtype=float)
-    s = np.sum(0.5 * i * x, axis=-1)
-    return np.sum(x**2, axis=-1) + pw(s, 2) + pw(s, 4)
+    s = np.add.reduce(0.5 * i * x, axis=-1)
+    return np.add.reduce(x**2, axis=-1) + pw(s, 2) + pw(s, 4)
 
 
 def _sphere(x, pw=pow):
-    return np.sum(x**2, axis=-1)
+    return np.add.reduce(x**2, axis=-1)
 
 
 def _sumsquare(x, pw=pow):
     d = x.shape[-1]
     i = np.arange(1, d + 1, dtype=float)
-    return np.sum(i * x**2, axis=-1)
+    return np.add.reduce(i * x**2, axis=-1)
 
 
 def _trid_min(d: int) -> float:

@@ -825,6 +825,10 @@ def _broken_parse(real):
     return parse
 
 
+def _broken_pairings(real):
+    return lambda rngs, n: real(rngs, n)[:, ::-1]
+
+
 def _broken_noise(real):
     return lambda noise, d, rngs, rows, K: real(noise, d, rngs, rows, K) * np.arange(1, K + 1)[:, None, None]
 
@@ -833,8 +837,9 @@ def _broken_noise(real):
     ("hmPSO", algorithms, "_spawned_words", _broken_words),
     ("hmPSO", algorithms, "_stacked_uniform", _broken_starts),
     ("hmDE", algorithms._Words, "parse", _broken_parse),
+    ("mCSO", algorithms, "_pairings", _broken_pairings),
     ("mPSO", algorithms, "_noise", _broken_noise),
-], ids=["_spawned_words", "_stacked_uniform", "_Words.parse", "_noise"])
+], ids=["_spawned_words", "_stacked_uniform", "_Words.parse", "_pairings", "_noise"])
 def test_failed_draw_self_check_selects_numpy_calls(monkeypatch, label, owner, part, breaks):
     cfg = config_for_label(label, n=8)
     cells = list(zip(*_stack_cells(5, plain=False)))

@@ -82,8 +82,10 @@ def test_run_invalid_plan(tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))
         assert code == 2 and err.startswith("error: invalid plan:"), (key, value)
         assert not (tmp_path / "s").exists()
-    # and a repeated dimension or pair, which wrote its metric rows twice
-    for key, value in (("dimensions", [5, 5]), ("pairs", [["PSO", "mPSO"], ["PSO", "mPSO"]])):
+    # and a repeated dimension or pair, which wrote its metric rows twice, or
+    # a repeated label or function, which ran once while the manifest kept it
+    for key, value in (("dimensions", [5, 5]), ("pairs", [["PSO", "mPSO"], ["PSO", "mPSO"]]),
+                       ("algorithms", ["PSO", "PSO", "mPSO"]), ("functions", ["F27", "F27"])):
         write_plan(tmp_path, **{key: value})
         code, _, err = run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))
         assert code == 2 and f"{key} must be distinct" in err, (key, value)

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import itertools
 import json
 import os
@@ -111,6 +112,16 @@ def test_plan_validation():
     # and a name is a string: ["x"] was written into metrics.csv as ['x']
     with pytest.raises(TypeError, match="name must be a string"):
         ExperimentPlan.from_dict(small_plan().to_dict() | {"name": ["x"]})
+    # a label or function listed twice ran once, while the manifest and the
+    # digest kept the repeat
+    with pytest.raises(ValueError, match=r"algorithms must be distinct, got \['PSO', 'PSO', 'mPSO'\]"):
+        small_plan(algorithms=("PSO", "PSO", "mPSO"))
+    with pytest.raises(ValueError, match="algorithms must be distinct"):
+        ExperimentPlan.from_dict(small_plan().to_dict() | {"algorithms": ["mPSO", "PSO", "mPSO"]})
+    with pytest.raises(ValueError, match=r"functions must be distinct, got \['F27', 'F16', 'F27'\]"):
+        small_plan(functions=("F27", "F16", "F27"))
+    with pytest.raises(ValueError, match="functions must be distinct"):
+        ExperimentPlan.from_dict(small_plan().to_dict() | {"functions": ["F27", "F27"]})
 
 
 def test_plan_refuses_non_integer_fields():
@@ -175,41 +186,83 @@ def test_parallel_schedule_independent(tmp_path):
 def test_groups_one_per_algorithm_and_dimension():
     # the cells of the full protocol, at 4 runs: 12 labels x 70 members at 5
     # dimensions make 60 (label, dimension) groups, the largest (any label at
-    # d=40) 14 members x 4 runs x 40 = 2240 run-coordinates.  Each family's
-    # groups at d=2, 5 and 10 fit in one stack, at d=20 two of three do, and
-    # at d=40 none: 32 stacks
+    # d=40) 14 members x 4 runs x 40 = 2240 run-coordinates, the cap at any
+    # parallelism.  Each family's groups at d=2, 5 and 10 fit in one stack,
+    # at d=20 two of three do, and at d=40 none: 32 stacks
     plan = small_plan(algorithms=algorithms.ALGORITHM_LABELS, dimensions=(40, 2, 10, 5, 20), functions=None, runs=4)
     cells = plan.cells()
     assert len(cells) == 12 * 70 * 4
-    groups = harness._groups(cells, harness._largest(cells))
-    assert sum(groups, []) == cells
     per_family = [(("", "hm", "m"), 2, 156), (("", "hm", "m"), 5, 180), (("", "hm", "m"), 10, 168),
                   (("", "hm"), 20, 112), (("m",), 20, 56), (("",), 40, 56), (("hm",), 40, 56), (("m",), 40, 56)]
     expected = [(tuple(p + fam for p in prefixes), d, runs)
                 for fam in ("BAT", "CSO", "DE", "PSO") for prefixes, d, runs in per_family]
-    assert [(tuple(dict.fromkeys(alg for alg, _, _, _ in g)), g[0][2], len(g)) for g in groups] == expected
-    assert all({d for _, _, d, _ in g} == {g[0][2]} for g in groups)
-    assert max(len(g) * g[0][2] for g in groups) == 2240
+    for parallelism in (1, 2):
+        cap = harness._cap(replace(plan, parallelism=parallelism))
+        assert cap == 2240
+        groups = harness._groups(cells, cap)
+        assert sum(groups, []) == cells
+        assert [(tuple(dict.fromkeys(alg for alg, _, _, _ in g)), g[0][2], len(g)) for g in groups] == expected
+        assert all({d for _, _, d, _ in g} == {g[0][2]} for g in groups)
+        assert max(len(g) * g[0][2] for g in groups) == 2240
+    # at 100 runs, the same 32 stacks, 25 times the runs each, at any parallelism
+    plan = replace(plan, runs=100)
+    for parallelism in (1, 2):
+        groups = harness._groups(plan.cells(), harness._cap(replace(plan, parallelism=parallelism)))
+        assert [(tuple(dict.fromkeys(alg for alg, _, _, _ in g)), g[0][2], len(g)) for g in groups] == [
+            (labels, d, 25 * runs) for labels, d, runs in expected]
 
 
-def test_groups_run_alike_at_any_parallelism(tmp_path):
+def test_single_dimension_plans_fuse_their_variants_at_parallelism_1():
+    # the bench's trend-d10 shape: PSO/hmPSO/CSO/hmCSO on the 14 members at
+    # d=10, 2 runs.  Each (label, dimension) group is 28 runs x d=10; at
+    # parallelism 1 the cap is the full protocol's largest group at 2 runs,
+    # 2 x 560, so each family's two groups step as one stack of 56 runs; at
+    # parallelism 2 the cap is the plan's own largest group, and the four
+    # groups stay four stacks for the workers
+    plan = small_plan(algorithms=("PSO", "hmPSO", "CSO", "hmCSO"), pairs=(("PSO", "hmPSO"), ("CSO", "hmCSO")),
+                      dimensions=(10,), functions=None, runs=2)
+    cells = plan.cells()
+    assert harness._cap(plan) == 2 * 560
+    stacks = harness._groups(cells, harness._cap(plan))
+    assert [(stack[0][0], stack[-1][0], len(stack)) for stack in stacks] == [("CSO", "hmCSO", 56), ("PSO", "hmPSO", 56)]
+    assert harness._cap(replace(plan, parallelism=2)) == 28 * 10
+    stacks = harness._groups(cells, harness._cap(replace(plan, parallelism=2)))
+    assert [(stack[0][0], stack[-1][0], len(stack)) for stack in stacks] == [
+        ("CSO", "CSO", 28), ("hmCSO", "hmCSO", 28), ("PSO", "PSO", 28), ("hmPSO", "hmPSO", 28)]
+
+
+def test_groups_run_alike_at_any_parallelism(tmp_path, monkeypatch):
     # members sorted by (dimension, label): the d=2 groups, F18@2 with F4@2
     # (Bukin6, whose box is no cube) for PSO then mPSO, make one stack of 8
-    # runs x d=2, within the largest group's 6 runs x d=5; the d=5 groups
-    # (F15@5, F26@5 and F27@5) cannot merge, so each stands alone
+    # runs x d=2.  At parallelism 1 the d=5 groups (F15@5, F26@5 and F27@5)
+    # fuse too, within the full protocol's largest group at 2 runs (2 x 560);
+    # at parallelism 2 they cannot merge within the plan's largest group (6
+    # runs x d=5), so each stands alone
     plan = small_plan(runs=2, dimensions=(2, 5), functions=("F4", "F15", "F18", "F26", "F27"))
     cells = plan.cells()
-    groups = harness._groups(cells, harness._largest(cells))
-    assert [len(g) for g in groups] == [8, 6, 6]
-    assert sum(groups, []) == cells
-    assert [[(alg, label) for alg, label, _, _ in g[::2]] for g in groups] == [
-        [("PSO", "F18"), ("PSO", "F4"), ("mPSO", "F18"), ("mPSO", "F4")],
-        [("PSO", "F15"), ("PSO", "F26"), ("PSO", "F27")],
-        [("mPSO", "F15"), ("mPSO", "F26"), ("mPSO", "F27")],
-    ]
-    assert [g[0][2] for g in groups] == [2, 5, 5]
+    d2 = [("PSO", "F18"), ("PSO", "F4"), ("mPSO", "F18"), ("mPSO", "F4")]
+    d5 = {alg: [(alg, "F15"), (alg, "F26"), (alg, "F27")] for alg in ("PSO", "mPSO")}
+    for parallelism, sizes, labels in ((1, [8, 12], [d2, d5["PSO"] + d5["mPSO"]]),
+                                       (2, [8, 6, 6], [d2, d5["PSO"], d5["mPSO"]])):
+        groups = harness._groups(cells, harness._cap(replace(plan, parallelism=parallelism)))
+        assert [len(g) for g in groups] == sizes
+        assert sum(groups, []) == cells
+        assert [[(alg, label) for alg, label, _, _ in g[::2]] for g in groups] == labels
+        assert [g[0][2] for g in groups] == [2] + [5] * (len(groups) - 1)
+    # the two stackings give the same bytes, and parallelism 2 runs its three
+    # stacks in a process pool
+    pools = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", SpyPool)
     execute(plan, tmp_path / "p1")
+    assert pools == []
     execute(replace(plan, parallelism=2), tmp_path / "p2")
+    assert pools == [2]
     for name in ("runs.jsonl", "metrics.csv"):
         assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
     # each record is the one its cell gives run alone
@@ -248,14 +301,15 @@ def test_resume_completes_partial_store(tmp_path):
 
 def test_resume_stacks_under_the_whole_plans_cap(tmp_path, monkeypatch):
     # resumed after 15 of the 20 cells, the 5 left are cut into stacks under
-    # the cap taken from all the plan's cells (the largest group's 6 runs x
-    # d=5), not from the cells left (5 x 5)
+    # the cap of the whole plan: at parallelism 1 the full protocol's largest
+    # group at 2 runs (2 x 560), and at parallelism 2 the cap taken from all
+    # the plan's cells (the largest group's 6 runs x d=5), not from the cells
+    # left (5 x 5)
     plan = small_plan(runs=2, dimensions=(2, 5), functions=("F4", "F15", "F18", "F26", "F27"))
     out = tmp_path / "r"
     execute(plan, out)
     full = {name: (out / name).read_bytes() for name in ("runs.jsonl", "metrics.csv")}
     store = ResultStore(out)
-    store.write_runs(dict(list(store.read_runs().items())[:15]))
     real_groups, cut = harness._groups, []
 
     def groups(cells, cap):
@@ -263,9 +317,12 @@ def test_resume_stacks_under_the_whole_plans_cap(tmp_path, monkeypatch):
         return real_groups(cells, cap)
 
     monkeypatch.setattr(harness, "_groups", groups)
-    resume(plan, out)
-    assert cut == [(5, 30)]
-    assert {name: (out / name).read_bytes() for name in full} == full
+    for parallelism, expected in ((1, (5, 1120)), (2, (5, 30))):
+        store.write_runs(dict(list(store.read_runs().items())[:15]))
+        cut.clear()
+        resume(replace(plan, parallelism=parallelism), out)
+        assert cut == [expected]
+        assert {name: (out / name).read_bytes() for name in full} == full
 
 
 def test_resume_complete_store_runs_nothing(tmp_path):
@@ -331,8 +388,8 @@ def test_metric_rows_match_direct_computation(tmp_path):
 
 
 def test_failed_cell_record_excluded_from_metrics(tmp_path, monkeypatch):
-    # groups: (PSO, 5) and (mPSO, 5), three runs each; mPSO run 1 meets a NaN
-    # at its first step, and runs 0 and 2 of its group go on
+    # one stack: the groups (PSO, 5) and (mPSO, 5), three runs each; mPSO run
+    # 1 meets a NaN at its first step, and the stack's other runs go on
     plan = small_plan()
     execute(plan, tmp_path / "whole")
     failing = derive_seed(7, "mPSO", "F27", 5, 1)
@@ -382,8 +439,9 @@ class Interrupted(Exception):
 
 def test_interrupted_execute_keeps_finished_cells(tmp_path, monkeypatch):
     # the plan lists mPSO first; cells still run and are stored in cell order,
-    # as two groups of five runs, (PSO, 5) then (mPSO, 5), one run() call each
-    plan = small_plan(runs=5, algorithms=("mPSO", "PSO"))
+    # as two stacks of five runs, (CSO, 5) then (mPSO, 5), one run() call
+    # each (two families never share a stack)
+    plan = small_plan(runs=5, algorithms=("mPSO", "CSO"), pairs=(("CSO", "mPSO"),))
     execute(plan, tmp_path / "whole")
     real_run = algorithms.run
     calls = []
@@ -409,7 +467,7 @@ def test_interrupted_execute_keeps_finished_cells(tmp_path, monkeypatch):
 
 
 def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
-    plan = small_plan()
+    plan = small_plan(algorithms=("PSO", "CSO"), pairs=(("CSO", "PSO"),))
     out = tmp_path / "t"
     execute(plan, out)
     full_runs = (out / "runs.jsonl").read_bytes()
@@ -417,8 +475,8 @@ def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
     lines = full_runs.decode().splitlines(keepends=True)
     (out / "runs.jsonl").write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
     assert len(ResultStore(out).read_runs()) == 2
-    # the rest is two groups: the last run of (PSO, 5), then the three of
-    # (mPSO, 5).  As each group starts, the store on disk holds every cell
+    # the rest is two stacks: the last run of (CSO, 5), then the three of
+    # (PSO, 5).  As each stack starts, the store on disk holds every cell
     # finished before it, and the torn fragment is gone (a line after it
     # would not parse)
     real_run = algorithms.run
@@ -440,13 +498,13 @@ def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
 
 
 def test_cells_in_cell_order():
-    # a label listed twice still gives each cell once; cells sort by family,
-    # dimension, algorithm label, function label, run
-    plan = small_plan(algorithms=("mPSO", "hmCSO", "PSO", "CSO", "hmPSO", "mPSO"),
+    # cells sort by family, dimension, algorithm label, function label, run
+    plan = small_plan(algorithms=("mPSO", "hmCSO", "PSO", "CSO", "hmPSO"),
                       dimensions=(5, 2), functions=("F27", "F13", "F1"))
     cells = plan.cells()
     family = {"CSO": 0, "hmCSO": 0, "PSO": 1, "hmPSO": 1, "mPSO": 1}
-    assert cells == sorted(set(cells), key=lambda cell: (family[cell[0]], cell[2], cell[0], cell[1], cell[3]))
+    assert cells == sorted(cells, key=lambda cell: (family[cell[0]], cell[2], cell[0], cell[1], cell[3]))
+    assert len(set(cells)) == len(cells)
     assert len(cells) == 5 * len(plan.collection()) * plan.runs == 45
     # F13 is the d=2 member, F1 and F27 the d=5 ones
     assert [(alg, label, d) for alg, label, d, r in cells[:: plan.runs]] == [
@@ -492,16 +550,21 @@ def test_groups_merge_a_familys_groups_within_the_largest():
     for plan in _stacking_plans():
         cells = plan.cells()
         sizes = collections.Counter((alg, d) for alg, _, d, _ in cells)
-        cap = max(n * d for (_, d), n in sizes.items())  # the plan's largest group
-        assert harness._largest(cells) == cap
-        stacks = harness._groups(cells, cap)
-        _check_stacks(stacks, cells, cap)
-        # each (label, dimension) group lies whole in one stack
-        assert all(sizes[key] == n for stack in stacks
-                   for key, n in collections.Counter((alg, d) for alg, _, d, _ in stack).items())
-        # the cells a resume runs are cut under the whole plan's cap
-        for done in (1, len(cells) // 3, len(cells) - 1):
-            _check_stacks(harness._groups(cells[done:], cap), cells[done:], cap)
+        largest = max(n * d for (_, d), n in sizes.items())  # the plan's largest group
+        # at parallelism 1, the full protocol's largest group at the plan's
+        # runs (14 members at d=40), never less than the plan's own
+        protocol = plan.runs * 14 * 40
+        assert largest <= protocol
+        for parallelism, cap in ((1, protocol), (2, largest)):
+            assert harness._cap(replace(plan, parallelism=parallelism)) == cap
+            stacks = harness._groups(cells, cap)
+            _check_stacks(stacks, cells, cap)
+            # each (label, dimension) group lies whole in one stack
+            assert all(sizes[key] == n for stack in stacks
+                       for key, n in collections.Counter((alg, d) for alg, _, d, _ in stack).items())
+            # the cells a resume runs are cut under the whole plan's cap
+            for done in (1, len(cells) // 3, len(cells) - 1):
+                _check_stacks(harness._groups(cells[done:], cap), cells[done:], cap)
 
 
 def test_plan_refuses_repeated_dimensions_and_pairs():
@@ -595,10 +658,11 @@ def test_resume_refuses_store_out_of_cell_order(tmp_path, capsys, doctor):
 
 
 def test_killed_child_run_resumes_identically(tmp_path):
-    # two groups of 60 runs, (PSO, 5) then (mPSO, 5), of ~0.1 s each: the
-    # child is killed after the first group's first record, before the
-    # second group's last
-    plan = small_plan(runs=20, functions=("F27", "F16", "F1"), max_iter=100, checkpoints=(50, 100))
+    # two stacks of 60 runs, (CSO, 5) then (PSO, 5), of ~0.1 s each: the
+    # child is killed after the first stack's first record, before the
+    # second stack's last
+    plan = small_plan(algorithms=("PSO", "CSO"), pairs=(("CSO", "PSO"),), runs=20, functions=("F27", "F16", "F1"),
+                      max_iter=100, checkpoints=(50, 100))
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan.to_dict()))
     out = tmp_path / "killed"
