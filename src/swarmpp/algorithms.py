@@ -36,7 +36,8 @@ the first floor(m/2).
 
 DE's per-agent draw loop (_de_draws_loop) defines its draws, and a step on
 a caller's generator takes it.  A stack parses them off the raw words of its
-runs' own PCG64s instead (_Words).
+runs' own PCG64s instead (_Words), each run keeping its unused words and
+uint32 half for the next step.
 
 DE values its trials as single points would be valued: one ulp in an
 accepted value changes its trajectory, and numpy's `**` on a value derived
@@ -74,29 +75,19 @@ start positions are drawn as random() values and scaled to the BoxStack in
 one expression, the per-element arithmetic of Generator.uniform, so each run
 starts where sample_uniform would start it.
 
-A stack reads its generators ahead: they are made for it and dropped with
-it, and no record shows where a generator stands.  DE's words are parsed
-several steps per call, each run keeping its unused words and uint32 half
-for the next call.  The fixed-shape draws, the noise of each perturbed
-variant's runs and PSO's U1 and U2, come K steps per call in one
-(K * rows, d) or (K, 2, n, d) block per run, which numpy fills with the
-values of K one-step calls.  K is at most the steps left, and a stream's
-block for all its runs at most _BLOCK_BYTES.
-BAT's and CSO's dynamics stay per step: ziggurat `normal` and `permutation`
-read a varying number of words.  CSO's pairing permutations are drawn as
-numpy draws them, each an arange row shuffled in place (_pairings), without
-permutation's per-call set-up.  init_state and step draw one step at a time
-from the caller's generators with numpy's own calls.
+A stack draws one step per call, each run from its own generators.  CSO's
+pairing permutations are drawn as numpy draws them, each an arange row
+shuffled in place (_pairings), without permutation's per-call set-up.
+init_state and step draw from the caller's generators with numpy's own calls.
 
 One check made once per process, at its first stack (_draws_agree), compares
-the setup, the parse, the pairings and the K-step blocks with numpy's own
-calls; if any differs, every stack of the process sets its runs up and draws
-with numpy's per-run, per-step calls, and a DrawFallbackWarning says so.
+the setup, the parse and the pairings with numpy's own calls; if any
+differs, every stack of the process sets its runs up and draws with numpy's
+per-run calls, and a DrawFallbackWarning says so.
 
 A run whose objective gives a non-finite value, at initialisation or in a
 step, fails alone: it gets a failed record, its row is taken out of the
-stack and of every block read ahead (a variant's noise block holds that
-variant's runs only), and the other runs go on as they would without it.
+stack, and the other runs go on as they would without it.
 """
 
 from __future__ import annotations
@@ -232,17 +223,14 @@ def _unstacked(stack: SwarmState) -> SwarmState:
     return state
 
 
-_BLOCK_BYTES = 1 << 18  # the most a stack reads ahead of one stream, all its runs together
-
-
 class _Runs:
     """What R stacked runs own besides their state: their boxes (and the
-    BoxStack of them), variants, dynamics and noise generators (with DE's
-    word streams and the blocks of draws read ahead), objectives, C1/C3
-    counts, and the index of each run in the caller's sequence.
+    BoxStack of them), variants, dynamics and noise generators, objectives,
+    C1/C3 counts, and the index of each run in the caller's sequence.
 
-    `ahead` is the number of steps, this one included, whose draws may be
-    read now: 0 unless the generators are the stack's own."""
+    `words` holds each run's _Words when DE's draws are parsed off its
+    dynamics generator, which only a stack's own generators allow; else it
+    is empty, and the draws come from _de_draws_loop."""
 
     def __init__(self, fbatches, boxes, rngs, rng_noises, variants):
         self.fbatches, self.boxes = list(fbatches), list(boxes)
@@ -251,21 +239,8 @@ class _Runs:
         self.rows = list(range(len(self.rngs)))
         self.violations_c1 = np.zeros(len(self.rows), dtype=int)
         self.violations_c3 = np.zeros(len(self.rows), dtype=int)
-        self.ahead, self.words, self.blocks = 0, [], {}
+        self.words = []
         self._index()
-
-    def take(self, stream, step_bytes: int, fill):
-        """This step's slices of the block of draws read ahead from `stream`,
-        whose runs' draws take `step_bytes` a step.  When the block is used
-        up, fill(K) draws the next K steps of each of those runs as arrays
-        (runs, K, ...); K is 1 unless the stack may read ahead, and the block
-        holds at most _BLOCK_BYTES."""
-        block = self.blocks.get(stream)
-        if block is None or block[1] == block[0][0].shape[1]:
-            K = max(1, min(self.ahead, _BLOCK_BYTES // step_bytes))
-            block = self.blocks[stream] = [fill(K), 0]
-        block[1] += 1
-        return tuple(a[:, block[1] - 1] for a in block[0])
 
     def _index(self):
         self.box = BoxStack.of(self.boxes)
@@ -286,16 +261,12 @@ class _Runs:
         return f
 
     def drop(self, state: SwarmState, failed: np.ndarray, records: list, reason: str):
-        """Give each flagged run a failed record and take it out of the stack
-        and of every block read ahead."""
+        """Give each flagged run a failed record and take it out of the stack."""
         if not failed.any():
             return
         for i in itertools.compress(self.rows, failed):
             records[i] = RunRecord(records[i].seed, records[i].config_digest, {}, None, None, status=f"failed: {reason}")
-        keep, variants = ~failed, np.array(self.variants)
-        for stream, block in self.blocks.items():  # a noise stream, named by its variant, holds its runs only
-            mine = keep[variants == stream] if stream in VARIANTS else keep
-            block[0] = tuple(a[mine] for a in block[0])
+        keep = ~failed
         for name in ("fbatches", "boxes", "rngs", "rng_noises", "variants", "rows", "words"):
             setattr(self, name, list(itertools.compress(getattr(self, name), keep)))
         self.violations_c1, self.violations_c3 = self.violations_c1[keep], self.violations_c3[keep]
@@ -498,13 +469,12 @@ def perturb_project(Y, box: Box, noise: NoiseModel, rng_noise, k: int, rows: int
     return _project(np.asarray(Y, dtype=float)[None], BoxStack.of([box]), [(slice(0, 1), k, w[None])])[0]
 
 
-def _noise(noise: NoiseModel, d: int, rng_noises, rows: int, K: int) -> np.ndarray:
-    """K steps of each run's noise rows (R, K, rows, d), one draw per run: a
-    (K * rows, d) block is what K draws of (rows, d) give."""
-    w = np.empty((len(rng_noises), K * rows, d))
+def _noise(noise: NoiseModel, d: int, rng_noises, rows: int) -> np.ndarray:
+    """Each run's noise rows (R, rows, d), one sample_noise call per run."""
+    w = np.empty((len(rng_noises), rows, d))
     for r, rng in enumerate(rng_noises):
-        w[r] = sample_noise(noise, d, rng, size=K * rows)
-    return w.reshape(-1, K, rows, d)
+        w[r] = sample_noise(noise, d, rng, size=rows)
+    return w
 
 
 def _project(Y, box: BoxStack, perturbed) -> np.ndarray:
@@ -527,14 +497,9 @@ def _project(Y, box: BoxStack, perturbed) -> np.ndarray:
 
 def _pso_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
     R, n, d = state.X.shape
-
-    def fill(K):
-        U = np.empty((R, K, 2, n, d))
-        for r, rng in enumerate(runs.rngs):
-            rng.random(out=U[r])  # U1 then U2 of K steps, as 2K calls would draw them
-        return (U,)
-
-    (U,) = runs.take("U", 16 * n * d * R, fill)
+    U = np.empty((R, 2, n, d))
+    for r, rng in enumerate(runs.rngs):
+        rng.random(out=U[r])  # U1 then U2, as two calls would draw them
     U1, U2 = U[:, 0], U[:, 1]
     state.V = (
         config.w * state.V
@@ -642,18 +607,18 @@ def _de_draws_loop(rng, n: int, d: int):
 
 
 class _Words:
-    """One PCG64's raw words, read ahead, and its buffered uint32 half: DE's
-    dynamics draws are parsed off them, any number of steps at a time, as
-    _de_draws_loop draws them from a Generator over that PCG64.
+    """One PCG64's raw words and its buffered uint32 half: DE's dynamics
+    draws are parsed off them one step at a time, as _de_draws_loop draws
+    them from a Generator over that PCG64.
 
     Generator.integers(m) is Lemire's method on next_uint32, which returns the
     low half of a fresh 64-bit word and keeps the high half for the next call
     (state "has_uint32"/"uinteger"); random() is (next_uint64 >> 11) * 2**-53
     and does not touch that buffer.  The integer draws are parsed in Python
-    ints, Lemire's accept test inline, and a parse's coins converted in one
+    ints, Lemire's accept test inline, and a step's coins converted in one
     gather.  Words are read with random_raw as a parse needs them; the ones it
-    leaves wait for the next parse.  A stack reads its own generators only,
-    so nothing puts the unused words back.
+    leaves, and the uint32 half, wait for the next step.  A stack parses its
+    own generators only, so nothing puts the unused words back.
     """
 
     def __init__(self, bg):
@@ -661,24 +626,24 @@ class _Words:
         self.bg, self.has, self.buf = bg, state["has_uint32"], state["uinteger"]
         self.raw = np.empty(0, dtype=np.uint64)
 
-    def parse(self, steps: int, n: int, d: int):
-        """(J, K, forced, coins) of the next `steps` steps: (steps, n) donor
-        and forced indices, (steps, n, d) crossover coins."""
-        need = steps * n * (d + 2)  # the words of `steps` steps at n >= 8, barring many redraws
+    def parse(self, n: int, d: int):
+        """(J, K, forced, coins) of the next step: (n,) donor and forced
+        indices, (n, d) crossover coins."""
+        need = n * (d + 2)  # the words of a step at n >= 8, barring many redraws
         while True:
             if len(self.raw) < need:
                 self.raw = np.concatenate((self.raw, self.bg.random_raw(need - len(self.raw))))
             try:
-                return self._parsed(steps, n, d)
+                return self._parsed(n, d)
             except IndexError:  # the draws ran past the words (_parsed has changed nothing): read more
                 need += n * (d + 2)
 
-    def _parsed(self, steps: int, n: int, d: int):
+    def _parsed(self, n: int, d: int):
         raw, pos, has, buf = self.raw, 0, self.has, self.buf
         words = memoryview(raw)
         low_n, low_d = (1 << 32) % n, (1 << 32) % d  # Lemire rejects v * m whose low half is below 2**32 mod m
         ints = []  # j, k, forced and the first coin's word, agent by agent
-        for i in [*range(n)] * steps:
+        for i in range(n):
             while True:  # donor j != i
                 if has:
                     has, v = 0, buf
@@ -710,10 +675,10 @@ class _Words:
                     break
             ints += j, k, v >> 32, pos  # the coins are the d words from pos
             pos += d
-        ints = np.array(ints, dtype=np.intp).reshape(steps, n, 4)
-        coins = (raw[ints[..., 3:] + np.arange(d)] >> np.uint64(11)) * 2.0**-53
+        ints = np.array(ints, dtype=np.intp).reshape(n, 4)
+        coins = (raw[ints[:, 3:] + np.arange(d)] >> np.uint64(11)) * 2.0**-53
         self.raw, self.has, self.buf = raw[pos:].copy(), has, buf
-        return ints[..., 0], ints[..., 1], ints[..., 2], coins
+        return ints[:, 0], ints[:, 1], ints[:, 2], coins
 
 
 @functools.cache
@@ -722,15 +687,12 @@ def _draws_agree() -> bool:
     under this numpy.  Setup: _spawned_words gives SeedSequence's child
     states, for edge and random 64-bit seeds, and _stacked_uniform gives
     sample_uniform's values, sign bits included, for boxes that are no cube
-    or straddle zero.  DE: _Words parsing 1, then 3 steps per call gives
-    _de_draws_loop's draws, for odd, even and power-of-two swarms and a
-    buffered uint32 at the start (at n=4, d=5 a parse runs out of words and
-    reads more).  CSO: _pairings gives permutation's values and generator
-    state, from a buffered uint32 too.  Blocks: K steps of sample_noise
-    (Gaussian and scaled t) and of random(out=) in one call give K per-step
-    calls' values and generator state.  Checked once per process, at its
-    first stack; if it fails, stacks take numpy's per-run, per-step calls for
-    everything."""
+    or straddle zero.  DE: four steps of _Words parses give _de_draws_loop's
+    draws, for odd, even and power-of-two swarms and a buffered uint32 at the
+    start (at n=4, d=5 a parse runs out of words and reads more).  CSO:
+    _pairings gives permutation's values and generator state, from a
+    buffered uint32 too.  Checked once per process, at its first stack; if
+    it fails, stacks take numpy's per-run calls for everything."""
     seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 0x2545F4914F6CDD1D]
     boxes = [Box([-15.0, -3.0], [-5.0, 3.0]), Box([-5.0, 0.0], [10.0, 15.0]), Box.cube(-1e-3, 0.5, 2)]
     try:
@@ -744,15 +706,13 @@ def _draws_agree() -> bool:
         if ours.tobytes() != np.stack(ref).tobytes():
             raise ValueError("start positions differ from Generator.uniform's")
         for n, d in ((4, 1), (4, 5), (5, 2), (8, 3), (33, 10)):
-            ahead, loop = np.random.default_rng(n), np.random.default_rng(n)
-            ahead.integers(3)
+            parsed, loop = np.random.default_rng(n), np.random.default_rng(n)
+            parsed.integers(3)
             loop.integers(3)
-            words = _Words(ahead.bit_generator)
-            for steps in (1, 3):
-                parsed = words.parse(steps, n, d)
-                for t in range(steps):
-                    if not all(np.array_equal(a[t], b) for a, b in zip(parsed, _de_draws_loop(loop, n, d))):
-                        raise ValueError(f"n={n}, d={d}: a {steps}-step parse differs from the loop's draws")
+            words = _Words(parsed.bit_generator)
+            for t in range(4):
+                if not all(np.array_equal(a, b) for a, b in zip(words.parse(n, d), _de_draws_loop(loop, n, d))):
+                    raise ValueError(f"n={n}, d={d}: the parse of step {t} differs from the loop's draws")
         for n in (2, 5, 8, 33):
             ours, loop = np.random.default_rng(n), np.random.default_rng(n)
             ours.integers(3)
@@ -761,15 +721,6 @@ def _draws_agree() -> bool:
             if not np.array_equal(perm, [loop.permutation(n) for _ in range(3)]) or (
                     ours.bit_generator.state != loop.bit_generator.state):
                 raise ValueError(f"n={n}: shuffled pairings differ from permutation's")
-        K, rows, d = 4, 5, 3
-        draws = [lambda rng, k, noise=noise: _noise(noise, d, [rng], rows, k)
-                 for noise in (NoiseModel(sigma=0.5), NoiseModel(kind="scaled_t", df=5))]
-        draws.append(lambda rng, k: rng.random(out=np.empty((k, 2, rows, d))))
-        for draw in draws:
-            ahead, loop = np.random.default_rng(K), np.random.default_rng(K)
-            block, ref = draw(ahead, K).ravel(), np.concatenate([draw(loop, 1).ravel() for _ in range(K)])
-            if block.tobytes() != ref.tobytes() or ahead.bit_generator.state != loop.bit_generator.state:
-                raise ValueError("a block of K steps' draws differs from K steps' draws")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # another numpy's API, arithmetic or stream
         warnings.warn(f"stacks take numpy's per-run, per-step calls: {exc}", DrawFallbackWarning, stacklevel=2)
         return False
@@ -778,20 +729,11 @@ def _draws_agree() -> bool:
 
 def _de_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
     R, n, d = state.X.shape
-
-    def fill(steps):
-        J, K, forced = np.empty((3, R, steps, n), dtype=np.intp)
-        coins = np.empty((R, steps, n, d))
-        if runs.ahead:
-            runs.words = runs.words or [_Words(rng.bit_generator) for rng in runs.rngs]
-        for r, rng in enumerate(runs.rngs):
-            # a stack's own generator, parsed; a caller's, or any after a failed self-check, drawn by the loop
-            draws = runs.words[r].parse(steps, n, d) if runs.ahead else _de_draws_loop(rng, n, d)
-            J[r], K[r], forced[r], coins[r] = draws
-        return J, K, forced, coins
-
-    # a run's parse holds its words and gathers, about as much again as the block
-    J, K, forced, coins = runs.take("DE", 16 * n * (d + 3) * R, fill)
+    J, K, forced = np.empty((3, R, n), dtype=np.intp)
+    coins = np.empty((R, n, d))
+    for r, rng in enumerate(runs.rngs):
+        # a stack's own generator, parsed; a caller's, or any after a failed self-check, drawn by the loop
+        J[r], K[r], forced[r], coins[r] = runs.words[r].parse(n, d) if runs.words else _de_draws_loop(rng, n, d)
     rows, X = np.arange(R)[:, None], state.X
     keep = coins < config.crossover
     keep[rows, np.arange(n), forced] = True
@@ -832,10 +774,7 @@ def _step(state: SwarmState, config: AlgorithmConfig, runs: _Runs) -> np.ndarray
     for variant, rows, rng_noises in runs.variant_runs:
         if variant != "base":
             k = m if variant == "pp" else m // 2
-            drawn = k if de else m
-            (w,) = runs.take(variant, 8 * drawn * d * len(rng_noises),
-                             lambda K: (_noise(config.noise, d, rng_noises, drawn, K),))
-            perturbed.append((rows, k, w))
+            perturbed.append((rows, k, _noise(config.noise, d, rng_noises, k if de else m)))
     X = _project(Y, runs.box, perturbed)
     f = runs.evaluate(X, per_point=de)
     state.n_evals += m
@@ -945,12 +884,12 @@ def _run_stack(configs, fbatches, boxes, seeds, max_iter, checkpoints, check_inv
     runs = _Runs(fbatches, boxes, generators[0::2], generators[1::2], [c.variant for c in configs])
     state, failed = _init(config, runs, _starts(config.n, runs))
     runs.drop(state, failed, records, _INIT_FAILURE)
-    ahead = _draws_agree()  # the generators are the stack's own: it may read them ahead
+    if config.family == "DE" and _draws_agree():  # the generators are the stack's own: parse their words
+        runs.words = [_Words(rng.bit_generator) for rng in runs.rngs]
     for t in range(max_iter + 1):
         if not runs.rows:
             break
         if t > 0:
-            runs.ahead = max_iter - t + 1 if ahead else 0
             prev_best = state.best_f
             failed = _step(state, config, runs)
             if check_invariants:

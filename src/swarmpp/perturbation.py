@@ -1,5 +1,5 @@
 """Exploration noise models and their draws.  The step skeleton applies the
-noise (algorithms.perturb_project).
+noise (algorithms._project).
 
 Two noise families are supported: Gaussian with per-coordinate standard
 deviation sigma, and a scaled Student-t whose scale 0.01*sqrt((df-2)/df) pins
@@ -8,6 +8,7 @@ each coordinate's standard deviation to 0.01 regardless of df.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}")
+        if isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real):
+            raise TypeError(f"noise sigma must be a number, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", float(self.sigma))  # stored, serialised and digested as a float
         if self.kind == "gaussian":
             if self.df is not None:
                 raise ValueError("gaussian noise takes only 'sigma'; unused key(s): df")
@@ -46,8 +50,11 @@ class NoiseModel:
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
         """The inverse of to_dict.  A missing kind is Gaussian and a missing
-        sigma takes its default; a key the kind does not use is refused, and
-        so, by the constructor, is a non-integral df."""
+        sigma takes its default; anything but a dict, or a key the kind does
+        not use, is refused, and so, by the constructor, is a sigma that is no
+        number or a non-integral df."""
+        if not isinstance(d, dict):
+            raise TypeError(f"noise must be a JSON object, got {d!r}")
         kind = d.get("kind", "gaussian")
         if kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}")
@@ -56,7 +63,7 @@ class NoiseModel:
         if unused:
             raise ValueError(f"{kind} noise takes only {param!r}; unused key(s): {', '.join(unused)}")
         if kind == "gaussian":
-            return cls(sigma=float(d.get("sigma", cls.sigma)))
+            return cls(sigma=d.get("sigma", cls.sigma))
         return cls(kind=kind, df=d.get("df"))
 
 

@@ -502,9 +502,13 @@ def _words_stand_where(words, gen):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 32, 33, 64])
-def test_de_block_draws_equal_loop(n):
-    # one step per parse, as a stack draws when its blocks hold one step, and a
-    # fresh stream on a buffered uint32 half every third step
+def test_de_multistep_parse_equals_loop(n, monkeypatch):
+    # a stack parses one step per call off words it keeps between steps,
+    # reading more as it runs out, even in the middle of a step; a fresh
+    # stream starts on a buffered uint32 half every third step
+    reads, parsed_from = [], algorithms._Words._parsed
+    monkeypatch.setattr(algorithms._Words, "_parsed", lambda self, *a: reads.append(a) or parsed_from(self, *a))
+    refills = 0
     for d in (1, 2, 5, 10, 40):
         loop, bg = np.random.default_rng([n, d]), np.random.PCG64()
         for t in range(12):
@@ -513,36 +517,14 @@ def test_de_block_draws_equal_loop(n):
                     loop.integers(9)  # start this step with a buffered uint32 half
                 bg.state = loop.bit_generator.state
                 words = algorithms._Words(bg)
-            ours, ref = words.parse(1, n, d), _de_draws_loop(loop, n, d)
-            for a, b in zip(ours, ref):
-                np.testing.assert_array_equal(a[0], b)
-            assert _words_stand_where(words, loop), (n, d, t)
-
-
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 32, 33, 64])
-def test_de_multistep_parse_equals_loop(n, monkeypatch):
-    # a stack parses one or several steps per call off words it keeps between
-    # calls, reading more as it runs out, even in the middle of a step
-    reads, parsed_from = [], algorithms._Words._parsed
-    monkeypatch.setattr(algorithms._Words, "_parsed", lambda self, *a: reads.append(a) or parsed_from(self, *a))
-    refills = 0
-    for d in (1, 2, 5, 10, 40):
-        for steps in (1, 3, 17):
-            parsed, loop = np.random.default_rng([n, d, steps]), np.random.default_rng([n, d, steps])
-            while not parsed.bit_generator.state["has_uint32"]:
-                parsed.integers(9)  # start with a buffered uint32 half
-                loop.integers(9)
-            words = algorithms._Words(parsed.bit_generator)
-            for call in range(2):  # the second call starts on the words the first left
-                reads.clear()
-                draws = words.parse(steps, n, d)
-                refills += len(reads) - 1  # a parse that runs out of words reads more and starts over
-                assert [a.shape for a in draws] == [(steps, n)] * 3 + [(steps, n, d)]
-                for t in range(steps):
-                    for a, b in zip(draws, _de_draws_loop(loop, n, d)):
-                        np.testing.assert_array_equal(a[t], b, err_msg=f"d={d}, steps={steps}, call {call}, step {t}")
-            assert _words_stand_where(words, loop), (d, steps)
-    assert refills > 0 or n >= 8  # small swarms redraw donors often enough to outrun the first read
+            reads.clear()
+            draws = words.parse(n, d)
+            refills += len(reads) - 1  # a parse that runs out of words reads more and starts over
+            assert [a.shape for a in draws] == [(n,)] * 3 + [(n, d)]
+            for a, b in zip(draws, _de_draws_loop(loop, n, d)):
+                np.testing.assert_array_equal(a, b, err_msg=f"d={d}, step {t}")
+            assert _words_stand_where(words, loop), (d, t)
+    assert refills > 0 or n >= 8  # small swarms redraw donors often enough to outrun the words of a step
 
 
 class ProxyGenerator:
@@ -675,22 +657,8 @@ def _failing_after(fbatch, calls_ok):
     return f
 
 
-def _block_steps(monkeypatch, streams=None):
-    """A list that gets K, the steps of each block of draws that stacks fill
-    from now on, of the named streams or of all."""
-    steps, take = [], algorithms._Runs.take
-
-    def spy(self, stream, step_bytes, fill):
-        if streams is not None and stream not in streams:
-            return take(self, stream, step_bytes, fill)
-        return take(self, stream, step_bytes, lambda K: steps.append(K) or fill(K))
-
-    monkeypatch.setattr(algorithms._Runs, "take", spy)
-    return steps
-
-
 @pytest.mark.parametrize("label", ("PSO", "hmPSO", "hmBAT", "mCSO", "hmDE") + MIXED)
-def test_failed_run_leaves_the_rest_of_its_stack_alone(label, monkeypatch):
+def test_failed_run_leaves_the_rest_of_its_stack_alone(label):
     cells = _label_cells(label, 5)
     family, mixed = cells[0][0].family, "+" in label
     # alone: run 1 fails at initialisation, run 4 at its fifth step, run 7 at
@@ -706,12 +674,7 @@ def test_failed_run_leaves_the_rest_of_its_stack_alone(label, monkeypatch):
     for order in orders:
         cells = [(cfg, _failing_after(fb, broken[i]), box, seed) if i in broken else (cfg, fb, box, seed)
                  for i, (cfg, fb, box, seed) in enumerate(_label_cells(label, 5))]
-        with monkeypatch.context() as patch:
-            block_steps = _block_steps(patch, streams=("hpp", "pp") if mixed else None)
-            stacked = run(*map(list, zip(*(cells[i] for i in order))), STACK_ITERS, STACK_CPS)
-        # the stack read its first block of draws (mixed: of each variant's
-        # noise) past step 5, where a run fails
-        assert block_steps[:1] == [STACK_ITERS] and (not mixed or block_steps == [STACK_ITERS] * 2)
+        stacked = run(*map(list, zip(*(cells[i] for i in order))), STACK_ITERS, STACK_CPS)
         for i, rec in zip(order, stacked):
             cfg, fb, box, seed = cells[i]
             if i in broken:
@@ -750,16 +713,13 @@ def test_stack_refuses_boxes_of_two_dimensions():
 
 
 @pytest.mark.parametrize("label", ["hmPSO", "mBAT", "hmCSO", "mDE"])
-def test_short_stacks_read_no_further_than_their_last_step(label, monkeypatch):
-    # max_iter 0, 1 and below the block size a longer stack would read:
-    # each record is the one init_state/step give, drawing step by step
+def test_short_stacks_read_no_further_than_their_last_step(label):
+    # max_iter 0, 1 and 3: each record is the one init_state/step give,
+    # drawing step by step
     cfg = config_for_label(label, n=8)
     fbatches, boxes, seeds = zip(*_stack_cells(5, plain=False))
-    block_steps = _block_steps(monkeypatch)
     for max_iter in (0, 1, 3):
-        block_steps.clear()
         records = run(cfg, fbatches, boxes, seeds, max_iter, sorted({0, max_iter}))
-        assert set(block_steps) == ({max_iter} if max_iter else set())
         for rec, fb, box, seed in zip(records, fbatches, boxes, seeds):
             state = _replayed(cfg, fb, box, seed, max_iter)
             assert (rec.final_best_value, rec.final_best_point.tolist(), rec.n_evals) == (
@@ -819,9 +779,10 @@ def _broken_starts(real):
 
 
 def _broken_parse(real):
-    def parse(self, steps, n, d):  # wrong past a parse's first step
-        J, K, forced, coins = real(self, steps, n, d)
-        return J, K, forced, np.concatenate((coins[:1], coins[1:] * 0.5))
+    def parse(self, n, d):  # wrong past a stream's first step
+        J, K, forced, coins = real(self, n, d)
+        self.parses = getattr(self, "parses", 0) + 1
+        return J, K, forced, coins * (0.5 if self.parses > 1 else 1.0)
     return parse
 
 
@@ -829,17 +790,12 @@ def _broken_pairings(real):
     return lambda rngs, n: real(rngs, n)[:, ::-1]
 
 
-def _broken_noise(real):
-    return lambda noise, d, rngs, rows, K: real(noise, d, rngs, rows, K) * np.arange(1, K + 1)[:, None, None]
-
-
 @pytest.mark.parametrize("label, owner, part, breaks", [
     ("hmPSO", algorithms, "_spawned_words", _broken_words),
     ("hmPSO", algorithms, "_stacked_uniform", _broken_starts),
     ("hmDE", algorithms._Words, "parse", _broken_parse),
     ("mCSO", algorithms, "_pairings", _broken_pairings),
-    ("mPSO", algorithms, "_noise", _broken_noise),
-], ids=["_spawned_words", "_stacked_uniform", "_Words.parse", "_pairings", "_noise"])
+], ids=["_spawned_words", "_stacked_uniform", "_Words.parse", "_pairings"])
 def test_failed_draw_self_check_selects_numpy_calls(monkeypatch, label, owner, part, breaks):
     cfg = config_for_label(label, n=8)
     cells = list(zip(*_stack_cells(5, plain=False)))
@@ -853,15 +809,12 @@ def test_failed_draw_self_check_selects_numpy_calls(monkeypatch, label, owner, p
     monkeypatch.setattr(owner, part, broken)
     algorithms._draws_agree.cache_clear()
     try:
-        block_steps = _block_steps(monkeypatch)
         with pytest.warns(DrawFallbackWarning, match="per-run, per-step calls"):
             assert [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)] == ref
         checked = len(calls)
         assert checked > 0  # the self-check ran the broken emulation ...
         assert [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)] == ref
-        assert set(block_steps) == {1}  # ... the stacks read no step ahead ...
-        if part != "_noise":  # (a one-step noise block is each run's own sample_noise call)
-            assert len(calls) == checked  # ... and set up and parsed nothing themselves
+        assert len(calls) == checked  # ... and the stacks set up and parsed nothing themselves
     finally:
         algorithms._draws_agree.cache_clear()
 

@@ -75,9 +75,13 @@ def test_run_invalid_plan(tmp_path, capsys):
         assert code == 2 and message in err
         assert not (tmp_path / "s").exists()
     # and an integer field that is not an int: before, 2.0 made a manifest and
-    # then failed mid-run with exit 1
+    # then failed mid-run with exit 1; and noise that is no JSON object or has
+    # a sigma past the largest double, which exited 1 with a traceback, or a
+    # sigma that is no number, which ran
     for key, value in (("runs", 2.0), ("max_iter", 5.0), ("runs", True), ("dimensions", [5.0]),
-                       ("master_seed", "7"), ("parallelism", 0)):
+                       ("master_seed", "7"), ("parallelism", 0), ("noise", 5), ("noise", "gaussian"),
+                       ("noise", [1]), ("noise", {"sigma": True}), ("noise", {"sigma": "0.01"}),
+                       ("noise", {"sigma": 10**400})):
         write_plan(tmp_path, **{key: value})
         code, _, err = run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))
         assert code == 2 and err.startswith("error: invalid plan:"), (key, value)

@@ -30,6 +30,17 @@ def test_noise_model_refuses_what_from_dict_refuses():
         model = NoiseModel(kind="scaled_t", df=df)
         assert type(model.df) is int and model == NoiseModel(kind="scaled_t", df=10)
         assert model.to_dict() == {"kind": "scaled_t", "df": 10}
+    # a sigma that is a bool or no number: True ran as sigma = 1.0, and a
+    # string was converted by from_dict
+    for sigma in (True, np.True_, "0.01", None):
+        with pytest.raises(TypeError, match="sigma must be a number"):
+            NoiseModel(sigma=sigma)
+        with pytest.raises(TypeError, match="sigma must be a number"):
+            NoiseModel.from_dict({"kind": "gaussian", "sigma": sigma})
+    # a number of any type is stored, serialised and digested as a float
+    for sigma in (1, np.float32(0.5), np.int64(2)):
+        model = NoiseModel(sigma=sigma)
+        assert type(model.sigma) is float and model.to_dict() == NoiseModel.from_dict({"sigma": sigma}).to_dict()
 
 
 def test_gaussian_degenerate_limit():
@@ -125,3 +136,7 @@ def test_noise_model_serialization():
     with pytest.raises(ValueError, match="integer"):
         NoiseModel.from_dict({"kind": "scaled_t", "df": 10.7})
     assert NoiseModel.from_dict({"kind": "scaled_t", "df": 10.0}) == NoiseModel(kind="scaled_t", df=10)
+    # noise that is not a JSON object
+    for value in (5, "gaussian", [1], None):
+        with pytest.raises(TypeError, match="noise must be a JSON object"):
+            NoiseModel.from_dict(value)
