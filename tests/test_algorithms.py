@@ -502,13 +502,9 @@ def _words_stand_where(words, gen):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 32, 33, 64])
-def test_de_multistep_parse_equals_loop(n, monkeypatch):
-    # a stack parses one step per call off words it keeps between steps,
-    # reading more as it runs out, even in the middle of a step; a fresh
-    # stream starts on a buffered uint32 half every third step
-    reads, parsed_from = [], algorithms._Words._parsed
-    monkeypatch.setattr(algorithms._Words, "_parsed", lambda self, *a: reads.append(a) or parsed_from(self, *a))
-    refills = 0
+def test_de_block_draws_equal_loop(n):
+    # one step per parse, as a stack draws, and a fresh stream on a buffered
+    # uint32 half every third step
     for d in (1, 2, 5, 10, 40):
         loop, bg = np.random.default_rng([n, d]), np.random.PCG64()
         for t in range(12):
@@ -517,13 +513,34 @@ def test_de_multistep_parse_equals_loop(n, monkeypatch):
                     loop.integers(9)  # start this step with a buffered uint32 half
                 bg.state = loop.bit_generator.state
                 words = algorithms._Words(bg)
-            reads.clear()
             draws = words.parse(n, d)
-            refills += len(reads) - 1  # a parse that runs out of words reads more and starts over
             assert [a.shape for a in draws] == [(n,)] * 3 + [(n, d)]
             for a, b in zip(draws, _de_draws_loop(loop, n, d)):
                 np.testing.assert_array_equal(a, b, err_msg=f"d={d}, step {t}")
             assert _words_stand_where(words, loop), (d, t)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 32, 33, 64])
+def test_de_multistep_parse_equals_loop(n, monkeypatch):
+    # a stack parses one step per call, step after step, off words it keeps
+    # between calls, reading more as it runs out, even in the middle of a step
+    reads, parsed_from = [], algorithms._Words._parsed
+    monkeypatch.setattr(algorithms._Words, "_parsed", lambda self, *a: reads.append(a) or parsed_from(self, *a))
+    refills = 0
+    for d in (1, 2, 5, 10, 40):
+        for steps in (1, 3, 17):
+            parsed, loop = np.random.default_rng([n, d, steps]), np.random.default_rng([n, d, steps])
+            while not parsed.bit_generator.state["has_uint32"]:
+                parsed.integers(9)  # start with a buffered uint32 half
+                loop.integers(9)
+            words = algorithms._Words(parsed.bit_generator)
+            for t in range(steps):  # each call after the first starts on the words the last left
+                reads.clear()
+                draws = words.parse(n, d)
+                refills += len(reads) - 1  # a parse that runs out of words reads more and starts over
+                for a, b in zip(draws, _de_draws_loop(loop, n, d)):
+                    np.testing.assert_array_equal(a, b, err_msg=f"d={d}, steps={steps}, step {t}")
+            assert _words_stand_where(words, loop), (d, steps)
     assert refills > 0 or n >= 8  # small swarms redraw donors often enough to outrun the words of a step
 
 
