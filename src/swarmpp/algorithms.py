@@ -23,9 +23,9 @@ Random draw order inside each step is part of the contract (golden-trace
 tests pin it):
 
   PSO:  U1 (n,d), U2 (n,d) from dynamics; noise (n,d) for non-base.
-  BAT:  frequencies (n,), pulse coins (n,), local-walk eps (n,d),
-        loudness coins (n,) from dynamics; noise (n,d) for non-base.
-  CSO:  pairing permutation (n,), U1, U2, U3 (n/2, d) in pair order from
+  BAT:  frequencies then pulse coins (2, n) in one call, local-walk eps
+        (n,d), loudness coins (n,) from dynamics; noise (n,d) for non-base.
+  CSO:  pairing order (n,), U1, U2, U3 (n/2, d) in pair order from
         dynamics; noise (n/2, d) for non-base.
   DE:   per agent in index order: donor j (rejection), donor k (rejection),
         forced index, crossover coins (d,) from dynamics; noise (d,) for
@@ -67,23 +67,21 @@ in a call of its run alone.  Each run's record is therefore bit for bit the
 one it gets alone; `run` with one seed, `init_state`, `step` and
 `perturb_project` are the R=1 case of this code.
 
-A stack sets its runs up in array code.  SeedSequence's hash is fixed
-uint32 arithmetic, so _spawned_words derives every run's two PCG64 seed words
-(each child's generate_state(4, uint64)) in one pass over the stack's seeds;
-a seed that is not an int in [0, 2**64) goes to SeedSequence as given.  The
-start positions are drawn as random() values and scaled to the BoxStack in
-one expression, the per-element arithmetic of Generator.uniform, so each run
-starts where sample_uniform would start it.
+Uniform values are the generator's random() doubles u: start positions are
+search_space.uniform_in of them, BAT's frequencies q_min + (q_max - q_min) * u,
+and a CSO pairing is arange(n) shuffled by the generator (_pairings).  This
+arithmetic, not numpy's uniform or permutation, defines those draws.
 
-A stack draws one step per call, each run from its own generators.  CSO's
-pairing permutations are drawn as numpy draws them, each an arange row
-shuffled in place (_pairings), without permutation's per-call set-up.
-init_state and step draw from the caller's generators with numpy's own calls.
+A stack sets its runs up in array code: SeedSequence's hash is fixed uint32
+arithmetic, so _spawned_words derives every run's two PCG64 seed words (each
+child's generate_state(4, uint64)) in one pass over the stack's seeds; a seed
+that is not an int in [0, 2**64) goes to SeedSequence as given.  A stack
+draws one step per call, each run from its own generators.
 
 One check made once per process, at its first stack (_draws_agree), compares
-the setup, the parse and the pairings with numpy's own calls; if any
-differs, every stack of the process sets its runs up and draws with numpy's
-per-run calls, and a DrawFallbackWarning says so.
+the seed words and the DE parse with numpy's own code; if either differs,
+every stack of the process seeds its runs through SeedSequence and draws
+DE's steps with _de_draws_loop, and a DrawFallbackWarning says so.
 
 A run whose objective gives a non-finite value, at initialisation or in a
 step, fails alone: it gets a failed record, its row is taken out of the
@@ -103,7 +101,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .perturbation import NoiseModel, sample_noise
-from .search_space import Box, BoxStack, contains, sample_uniform
+from .search_space import Box, BoxStack, contains, uniform_in
 
 FAMILIES = ("PSO", "BAT", "CSO", "DE")
 VARIANTS = ("base", "pp", "hpp")
@@ -407,20 +405,17 @@ def _run_generators(seeds) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(child)) for pair in children for child in pair]
 
 
-def _stacked_uniform(box: BoxStack, rngs, n: int) -> np.ndarray:
-    """n points per run (R, n, d), uniform over each run's box: random() values
-    scaled as Generator.uniform scales each element, low + (high - low) * u."""
-    U = np.empty((len(rngs), n, box.dim))
+def _random(rngs, shape) -> np.ndarray:
+    """Each run's rng.random(shape), stacked (R, *shape): one call per run."""
+    U = np.empty((len(rngs), *shape))
     for r, rng in enumerate(rngs):
         rng.random(out=U[r])
-    return box.lower + (box.upper - box.lower) * U
+    return U
 
 
 def _starts(n: int, runs: _Runs) -> np.ndarray:
-    """Each run's sample_uniform(box, rng, n), stacked."""
-    if _draws_agree():
-        return _stacked_uniform(runs.box, runs.rngs, n)
-    return np.stack([sample_uniform(box, rng, n) for box, rng in zip(runs.boxes, runs.rngs)])
+    """n start points per run (R, n, d), each run's sample_uniform(box, rng, n)."""
+    return uniform_in(runs.box, _random(runs.rngs, (n, runs.box.dim)))
 
 
 def _init(config: AlgorithmConfig, runs: _Runs, X: np.ndarray) -> tuple[SwarmState, np.ndarray]:
@@ -450,7 +445,7 @@ _INIT_FAILURE = "non-finite objective value during initialization"
 def init_state(config: AlgorithmConfig, box: Box, fbatch, rng: np.random.Generator) -> SwarmState:
     """One run's initial state: the R=1 case of _init."""
     runs = _Runs([fbatch], [box], [rng], [None], [config.variant])
-    state, failed = _init(config, runs, sample_uniform(box, rng, config.n)[None])
+    state, failed = _init(config, runs, _starts(config.n, runs))
     if failed[0]:
         raise RunFailure(_INIT_FAILURE)
     return _unstacked(state)
@@ -496,11 +491,8 @@ def _project(Y, box: BoxStack, perturbed) -> np.ndarray:
 
 
 def _pso_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
-    R, n, d = state.X.shape
-    U = np.empty((R, 2, n, d))
-    for r, rng in enumerate(runs.rngs):
-        rng.random(out=U[r])  # U1 then U2, as two calls would draw them
-    U1, U2 = U[:, 0], U[:, 1]
+    # U1 then U2, as two calls would draw them
+    U1, U2 = _random(runs.rngs, (2, *state.X.shape[1:])).swapaxes(0, 1)
     state.V = (
         config.w * state.V
         + config.c1 * U1 * (state.pbest_X - state.X)
@@ -525,11 +517,10 @@ def _pso_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, runs: _Ru
 
 def _bat_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
     R, n, d = state.X.shape
-    freq, pulse = np.empty((2, R, n))
+    u, pulse = _random(runs.rngs, (2, n)).swapaxes(0, 1)  # frequency values, then pulse coins
+    freq = config.q_min + (config.q_max - config.q_min) * u
     eps = np.empty((R, n, d))
     for r, rng in enumerate(runs.rngs):
-        freq[r] = rng.uniform(config.q_min, config.q_max, size=n)
-        rng.random(out=pulse[r])
         eps[r] = rng.normal(0.0, config.local_step_sigma, size=(n, d))
     gbest_x = state.gbest_x[:, None]
     # follows the printed v + U(x - x*) orientation
@@ -540,9 +531,7 @@ def _bat_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
 
 def _bat_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, runs: _Runs):
     # the loudness revert postdates the perturbation
-    loud = np.empty(f.shape)
-    for r, rng in enumerate(runs.rngs):
-        rng.random(out=loud[r])
+    loud = _random(runs.rngs, f.shape[1:])
     # positions are kept inside the box every step, so chi(x_i(t)) = x_i(t)
     # and its value is the cached one
     revert = (loud < config.loudness) | (state.fvals < f)
@@ -551,8 +540,8 @@ def _bat_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, runs: _Ru
 
 
 def _pairings(rngs, n: int) -> np.ndarray:
-    """Each run's Generator.permutation(n), (R, n): numpy's permutation of an
-    int is arange(n) shuffled, so each row is preset and shuffled in place."""
+    """Each run's pairing order (R, n): arange(n) shuffled in place by the
+    run's rng.shuffle.  Agents perm[2i] and perm[2i+1] form pair i."""
     perm = np.tile(np.arange(n), (len(rngs), 1))
     for row, rng in zip(perm, rngs):
         rng.shuffle(row)
@@ -561,11 +550,9 @@ def _pairings(rngs, n: int) -> np.ndarray:
 
 def _cso_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
     R, n, d = state.X.shape
-    perm = _pairings(runs.rngs, n) if _draws_agree() else np.array([rng.permutation(n) for rng in runs.rngs])
-    U = np.empty((R, 3, n // 2, d))
-    for r, rng in enumerate(runs.rngs):
-        rng.random(out=U[r])  # after the permutation: U1, U2 then U3, as three calls would draw them
-    U1, U2, U3 = U[:, 0], U[:, 1], U[:, 2]
+    perm = _pairings(runs.rngs, n)
+    # after the pairing: U1, U2 then U3, as three calls would draw them
+    U1, U2, U3 = _random(runs.rngs, (3, n // 2, d)).swapaxes(0, 1)
     rows = np.arange(R)[:, None]
     first, second = perm[:, 0::2], perm[:, 1::2]
     first_wins = state.fvals[rows, first] < state.fvals[rows, second]
@@ -683,28 +670,21 @@ class _Words:
 
 @functools.cache
 def _draws_agree() -> bool:
-    """Whether a stack's emulations of numpy's draws give numpy's own values
-    under this numpy.  Setup: _spawned_words gives SeedSequence's child
-    states, for edge and random 64-bit seeds, and _stacked_uniform gives
-    sample_uniform's values, sign bits included, for boxes that are no cube
-    or straddle zero.  DE: four steps of _Words parses give _de_draws_loop's
-    draws, for odd, even and power-of-two swarms and a buffered uint32 at the
-    start (at n=4, d=5 a parse runs out of words and reads more).  CSO:
-    _pairings gives permutation's values and generator state, from a
-    buffered uint32 too.  Checked once per process, at its first stack; if
-    it fails, stacks take numpy's per-run calls for everything."""
+    """Whether the two emulations a stack makes of numpy's own code give its
+    values under this numpy.  Seed words: _spawned_words gives
+    SeedSequence's child states, for edge and random 64-bit seeds.  DE: four
+    steps of _Words parses give _de_draws_loop's draws, for odd, even and
+    power-of-two swarms and a buffered uint32 at the start (at n=4, d=5 a
+    parse runs out of words and reads more).  Checked once per process, at
+    its first stack; if it fails, stacks seed every run through SeedSequence
+    and draw DE's steps with _de_draws_loop."""
     seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 0x2545F4914F6CDD1D]
-    boxes = [Box([-15.0, -3.0], [-5.0, 3.0]), Box([-5.0, 0.0], [10.0, 15.0]), Box.cube(-1e-3, 0.5, 2)]
     try:
         for seed, words in zip(seeds, _spawned_words(seeds)):
             for child, w in zip(np.random.SeedSequence(seed).spawn(2), words):
                 ours = np.random.Generator(np.random.PCG64(_seed_words()(w))).bit_generator.state
                 if ours != np.random.default_rng(child).bit_generator.state:
                     raise ValueError(f"seed {seed}: generator state differs from SeedSequence's")
-        ours = _stacked_uniform(BoxStack.of(boxes), [np.random.default_rng(s) for s in seeds[:3]], 16)
-        ref = [sample_uniform(box, np.random.default_rng(s), 16) for box, s in zip(boxes, seeds)]
-        if ours.tobytes() != np.stack(ref).tobytes():
-            raise ValueError("start positions differ from Generator.uniform's")
         for n, d in ((4, 1), (4, 5), (5, 2), (8, 3), (33, 10)):
             parsed, loop = np.random.default_rng(n), np.random.default_rng(n)
             parsed.integers(3)
@@ -713,14 +693,6 @@ def _draws_agree() -> bool:
             for t in range(4):
                 if not all(np.array_equal(a, b) for a, b in zip(words.parse(n, d), _de_draws_loop(loop, n, d))):
                     raise ValueError(f"n={n}, d={d}: the parse of step {t} differs from the loop's draws")
-        for n in (2, 5, 8, 33):
-            ours, loop = np.random.default_rng(n), np.random.default_rng(n)
-            ours.integers(3)
-            loop.integers(3)
-            perm = _pairings([ours] * 3, n)
-            if not np.array_equal(perm, [loop.permutation(n) for _ in range(3)]) or (
-                    ours.bit_generator.state != loop.bit_generator.state):
-                raise ValueError(f"n={n}: shuffled pairings differ from permutation's")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # another numpy's API, arithmetic or stream
         warnings.warn(f"stacks take numpy's per-run, per-step calls: {exc}", DrawFallbackWarning, stacklevel=2)
         return False

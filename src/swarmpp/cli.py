@@ -165,6 +165,12 @@ def _cmd_sweep(args) -> int:
     if not settings:
         print("error: give --sigma and/or --tdf values", file=sys.stderr)
         return EXIT_USAGE
+    tags = {}  # each noise model, by the tag of its first setting
+    for tag, noise in settings:
+        if noise in tags:  # it would compute the same stores twice
+            print(f"error: noise setting {tag} repeats {tags[noise]}", file=sys.stderr)
+            return EXIT_USAGE
+        tags[noise] = tag
     return _populate(
         args,
         lambda plan: [

@@ -54,6 +54,14 @@ def _check_int(name: str, value):
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _listed(name: str, value) -> tuple:
+    """A plan's list as a tuple; anything else, such as a string, which tuple()
+    would split into characters, is refused."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     name: str = "experiment"
@@ -116,13 +124,14 @@ class ExperimentPlan:
         if unknown:
             raise ValueError(f"unknown plan key(s): {', '.join(unknown)}")
         kwargs = dict(d)
-        for key in ("algorithms", "dimensions", "checkpoints"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+        for key in ("algorithms", "pairs", "dimensions", "functions", "checkpoints"):
+            if key in kwargs and not (key == "functions" and kwargs[key] is None):
+                kwargs[key] = _listed(key, kwargs[key])
         if "pairs" in kwargs:
-            kwargs["pairs"] = tuple(tuple(p) for p in kwargs["pairs"])
-        if kwargs.get("functions") is not None:
-            kwargs["functions"] = tuple(kwargs["functions"])
+            kwargs["pairs"] = tuple(_listed("a pairs entry", p) for p in kwargs["pairs"])
+            for p in kwargs["pairs"]:
+                if len(p) != 2:
+                    raise ValueError(f"a pairs entry must be two algorithm labels, got {list(p)}")
         if "noise" in kwargs:
             kwargs["noise"] = NoiseModel.from_dict(kwargs["noise"])
         return cls(**kwargs)

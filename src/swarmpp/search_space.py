@@ -95,8 +95,13 @@ def contains(x, box: Box | BoxStack, axis=None):
     return bool(inside.all()) if axis is None else inside.all(axis=axis)
 
 
+def uniform_in(box: Box | BoxStack, u: np.ndarray) -> np.ndarray:
+    """The points lower + (upper - lower) * u of the box, or of each run's box
+    of a BoxStack, for values u in [0, 1) that broadcast against its bounds."""
+    return box.lower + (box.upper - box.lower) * u
+
+
 def sample_uniform(box: Box, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Sample uniformly over the box: shape (d,) or (size, d)."""
-    if size is None:
-        return rng.uniform(box.lower, box.upper)
-    return rng.uniform(box.lower, box.upper, size=(size, box.dim))
+    """Sample uniformly over the box: shape (d,) or (size, d), uniform_in of
+    rng.random() values, not Generator.uniform, whose stream numpy may change."""
+    return uniform_in(box, rng.random(box.dim if size is None else (size, box.dim)))

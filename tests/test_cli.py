@@ -81,7 +81,7 @@ def test_run_invalid_plan(tmp_path, capsys):
     for key, value in (("runs", 2.0), ("max_iter", 5.0), ("runs", True), ("dimensions", [5.0]),
                        ("master_seed", "7"), ("parallelism", 0), ("noise", 5), ("noise", "gaussian"),
                        ("noise", [1]), ("noise", {"sigma": True}), ("noise", {"sigma": "0.01"}),
-                       ("noise", {"sigma": 10**400})):
+                       ("noise", {"sigma": 10**400}), ("runs", 0), ("max_iter", -1)):
         write_plan(tmp_path, **{key: value})
         code, _, err = run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))
         assert code == 2 and err.startswith("error: invalid plan:"), (key, value)
@@ -93,6 +93,23 @@ def test_run_invalid_plan(tmp_path, capsys):
         write_plan(tmp_path, **{key: value})
         code, _, err = run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))
         assert code == 2 and f"{key} must be distinct" in err, (key, value)
+        assert not (tmp_path / "s").exists()
+
+
+def test_run_refuses_a_plan_list_that_is_no_list(tmp_path, capsys):
+    # before, a string was split into characters ("F16" gave unknown labels
+    # F, 1, 6) and a one-label pair failed on tuple unpacking
+    for key, value, message in (("functions", "F16", "functions must be a list"),
+                                ("algorithms", "PSO", "algorithms must be a list"),
+                                ("pairs", "PSO:mPSO", "pairs must be a list"),
+                                ("pairs", ["PSO:mPSO"], "a pairs entry must be a list"),
+                                ("pairs", [["PSO"]], "a pairs entry must be two algorithm labels"),
+                                ("pairs", [["PSO", "mPSO", "PSO"]], "a pairs entry must be two algorithm labels"),
+                                ("dimensions", 5, "dimensions must be a list"),
+                                ("checkpoints", "10", "checkpoints must be a list")):
+        write_plan(tmp_path, **{key: value})
+        code, _, err = run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))
+        assert code == 2 and err.startswith(f"error: invalid plan: {message}"), (key, value, err)
         assert not (tmp_path / "s").exists()
 
 
@@ -161,6 +178,29 @@ def test_report_empty_store(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_report_refuses_a_pair_without_rows(tmp_path, capsys):
+    out = tmp_path / "store"
+    run_cli(capsys, "run", str(write_plan(tmp_path)), "--out", str(out))
+    code, _, err = run_cli(capsys, "report", str(out), "--plot", "winning", "--pair", "PSO:hmPSO")
+    assert code == 2 and "no aggregated rows for pair 'PSO:hmPSO'" in err
+    assert not list(out.glob("winning_*"))
+
+
+def test_report_centres_a_single_checkpoint(tmp_path, capsys):
+    out = tmp_path / "store"
+    run_cli(capsys, "run", str(write_plan(tmp_path)), "--out", str(out))
+    assert run_cli(capsys, "report", str(out), "--plot", "winning", "--pair", "PSO:mPSO")[0] == 0
+    svg = (out / "winning_PSO_mPSO.svg").read_text()
+    assert svg.split('<polyline points="')[1].split('"')[0].split(",")[0] == "168.00"
+
+
+def test_run_exits_1_when_out_is_a_file(tmp_path, capsys):
+    (tmp_path / "f").write_text("")
+    code, _, err = run_cli(capsys, "run", str(write_plan(tmp_path)), "--out", str(tmp_path / "f"))
+    assert code == 1 and "File exists" in err
+    assert (tmp_path / "f").read_text() == ""
+
+
 def test_report_values_in_range(tmp_path, capsys):
     plan = write_plan(tmp_path, checkpoints=[5, 10])
     out = tmp_path / "store"
@@ -219,6 +259,17 @@ def test_sweep_requires_values(tmp_path, capsys):
     for flag, value in (("--sigma", "abc"), ("--sigma", "-1"), ("--tdf", "x"), ("--tdf", "2")):
         code, _, err = run_cli(capsys, "sweep", str(plan), "--out", str(tmp_path / "x"), flag, value)
         assert code == 2 and err.startswith("error:"), (flag, value)
+        assert not (tmp_path / "x").exists()
+
+
+def test_sweep_refuses_a_repeated_setting(tmp_path, capsys):
+    # before, 0.005 and 5e-3 made two stores of one noise model
+    plan = write_plan(tmp_path)
+    for flags, message in ((("--sigma", "0.005,0.01,5e-3"), "sigma5e-3 repeats sigma0.005"),
+                           (("--tdf", "5,05"), "tdf05 repeats tdf5"),
+                           (("--sigma", "0.01", "--tdf", "3,3"), "tdf3 repeats tdf3")):
+        code, out, err = run_cli(capsys, "sweep", str(plan), "--out", str(tmp_path / "x"), *flags)
+        assert code == 2 and err == f"error: noise setting {message}\n" and out == "", flags
         assert not (tmp_path / "x").exists()
 
 

@@ -1,5 +1,6 @@
 import collections
 import concurrent.futures
+import hashlib
 import itertools
 import json
 import os
@@ -169,6 +170,23 @@ def test_execute_deterministic_bytes(tmp_path):
     execute(plan, tmp_path / "b")
     for name in ("runs.jsonl", "metrics.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_store_bytes_are_pinned(tmp_path):
+    # every label at every collection dimension: a change to any draw, kernel,
+    # record or metric line changes these bytes
+    plan = ExperimentPlan(name="pin", algorithms=algorithms.ALGORITHM_LABELS,
+                          pairs=tuple((f, p + f) for f in algorithms.FAMILIES for p in ("m", "hm")),
+                          dimensions=objectives.COLLECTION_DIMS, functions=("F4", "F15", "F16"), runs=2,
+                          max_iter=10, checkpoints=(0, 5, 10), master_seed=17, parallelism=1)
+    assert {d for _, d in plan.collection()} == set(objectives.COLLECTION_DIMS)
+    execute(plan, tmp_path / "s")
+    digests = {name: hashlib.sha256((tmp_path / "s" / name).read_bytes()).hexdigest()
+               for name in ("runs.jsonl", "metrics.csv")}
+    assert digests == {
+        "runs.jsonl": "5d2a88e3330aefec62bbee0cb8e2fb528a60955eca7610134496f9e2bff76e16",
+        "metrics.csv": "8346c818d4894ab660beb1e926c5f6f79e214d1881a28c803fcda591de9fe786",
+    }
 
 
 def test_parallel_schedule_independent(tmp_path):

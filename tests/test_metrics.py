@@ -67,6 +67,10 @@ def test_winning_proportion_shape_errors():
         pair_figures([("f1", np.zeros((3, 3)), np.zeros((3, 3)))])
     with pytest.raises(ValueError):
         win_fraction([1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="at least one run"):
+        win_fraction([], [])
+    with pytest.raises(ValueError, match="non-finite"):
+        win_fraction([1.0, np.nan], [1.0, 2.0])
 
 
 def test_relative_error_extremes():
@@ -86,6 +90,11 @@ def test_relative_error_arithmetic():
 def test_relative_error_nonfinite_rejected():
     with pytest.raises(ValueError):
         relative_error([0.0, np.inf], [1.0, 2.0])
+
+
+def test_relative_error_empty_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        relative_error([], [1.0])
 
 
 def test_relative_error_scale_invariance():

@@ -18,6 +18,8 @@ def test_collection_sizes():
 
 def test_registry_labels():
     assert ob.ALL_LABELS == tuple(f"F{i}" for i in range(1, 29))
+    with pytest.raises(KeyError, match="unknown function label 'F29'"):
+        ob.get("F29")
 
 
 def test_fixed_dimension_rejection():
@@ -26,6 +28,10 @@ def test_fixed_dimension_rejection():
         assert spec.dims == (2,)
         with pytest.raises(UnsupportedDimensionError):
             ob.evaluate(spec, 5, np.zeros(5))
+        with pytest.raises(UnsupportedDimensionError, match=f"{label} does not admit d=5"):
+            ob.default_domain(spec, 5)
+        with pytest.raises(UnsupportedDimensionError, match=f"{label} does not admit d=5"):
+            ob.batch_evaluator(spec, 5)
     assert ob.get("F15").dims == (5,)
 
 
