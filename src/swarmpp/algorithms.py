@@ -1,12 +1,12 @@
 """Swarm kernels: PSO, BAT, CSO and DE, each in base / perturbed (pp) /
 half-perturbed (hpp) variants, sharing one step skeleton.
 
-Every run owns two independent random generators derived from its seed:
-default_rng(child), a PCG64 Generator, for each of the two children of
-SeedSequence(seed).spawn(2), the first for the algorithm's own dynamics and
-the second for the exploration noise.  The base variant never touches the
-noise stream, so a perturbed variant with a degenerate noise scale replays
-the base trajectory bit for bit.
+Every run owns two independent random generators derived from its seed, an
+integer in [0, 2**64): PCG64 Generators in the states default_rng gives the
+two children that numpy's SeedSequence of the seed spawns, the first for the
+algorithm's own dynamics and the second for the exploration noise.  The
+base variant never touches the noise stream, so a perturbed variant with a
+degenerate noise scale replays the base trajectory bit for bit.
 
 A step (`step`) is the same for every family: the family proposes m raw
 candidate rows from its dynamics; the skeleton clamps them into the box and,
@@ -34,10 +34,10 @@ tests pin it):
 PSO, BAT and CSO draw noise rows for all m candidates under hpp too, and use
 the first floor(m/2).
 
-DE's per-agent draw loop (_de_draws_loop) defines its draws, and a step on
-a caller's generator takes it.  A stack parses them off the raw words of its
-runs' own PCG64s instead (_Words), each run keeping its unused words and
-uint32 half for the next step.
+A stack parses DE's draws off the raw words of its runs' own PCG64s
+(_Words), each run keeping its unused words and uint32 half for the next
+step.  A step on a caller's generator draws them agent by agent with
+Generator calls (_de_draws_loop), the reference the parse is tested against.
 
 DE values its trials as single points would be valued: one ulp in an
 accepted value changes its trajectory, and numpy's `**` on a value derived
@@ -74,14 +74,12 @@ arithmetic, not numpy's uniform or permutation, defines those draws.
 
 A stack sets its runs up in array code: SeedSequence's hash is fixed uint32
 arithmetic, so _spawned_words derives every run's two PCG64 seed words (each
-child's generate_state(4, uint64)) in one pass over the stack's seeds; a seed
-that is not an int in [0, 2**64) goes to SeedSequence as given.  A stack
-draws one step per call, each run from its own generators.
-
-One check made once per process, at its first stack (_draws_agree), compares
-the seed words and the DE parse with numpy's own code; if either differs,
-every stack of the process seeds its runs through SeedSequence and draws
-DE's steps with _de_draws_loop, and a DrawFallbackWarning says so.
+child's generate_state(4, uint64)) in one pass over the stack's seeds.  Like
+_Words, it rests only on PCG64's raw words, the stream NumPy's RNG policy
+(NEP 19) keeps stable, and defines what it emulates: tests hold both equal
+to numpy's own code.  A seed that is a bool, not an integer, or outside
+[0, 2**64) is refused.  A stack draws one step per call, each run from its
+own generators.
 
 A run whose objective gives a non-finite value, at initialisation or in a
 step, fails alone: it gets a failed record, its row is taken out of the
@@ -95,7 +93,6 @@ import hashlib
 import itertools
 import json
 import operator
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -109,11 +106,6 @@ VARIANTS = ("base", "pp", "hpp")
 
 class RunFailure(RuntimeError):
     """A run produced a non-finite objective value and was aborted."""
-
-
-class DrawFallbackWarning(RuntimeWarning):
-    """A once-per-process self-check found that an emulation of numpy's draws
-    differs from numpy's own calls, so the slower per-run calls are used."""
 
 
 @dataclass(frozen=True)
@@ -226,9 +218,9 @@ class _Runs:
     BoxStack of them), variants, dynamics and noise generators, objectives,
     C1/C3 counts, and the index of each run in the caller's sequence.
 
-    `words` holds each run's _Words when DE's draws are parsed off its
-    dynamics generator, which only a stack's own generators allow; else it
-    is empty, and the draws come from _de_draws_loop."""
+    `words` holds each run's _Words in a DE stack that `run` set up, whose
+    generators are its own; else it is empty, and DE's draws come from the
+    caller's generators through _de_draws_loop."""
 
     def __init__(self, fbatches, boxes, rngs, rng_noises, variants):
         self.fbatches, self.boxes = list(fbatches), list(boxes)
@@ -344,8 +336,8 @@ def _mix(x, y):
 
 
 def _spawned_words(seeds) -> np.ndarray:
-    """SeedSequence(seed).spawn(2)[c].generate_state(4, np.uint64) for each
-    seed, an int in [0, 2**64), and c in (0, 1): an (R, 2, 4) uint64 array.
+    """generate_state(4, np.uint64) of child c of the SeedSequence of each
+    seed, an int in [0, 2**64), for c in (0, 1): an (R, 2, 4) uint64 array.
 
     A child's entropy is the seed's low and high uint32 words, two zeros
     (entropy is padded to the pool's four words when a spawn key follows) and
@@ -386,23 +378,23 @@ def _seed_words() -> type:
     return SeedWords
 
 
-def _seed_value(seed):
+def _seed_value(seed) -> int:
     """A seed of any integer type as a Python int, so that its record
-    serialises; anything else as given, for SeedSequence to take or refuse."""
-    try:
-        return operator.index(seed)
-    except TypeError:
-        return seed
+    serialises.  A bool, a non-integer or a value outside [0, 2**64), the
+    seeds _spawned_words hashes, is refused."""
+    if isinstance(seed, (bool, np.bool_)) or not hasattr(seed, "__index__"):
+        raise TypeError(f"a seed must be an integer, got {seed!r}")
+    value = operator.index(seed)
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"a seed must be in [0, 2**64), got {seed!r}")
+    return value
 
 
 def _run_generators(seeds) -> list[np.random.Generator]:
-    """Each run's dynamics and noise generators, run after run:
-    default_rng(child) for the two children of SeedSequence(seed).spawn(2),
-    built from _spawned_words for a seed that is an int in [0, 2**64)."""
-    exact = [_draws_agree() and isinstance(s, int) and 0 <= s < 1 << 64 for s in seeds]
-    words = iter(_spawned_words(list(itertools.compress(seeds, exact))) if any(exact) else ())
-    children = [map(_seed_words(), next(words)) if e else np.random.SeedSequence(s).spawn(2) for s, e in zip(seeds, exact)]
-    return [np.random.Generator(np.random.PCG64(child)) for pair in children for child in pair]
+    """Each run's dynamics and noise generators, run after run, for seeds that
+    are ints in [0, 2**64): PCG64 Generators over _spawned_words, the states
+    default_rng gives the two children of the seed's SeedSequence."""
+    return [np.random.Generator(np.random.PCG64(_seed_words()(words))) for pair in _spawned_words(seeds) for words in pair]
 
 
 def _random(rngs, shape) -> np.ndarray:
@@ -668,43 +660,12 @@ class _Words:
         return ints[:, 0], ints[:, 1], ints[:, 2], coins
 
 
-@functools.cache
-def _draws_agree() -> bool:
-    """Whether the two emulations a stack makes of numpy's own code give its
-    values under this numpy.  Seed words: _spawned_words gives
-    SeedSequence's child states, for edge and random 64-bit seeds.  DE: four
-    steps of _Words parses give _de_draws_loop's draws, for odd, even and
-    power-of-two swarms and a buffered uint32 at the start (at n=4, d=5 a
-    parse runs out of words and reads more).  Checked once per process, at
-    its first stack; if it fails, stacks seed every run through SeedSequence
-    and draw DE's steps with _de_draws_loop."""
-    seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 0x2545F4914F6CDD1D]
-    try:
-        for seed, words in zip(seeds, _spawned_words(seeds)):
-            for child, w in zip(np.random.SeedSequence(seed).spawn(2), words):
-                ours = np.random.Generator(np.random.PCG64(_seed_words()(w))).bit_generator.state
-                if ours != np.random.default_rng(child).bit_generator.state:
-                    raise ValueError(f"seed {seed}: generator state differs from SeedSequence's")
-        for n, d in ((4, 1), (4, 5), (5, 2), (8, 3), (33, 10)):
-            parsed, loop = np.random.default_rng(n), np.random.default_rng(n)
-            parsed.integers(3)
-            loop.integers(3)
-            words = _Words(parsed.bit_generator)
-            for t in range(4):
-                if not all(np.array_equal(a, b) for a, b in zip(words.parse(n, d), _de_draws_loop(loop, n, d))):
-                    raise ValueError(f"n={n}, d={d}: the parse of step {t} differs from the loop's draws")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # another numpy's API, arithmetic or stream
-        warnings.warn(f"stacks take numpy's per-run, per-step calls: {exc}", DrawFallbackWarning, stacklevel=2)
-        return False
-    return True
-
-
 def _de_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
     R, n, d = state.X.shape
     J, K, forced = np.empty((3, R, n), dtype=np.intp)
     coins = np.empty((R, n, d))
     for r, rng in enumerate(runs.rngs):
-        # a stack's own generator, parsed; a caller's, or any after a failed self-check, drawn by the loop
+        # a stack's own generator, parsed; a caller's, drawn by the loop
         J[r], K[r], forced[r], coins[r] = runs.words[r].parse(n, d) if runs.words else _de_draws_loop(rng, n, d)
     rows, X = np.arange(R)[:, None], state.X
     keep = coins < config.crossover
@@ -856,7 +817,7 @@ def _run_stack(configs, fbatches, boxes, seeds, max_iter, checkpoints, check_inv
     runs = _Runs(fbatches, boxes, generators[0::2], generators[1::2], [c.variant for c in configs])
     state, failed = _init(config, runs, _starts(config.n, runs))
     runs.drop(state, failed, records, _INIT_FAILURE)
-    if config.family == "DE" and _draws_agree():  # the generators are the stack's own: parse their words
+    if config.family == "DE":  # the generators are the stack's own: parse their words
         runs.words = [_Words(rng.bit_generator) for rng in runs.rngs]
     for t in range(max_iter + 1):
         if not runs.rows:

@@ -78,6 +78,14 @@ class ExperimentPlan:
     parallelism: int = 1
 
     def __post_init__(self):
+        # stored as tuples, however given (directly, by from_dict or by replace)
+        for name in ("algorithms", "pairs", "dimensions", "functions", "checkpoints"):
+            if not (name == "functions" and self.functions is None):
+                object.__setattr__(self, name, _listed(name, getattr(self, name)))
+        object.__setattr__(self, "pairs", tuple(_listed("a pairs entry", p) for p in self.pairs))
+        for p in self.pairs:
+            if len(p) != 2:
+                raise ValueError(f"a pairs entry must be two algorithm labels, got {list(p)}")
         # before anything compares them: 5.0 == 5, but derive_seed keys on str(d)
         for name in ("runs", "max_iter", "n", "parallelism", "master_seed"):
             _check_int(name, getattr(self, name))
@@ -124,14 +132,6 @@ class ExperimentPlan:
         if unknown:
             raise ValueError(f"unknown plan key(s): {', '.join(unknown)}")
         kwargs = dict(d)
-        for key in ("algorithms", "pairs", "dimensions", "functions", "checkpoints"):
-            if key in kwargs and not (key == "functions" and kwargs[key] is None):
-                kwargs[key] = _listed(key, kwargs[key])
-        if "pairs" in kwargs:
-            kwargs["pairs"] = tuple(_listed("a pairs entry", p) for p in kwargs["pairs"])
-            for p in kwargs["pairs"]:
-                if len(p) != 2:
-                    raise ValueError(f"a pairs entry must be two algorithm labels, got {list(p)}")
         if "noise" in kwargs:
             kwargs["noise"] = NoiseModel.from_dict(kwargs["noise"])
         return cls(**kwargs)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,6 @@ from swarmpp import algorithms, objectives
 from swarmpp.algorithms import (
     ALGORITHM_LABELS,
     AlgorithmConfig,
-    DrawFallbackWarning,
     RunRecord,
     _check_invariants,
     _de_draws_loop,
@@ -505,7 +505,7 @@ def _words_stand_where(words, gen):
 def test_de_block_draws_equal_loop(n):
     # one step per parse, as a stack draws, and a fresh stream on a buffered
     # uint32 half every third step
-    for d in (1, 2, 5, 10, 40):
+    for d in (1, 2, 3, 5, 10, 40):
         loop, bg = np.random.default_rng([n, d]), np.random.PCG64()
         for t in range(12):
             if t % 3 == 0:
@@ -527,7 +527,7 @@ def test_de_multistep_parse_equals_loop(n, monkeypatch):
     reads, parsed_from = [], algorithms._Words._parsed
     monkeypatch.setattr(algorithms._Words, "_parsed", lambda self, *a: reads.append(a) or parsed_from(self, *a))
     refills = 0
-    for d in (1, 2, 5, 10, 40):
+    for d in (1, 2, 3, 5, 10, 40):
         for steps in (1, 3, 17):
             parsed, loop = np.random.default_rng([n, d, steps]), np.random.default_rng([n, d, steps])
             while not parsed.bit_generator.state["has_uint32"]:
@@ -817,45 +817,6 @@ def test_import_leaves_numpy_random_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def _broken_words(real):
-    return lambda seeds: real(seeds) ^ np.uint64(1)
-
-
-def _broken_parse(real):
-    def parse(self, n, d):  # wrong past a stream's first step
-        J, K, forced, coins = real(self, n, d)
-        self.parses = getattr(self, "parses", 0) + 1
-        return J, K, forced, coins * (0.5 if self.parses > 1 else 1.0)
-    return parse
-
-
-@pytest.mark.parametrize("label, owner, part, breaks", [
-    ("hmPSO", algorithms, "_spawned_words", _broken_words),
-    ("hmDE", algorithms._Words, "parse", _broken_parse),
-], ids=["_spawned_words", "_Words.parse"])
-def test_failed_draw_self_check_selects_numpy_calls(monkeypatch, label, owner, part, breaks):
-    cfg = config_for_label(label, n=8)
-    cells = list(zip(*_stack_cells(5, plain=False)))
-    ref = [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)]
-    calls, wrong = [], breaks(getattr(owner, part))
-
-    def broken(*args):
-        calls.append(None)
-        return wrong(*args)
-
-    monkeypatch.setattr(owner, part, broken)
-    algorithms._draws_agree.cache_clear()
-    try:
-        with pytest.warns(DrawFallbackWarning, match="per-run, per-step calls"):
-            assert [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)] == ref
-        checked = len(calls)
-        assert checked > 0  # the self-check ran the broken emulation ...
-        assert [rec.to_dict() for rec in run(cfg, *cells, STACK_ITERS, STACK_CPS)] == ref
-        assert len(calls) == checked  # ... and the stacks set up and parsed nothing themselves
-    finally:
-        algorithms._draws_agree.cache_clear()
-
-
 def _replayed(cfg, fbatch, box, seed, max_iter):
     """init_state/step driven with the generators of SeedSequence(seed)."""
     rng, rng_noise = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
@@ -865,19 +826,24 @@ def _replayed(cfg, fbatch, box, seed, max_iter):
     return state
 
 
-def test_seeds_outside_uint64_go_to_seed_sequence():
+def test_seeds_outside_uint64_are_refused(monkeypatch):
     cfg = config_for_label("mCSO", n=8)
-    seeds = [5, 2**64, 2**70, 2**64 - 1]
-    records = run(cfg, [sphere] * 4, [BOX] * 4, seeds, 20, [20])
-    for seed, rec in zip(seeds, records):
+    # the ends of the range run as init_state/step do on SeedSequence's children
+    seeds = [0, 2**64 - 1]
+    for seed, rec in zip(seeds, run(cfg, [sphere] * 2, [BOX] * 2, seeds, 20, [20])):
         state = _replayed(cfg, sphere, BOX, seed, 20)
         assert (rec.seed, rec.final_best_value, rec.final_best_point.tolist()) == (seed, state.best_f, state.best_x.tolist())
-    with pytest.raises(ValueError, match="non-negative"):
-        run(cfg, [sphere] * 2, [BOX] * 2, [1, -1], 20, [20])
-    with pytest.raises(ValueError, match="non-negative"):
-        run(cfg, sphere, BOX, -1, 20, [20])
-    with pytest.raises(TypeError, match="SeedSequence expects int"):
-        run(cfg, sphere, BOX, 1.5, 20, [20])
+    # past them, a bool or a non-integer is refused by name, in both forms of
+    # run, before any generator is built
+    monkeypatch.setattr(algorithms, "_spawned_words", lambda seeds: pytest.fail("a generator was built"))
+    for seed, error, must in ((2**64, ValueError, "be in [0, 2**64)"), (2**70, ValueError, "be in [0, 2**64)"),
+                              (-1, ValueError, "be in [0, 2**64)"), (1.5, TypeError, "be an integer"),
+                              (True, TypeError, "be an integer"), (np.True_, TypeError, "be an integer")):
+        match = re.escape(f"a seed must {must}, got {seed!r}") + "$"
+        with pytest.raises(error, match=match):
+            run(cfg, [sphere] * 2, [BOX] * 2, [1, seed], 20, [20])
+        with pytest.raises(error, match=match):
+            run(cfg, sphere, BOX, seed, 20, [20])
 
 
 def test_numpy_integer_seeds_give_python_int_records():

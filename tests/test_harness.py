@@ -123,6 +123,23 @@ def test_plan_validation():
         small_plan(functions=("F27", "F16", "F27"))
     with pytest.raises(ValueError, match="functions must be distinct"):
         ExperimentPlan.from_dict(small_plan().to_dict() | {"functions": ["F27", "F27"]})
+    # built directly or by replace, a string is refused by its key, not split
+    # into labels, and a short pair is named
+    for key, value, error, message in (("functions", "F16", TypeError, "functions must be a list, got 'F16'"),
+                                       ("algorithms", "PSO", TypeError, "algorithms must be a list, got 'PSO'"),
+                                       ("dimensions", 10, TypeError, "dimensions must be a list, got 10"),
+                                       ("pairs", ("PSO:mPSO",), TypeError, "a pairs entry must be a list"),
+                                       ("pairs", (("PSO",),), ValueError, "a pairs entry must be two algorithm labels")):
+        with pytest.raises(error, match=re.escape(message)):
+            small_plan(**{key: value})
+        with pytest.raises(error, match=re.escape(message)):
+            replace(small_plan(), **{key: value})
+    # lists are stored as the tuples from_dict gives, digest included
+    listed = small_plan(algorithms=["PSO", "mPSO"], pairs=[["PSO", "mPSO"]], dimensions=[5], functions=["F27"],
+                        checkpoints=[10, 30])
+    assert listed == small_plan() == ExperimentPlan.from_dict(listed.to_dict())
+    assert listed.digest() == ExperimentPlan.from_dict(json.loads(json.dumps(listed.to_dict()))).digest()
+    assert listed.pairs == (("PSO", "mPSO"),) and type(listed.dimensions) is tuple
 
 
 def test_plan_refuses_non_integer_fields():
