@@ -12,7 +12,9 @@ A step (`step`) is the same for every family: the family proposes m raw
 candidate rows from its dynamics; the skeleton clamps them into the box and,
 for pp and hpp, adds noise to the perturbed rows and clamps those again
 (`perturb_project`); it evaluates the rows, the family accepts or rejects
-them, and the skeleton updates the best-so-far memory.
+them, and the skeleton moves the run's one memory, its best-so-far, to PSO's
+best personal best (condition H) or to the swarm's best agent, if strictly
+lower.  PSO pulls toward the memory, BAT toward its swarm's best agent.
 
 The variants differ only in k, the number of rows perturbed: base perturbs
 none, pp all m rows, hpp the first floor(m/2).  m is n for PSO, BAT and DE,
@@ -51,13 +53,13 @@ Runs of one family and dimension step as one stack (`run` given sequences
 of objectives, boxes and seeds, and one config or one per seed).  A stack
 may mix the family's variants: its configs agree in every field but
 `variant`, and each run perturbs its own k rows.  Their state arrays carry
-a leading run axis: positions (R, n, d), values (R, n), one memory and one
-best-so-far per run, box bounds (R, 1, d) (search_space.BoxStack).  Only
-the draws loop over the runs: each run draws from its own two generators,
-in the order above, as it would alone, and the streams are never merged.
-The arithmetic, the clamp, acceptance, best-so-far tracking, the invariant
-check (one containment test per array, counted per run) and the checkpoint
-record act once on the whole stack.  The noise step acts once on the runs
+a leading run axis: positions (R, n, d), values (R, n), one memory per run,
+box bounds (R, 1, d) (search_space.BoxStack).  Only the draws loop over the
+runs: each run draws from its own two generators, in the order above, as it
+would alone, and the streams are never merged.  The arithmetic, the clamp,
+acceptance, the memory update, the invariant check (one containment test
+per array, counted per run) and the checkpoint record act once on the
+whole stack.  The noise step acts once on the runs
 of each perturbed variant (_project), through a slice when they are
 consecutive, as the harness orders them, else through an index array: a
 stack of one variant does the arithmetic a lone run does.  The objective is
@@ -135,6 +137,9 @@ class AlgorithmConfig:
             raise ValueError(f"family must be one of {FAMILIES}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        object.__setattr__(self, "n", _integer(self.n, "n"))  # so that digest() serialises it
+        if not isinstance(self.noise, NoiseModel):
+            raise TypeError(f"noise must be a NoiseModel, got {self.noise!r}")
         if self.n < 2:
             raise ValueError("need n >= 2 agents")
         if self.family == "CSO" and self.n % 2 != 0:
@@ -179,16 +184,14 @@ ALGORITHM_LABELS = tuple(
 class SwarmState:
     """Mutable state of one run, with the shapes noted; or of R runs of one
     configuration and dimension, stacked on a leading run axis (X (R, n, d),
-    gbest_x (R, d), gbest_f (R,), ...), the form the kernels step."""
+    best_x (R, d), best_f (R,), ...), the form the kernels step."""
 
     X: np.ndarray  # (n, d) positions
     fvals: np.ndarray  # (n,) objective values of X
     V: np.ndarray | None  # (n, d) velocities (PSO/BAT/CSO)
     pbest_X: np.ndarray | None  # PSO personal bests
     pbest_f: np.ndarray | None
-    gbest_x: np.ndarray  # the in-dynamics global memory agent
-    gbest_f: float
-    best_x: np.ndarray  # monotone best-so-far memory (reporting)
+    best_x: np.ndarray  # the run's one memory, its best-so-far; only _step moves it
     best_f: float
     n_evals: int = 0  # per run
 
@@ -378,13 +381,18 @@ def _seed_words() -> type:
     return SeedWords
 
 
+def _integer(value, name: str) -> int:
+    """A value of any integer type as a Python int, so that it serialises; a
+    bool or a non-integer is refused by name."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _seed_value(seed) -> int:
-    """A seed of any integer type as a Python int, so that its record
-    serialises.  A bool, a non-integer or a value outside [0, 2**64), the
-    seeds _spawned_words hashes, is refused."""
-    if isinstance(seed, (bool, np.bool_)) or not hasattr(seed, "__index__"):
-        raise TypeError(f"a seed must be an integer, got {seed!r}")
-    value = operator.index(seed)
+    """A seed as _integer gives it.  A value outside [0, 2**64), the seeds
+    _spawned_words hashes, is refused."""
+    value = _integer(seed, "a seed")
     if not 0 <= value < 1 << 64:
         raise ValueError(f"a seed must be in [0, 2**64), got {seed!r}")
     return value
@@ -422,8 +430,6 @@ def _init(config: AlgorithmConfig, runs: _Runs, X: np.ndarray) -> tuple[SwarmSta
         V=None if config.family == "DE" else np.zeros_like(X),
         pbest_X=X.copy() if config.family == "PSO" else None,
         pbest_f=fvals.copy() if config.family == "PSO" else None,
-        gbest_x=X[rows, j],
-        gbest_f=fvals[rows, j],
         best_x=X[rows, j],
         best_f=fvals[rows, j],
         n_evals=config.n,
@@ -488,7 +494,7 @@ def _pso_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
     state.V = (
         config.w * state.V
         + config.c1 * U1 * (state.pbest_X - state.X)
-        + config.c2 * U2 * (state.gbest_x[:, None] - state.X)
+        + config.c2 * U2 * (state.best_x[:, None] - state.X)
     )
     return state.X + state.V, None
 
@@ -499,12 +505,6 @@ def _pso_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, runs: _Ru
     improved = f < state.pbest_f
     state.pbest_X = np.where(improved[..., None], X, state.pbest_X)
     state.pbest_f = np.where(improved, f, state.pbest_f)
-    rows, j = np.arange(len(f)), np.argmin(state.pbest_f, axis=1)
-    best_f = state.pbest_f[rows, j]
-    # condition H: strict improvement of the best personal-best value
-    moved = best_f < state.gbest_f
-    state.gbest_x = np.where(moved[:, None], state.pbest_X[rows, j], state.gbest_x)
-    state.gbest_f = np.where(moved, best_f, state.gbest_f)
 
 
 def _bat_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
@@ -514,10 +514,10 @@ def _bat_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
     eps = np.empty((R, n, d))
     for r, rng in enumerate(runs.rngs):
         eps[r] = rng.normal(0.0, config.local_step_sigma, size=(n, d))
-    gbest_x = state.gbest_x[:, None]
+    best = state.X[np.arange(R), np.argmin(state.fvals, axis=1)][:, None]  # x*, the swarm's best agent
     # follows the printed v + U(x - x*) orientation
-    state.V = state.V + freq[..., None] * (state.X - gbest_x)
-    cand = np.where((pulse < config.pulse_rate)[..., None], state.X + state.V, gbest_x + eps)
+    state.V = state.V + freq[..., None] * (state.X - best)
+    cand = np.where((pulse < config.pulse_rate)[..., None], state.X + state.V, best + eps)
     return cand, None
 
 
@@ -697,7 +697,7 @@ def _per_point(fbatch):
 
 def _step(state: SwarmState, config: AlgorithmConfig, runs: _Runs) -> np.ndarray:
     """One iteration of R stacked runs: propose, perturb-project, evaluate,
-    accept, track the best.  Each run perturbs k of its m candidate rows, k
+    accept, move the memory.  Each run perturbs k of its m candidate rows, k
     set by its variant (runs.variants; config's own is not read).  Flags the
     runs that met a non-finite value."""
     propose, accept = _KERNELS[config.family]
@@ -712,13 +712,11 @@ def _step(state: SwarmState, config: AlgorithmConfig, runs: _Runs) -> np.ndarray
     f = runs.evaluate(X, per_point=de)
     state.n_evals += m
     accept(state, config, X, f, ctx, runs)
-    if config.family != "PSO":  # PSO's accept moves its memory under condition H
-        rows, j = np.arange(len(f)), np.argmin(state.fvals, axis=1)
-        state.gbest_x = state.X[rows, j]
-        state.gbest_f = state.fvals[rows, j]
-    better = state.gbest_f < state.best_f
-    state.best_f = np.where(better, state.gbest_f, state.best_f)
-    state.best_x = np.where(better[:, None], state.gbest_x, state.best_x)
+    P, fp = (state.pbest_X, state.pbest_f) if config.family == "PSO" else (state.X, state.fvals)  # PSO: condition H
+    rows, j = np.arange(len(fp)), np.argmin(fp, axis=1)
+    better = fp[rows, j] < state.best_f
+    state.best_f = np.where(better, fp[rows, j], state.best_f)
+    state.best_x = np.where(better[:, None], P[rows, j], state.best_x)
     return ~np.isfinite(f).all(axis=1)
 
 
@@ -736,9 +734,9 @@ def _step_failure(config: AlgorithmConfig) -> str:
 
 
 def _check_invariants(state: SwarmState, box: BoxStack, prev_best, runs: _Runs):
-    """Count, per run of a stack, a C1 violation unless its swarm and memory
-    lie in its box, and a C3 violation if its best-so-far rose."""
-    inside = contains(state.X, box, axis=(-2, -1)) & contains(state.gbest_x[..., None, :], box, axis=(-2, -1))
+    """Count, per run of a stack, a C1 violation unless its swarm, memory and
+    PSO's personal bests lie in its box, and a C3 if its memory's value rose."""
+    inside = contains(state.X, box, axis=(-2, -1)) & contains(state.best_x[..., None, :], box, axis=(-2, -1))
     if state.pbest_X is not None:
         inside &= contains(state.pbest_X, box, axis=(-2, -1))
     runs.violations_c1 += ~inside
@@ -746,7 +744,10 @@ def _check_invariants(state: SwarmState, box: BoxStack, prev_best, runs: _Runs):
 
 
 def check_checkpoints(checkpoints, max_iter: int) -> list[int]:
-    """The checkpoint iterations as ints: increasing, from 0 to max_iter."""
+    """The checkpoint iterations as ints: increasing, from 0 to max_iter, which
+    must be an integer (not a bool) and not negative."""
+    if _integer(max_iter, "max_iter") < 0:
+        raise ValueError(f"max_iter must not be negative, got {max_iter!r}")
     ints = [int(t) for t in checkpoints]
     if ints != list(checkpoints) or any(isinstance(t, (bool, np.bool_)) for t in checkpoints):
         raise ValueError(f"checkpoints must be integers, got {list(checkpoints)}")

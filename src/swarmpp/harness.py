@@ -93,6 +93,8 @@ class ExperimentPlan:
             _check_int("a dimensions entry", d)
         if not isinstance(self.name, str):
             raise TypeError(f"name must be a string, got {self.name!r}")
+        if not isinstance(self.noise, NoiseModel):  # checked here too, as a plan may list no algorithm
+            raise TypeError(f"noise must be a NoiseModel, got {self.noise!r}")
         unsafe = [c for c in (",", '"', "\r", "\n") if c in self.name]
         if unsafe:  # metrics.csv writes the name unquoted
             raise ValueError(f"name must not contain {' or '.join(map(repr, unsafe))}, got {self.name!r}")
@@ -117,8 +119,8 @@ class ExperimentPlan:
             raise ValueError(f"unknown function label(s): {', '.join(unknown)}")
         if not self.collection():
             raise ValueError("no collection member has a listed function at a listed dimension")
-        if self.runs < 1 or self.max_iter < 0 or self.n < 2:
-            raise ValueError("invalid runs / max_iter / n")
+        if self.runs < 1 or self.n < 2:
+            raise ValueError("invalid runs / n")
         # stored as ints, so a checkpoint reads back under the key run() writes
         object.__setattr__(self, "checkpoints", tuple(algorithms.check_checkpoints(self.checkpoints, self.max_iter)))
 

@@ -47,6 +47,16 @@ def test_config_validation():
         AlgorithmConfig("GA")
     with pytest.raises(ValueError):
         AlgorithmConfig("PSO", variant="xpp")
+    # n is checked as a seed is: 4.0 failed inside the start sampling, and
+    # np.int64(4) at digest(), which could not serialise it
+    for n in (4.0, True, np.True_, "4"):
+        with pytest.raises(TypeError, match=re.escape(f"n must be an integer, got {n!r}")):
+            AlgorithmConfig("PSO", n=n)
+    assert type(AlgorithmConfig("PSO", n=np.int64(4)).n) is int
+    assert AlgorithmConfig("PSO", n=np.int64(4)).digest() == AlgorithmConfig("PSO", n=4).digest()
+    # a noise model given as its dict failed at digest()
+    with pytest.raises(TypeError, match=re.escape("noise must be a NoiseModel, got {'kind': 'gaussian'")):
+        AlgorithmConfig("PSO", noise={"kind": "gaussian", "sigma": 0.01})
 
 
 def test_label_mapping():
@@ -62,7 +72,7 @@ def test_init_state():
     cfg = AlgorithmConfig("PSO", n=2)
     rng = np.random.default_rng(1)
     st = init_state(cfg, BOX, sphere, rng)
-    assert st.gbest_f == min(sphere(st.X))
+    assert st.best_f == min(sphere(st.X))
     np.testing.assert_array_equal(st.V, 0.0)
     np.testing.assert_array_equal(st.pbest_X, st.X)
 
@@ -97,7 +107,7 @@ def test_pso_zero_constants_freeze_positions():
 
 
 def test_pso_velocity_identity_single_memory():
-    # with pbest == gbest the velocity collapses to (c1 U1 + c2 U2) o (p - x)
+    # with pbest == best_x the velocity collapses to (c1 U1 + c2 U2) o (p - x)
     cfg = AlgorithmConfig("PSO", n=2, w=0.3)
     rng = np.random.default_rng(21)
     st = init_state(cfg, BOX, sphere, rng)
@@ -259,7 +269,7 @@ def test_checkpoints_non_increasing():
         assert rec.violations_c1 == 0 and rec.violations_c3 == 0
 
 
-@pytest.mark.parametrize("family", ["PSO", "CSO"])
+@pytest.mark.parametrize("family", algorithms.FAMILIES)
 def test_check_invariants_counts_each_violation(family):
     box = Box.cube(-1, 1, 3)
     above = np.nextafter(1.0, 2.0)  # the nearest double outside the box
@@ -274,7 +284,7 @@ def test_check_invariants_counts_each_violation(family):
 
     assert counts() == (0, 0)
     assert counts("X", (0, 0), 1.0) == (0, 0)  # the closed box holds its faces
-    cases = [("X", (1, 2), above), ("X", (0, 1), np.nan), ("gbest_x", (2,), -above)]
+    cases = [("X", (1, 2), above), ("X", (0, 1), np.nan), ("best_x", (2,), -above)]
     if family == "PSO":
         cases.append(("pbest_X", (3, 0), above))
     for attr, index, value in cases:
@@ -844,6 +854,21 @@ def test_seeds_outside_uint64_are_refused(monkeypatch):
             run(cfg, [sphere] * 2, [BOX] * 2, [1, seed], 20, [20])
         with pytest.raises(error, match=match):
             run(cfg, sphere, BOX, seed, 20, [20])
+
+
+def test_run_refuses_a_bad_max_iter(monkeypatch):
+    # -1 ran 0 steps and True ran 1; each is now refused by name, in both
+    # forms of run, before any generator is built
+    cfg = config_for_label("mPSO", n=4)
+    monkeypatch.setattr(algorithms, "_spawned_words", lambda seeds: pytest.fail("a generator was built"))
+    for max_iter, error, must in ((-1, ValueError, "not be negative"), (True, TypeError, "be an integer"),
+                                  (np.True_, TypeError, "be an integer"), (2.5, TypeError, "be an integer"),
+                                  (3.0, TypeError, "be an integer")):
+        match = re.escape(f"max_iter must {must}, got {max_iter!r}") + "$"
+        with pytest.raises(error, match=match):
+            run(cfg, [sphere] * 2, [BOX] * 2, [1, 2], max_iter, [])
+        with pytest.raises(error, match=match):
+            run(cfg, sphere, BOX, 1, max_iter, [])
 
 
 def test_numpy_integer_seeds_give_python_int_records():

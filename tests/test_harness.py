@@ -72,6 +72,13 @@ def test_plan_validation():
         small_plan(dimensions=(3,))
     with pytest.raises(ValueError):
         small_plan(checkpoints=(10, 40))
+    with pytest.raises(ValueError, match=re.escape("max_iter must not be negative, got -1")):
+        small_plan(max_iter=-1, checkpoints=())
+    # a noise model given as its dict built, then failed at digest(); a plan
+    # of no algorithm builds no AlgorithmConfig, so the plan checks it itself
+    for algs, pairs in ((("PSO", "mPSO"), (("PSO", "mPSO"),)), ((), ())):
+        with pytest.raises(TypeError, match=re.escape("noise must be a NoiseModel, got {'kind': 'gaussian'")):
+            small_plan(algorithms=algs, pairs=pairs, noise={"kind": "gaussian", "sigma": 0.01})
     # per-family swarm constraints are checked when the plan is built
     with pytest.raises(ValueError, match="even swarm size"):
         small_plan(algorithms=("PSO", "CSO"), pairs=(("PSO", "CSO"),), n=5)
