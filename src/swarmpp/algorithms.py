@@ -94,6 +94,8 @@ import functools
 import hashlib
 import itertools
 import json
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field, fields
 
@@ -138,6 +140,9 @@ class AlgorithmConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         object.__setattr__(self, "n", _integer(self.n, "n"))  # so that digest() serialises it
+        for f in fields(self):
+            if f.type == "float":  # the annotation's text, as `from __future__ import annotations` keeps it
+                object.__setattr__(self, f.name, _real(getattr(self, f.name), f.name))
         if not isinstance(self.noise, NoiseModel):
             raise TypeError(f"noise must be a NoiseModel, got {self.noise!r}")
         if self.n < 2:
@@ -197,12 +202,13 @@ class SwarmState:
 
 
 def _stacked(state: SwarmState) -> SwarmState:
-    """One run's state as a stack of one run, sharing its arrays."""
+    """One run's state as a stack of one run, on copies of its arrays: the
+    kernels update a stack's arrays in place."""
     stack = SwarmState(**vars(state))
     for f in fields(SwarmState):
         value = getattr(state, f.name)
         if value is not None and f.name != "n_evals":
-            setattr(stack, f.name, np.asarray(value)[None])
+            setattr(stack, f.name, np.array(value)[None])
     return stack
 
 
@@ -389,6 +395,17 @@ def _integer(value, name: str) -> int:
     return operator.index(value)
 
 
+def _real(value, name: str) -> float:
+    """A finite value of any real type as a Python float, so that it
+    serialises and compares equal to itself; a bool, a non-real, nan or an
+    infinity is refused by name."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 def _seed_value(seed) -> int:
     """A seed as _integer gives it.  A value outside [0, 2**64), the seeds
     _spawned_words hashes, is refused."""
@@ -456,10 +473,11 @@ def perturb_project(Y, box: Box, noise: NoiseModel, rng_noise, k: int, rows: int
     The run draws rows >= k noise rows in one block from its noise generator
     and uses the first k, so its noise stream advances by the count each
     family has always drawn: the R=1 case of a stack's step.  The output is
-    always inside the box, whatever the noise magnitude.
+    always inside the box, whatever the noise magnitude, and Y is left as it
+    was.
     """
     w = sample_noise(noise, box.dim, rng_noise, size=rows)
-    return _project(np.asarray(Y, dtype=float)[None], BoxStack.of([box]), [(slice(0, 1), k, w[None])])[0]
+    return _project(np.array(Y, dtype=float)[None], BoxStack.of([box]), [(slice(0, 1), k, w[None])])[0]
 
 
 def _noise(noise: NoiseModel, d: int, rng_noises, rows: int) -> np.ndarray:
@@ -471,11 +489,11 @@ def _noise(noise: NoiseModel, d: int, rng_noises, rows: int) -> np.ndarray:
 
 
 def _project(Y, box: BoxStack, perturbed) -> np.ndarray:
-    """The rows Y (R, m, d) clamped into their runs' boxes.  Each (runs, k, w)
-    of `perturbed` names some runs (a slice or an index array) and the noise
-    w, at least k rows per run: their first k rows get it added and are
-    clamped again."""
-    X = np.clip(Y, box.lower, box.upper)
+    """The rows Y (R, m, d) clamped into their runs' boxes, in Y itself.  Each
+    (runs, k, w) of `perturbed` names some runs (a slice or an index array)
+    and the noise w, at least k rows per run: their first k rows get it added
+    and are clamped again."""
+    X = np.clip(Y, box.lower, box.upper, out=Y)  # in place: a stack-sized copy each step churns the heap
     for runs, k, w in perturbed:
         X[runs, :k] = np.clip(X[runs, :k] + w[:, :k], box.lower[runs], box.upper[runs])
     return X
@@ -491,11 +509,15 @@ def _project(Y, box: BoxStack, perturbed) -> np.ndarray:
 def _pso_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
     # U1 then U2, as two calls would draw them
     U1, U2 = _random(runs.rngs, (2, *state.X.shape[1:])).swapaxes(0, 1)
-    state.V = (
-        config.w * state.V
-        + config.c1 * U1 * (state.pbest_X - state.X)
-        + config.c2 * U2 * (state.best_x[:, None] - state.X)
-    )
+    # w V + c1 U1 (pbest - X) + c2 U2 (best - X) in that order, in place: at
+    # stack size, new temporaries make the heap grow, trim and refault each step
+    state.V *= config.w
+    U1 *= config.c1
+    U1 *= state.pbest_X - state.X
+    state.V += U1
+    U2 *= config.c2
+    U2 *= state.best_x[:, None] - state.X
+    state.V += U2
     return state.X + state.V, None
 
 
@@ -503,8 +525,9 @@ def _pso_accept(state: SwarmState, config: AlgorithmConfig, X, f, ctx, runs: _Ru
     state.X = X
     state.fvals = f
     improved = f < state.pbest_f
-    state.pbest_X = np.where(improved[..., None], X, state.pbest_X)
-    state.pbest_f = np.where(improved, f, state.pbest_f)
+    # in place, as the velocity: a new stack-sized array each step churns the heap
+    np.copyto(state.pbest_X, X, where=improved[..., None])
+    np.copyto(state.pbest_f, f, where=improved)
 
 
 def _bat_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
@@ -721,7 +744,9 @@ def _step(state: SwarmState, config: AlgorithmConfig, runs: _Runs) -> np.ndarray
 
 
 def step(state: SwarmState, config: AlgorithmConfig, box: Box, fbatch, rng, rng_noise) -> SwarmState:
-    """One iteration of one run's state: the R=1 case of _step."""
+    """One iteration of one run's state: the R=1 case of _step.  Returns the
+    state, its fields set to new arrays; the arrays it held before are left
+    as they were."""
     stack = _stacked(state)
     if _step(stack, config, _Runs([fbatch], [box], [rng], [rng_noise], [config.variant]))[0]:
         raise RunFailure(_step_failure(config))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,24 @@ def test_config_validation():
     # a noise model given as its dict failed at digest()
     with pytest.raises(TypeError, match=re.escape("noise must be a NoiseModel, got {'kind': 'gaussian'")):
         AlgorithmConfig("PSO", noise={"kind": "gaussian", "sigma": 0.01})
+    # the real parameters: np.float32(0.7) failed at digest(), "x" and True
+    # built, and nan made run() refuse the config as differing from itself
+    reals = [f.name for f in fields(AlgorithmConfig) if f.type == "float"]
+    assert reals == ["w", "c1", "c2", "q_min", "q_max", "pulse_rate", "loudness", "local_step_sigma",
+                     "phi", "f_weight", "crossover"]
+    for name in reals:
+        for bad in (True, np.True_, "x", None, 1j):
+            with pytest.raises(TypeError, match=re.escape(f"{name} must be a real number, got {bad!r}")):
+                AlgorithmConfig("DE", **{name: bad})
+        for bad in (np.nan, np.inf, -np.inf, np.float32(np.nan)):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {bad!r}")):
+                AlgorithmConfig("DE", **{name: bad})
+    cfg = AlgorithmConfig("PSO", w=np.float32(0.5), c1=np.int64(1), phi=0)
+    assert (type(cfg.w), type(cfg.c1), type(cfg.phi)) == (float, float, float)
+    assert cfg.digest() == AlgorithmConfig("PSO", w=0.5, c1=1.0, phi=0.0).digest()
+    # the default configs keep their digests
+    assert [AlgorithmConfig(family).digest() for family in algorithms.FAMILIES] == [
+        "8cafcd11da84fef5", "81f557701879404d", "2c75751bc7b95658", "18cc61a131faf8f9"]
 
 
 def test_label_mapping():
@@ -89,6 +108,23 @@ def test_init_deterministic():
     a = init_state(cfg, BOX, sphere, np.random.default_rng(3))
     b = init_state(cfg, BOX, sphere, np.random.default_rng(3))
     np.testing.assert_array_equal(a.X, b.X)
+
+
+@pytest.mark.parametrize("family", algorithms.FAMILIES)
+def test_step_leaves_the_callers_arrays_alone(family):
+    # the kernels update a stack's arrays in place; CSO's step wrote the
+    # caller's X, fvals and V
+    cfg = AlgorithmConfig(family, "pp", n=6, noise=NoiseModel(sigma=0.5))
+    rng = np.random.default_rng(5)
+    st = init_state(cfg, BOX, sphere, rng)
+    held = {name: value for name, value in vars(st).items() if isinstance(value, np.ndarray)}
+    snapshot = {name: value.copy() for name, value in held.items()}
+    assert set(held) >= {"X", "fvals", "best_x"}
+    for _ in range(3):
+        st = step(st, cfg, BOX, sphere, rng, np.random.default_rng(6))
+    assert not np.array_equal(st.X, snapshot["X"])
+    for name, value in held.items():
+        np.testing.assert_array_equal(value, snapshot[name], err_msg=name)
 
 
 def _one_step(cfg, seed_dyn=11, seed_noise=12):

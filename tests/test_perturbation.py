@@ -83,6 +83,16 @@ def test_pp_update_clamps_then_perturbs():
     np.testing.assert_array_equal(out, [1.0, 1.0])
 
 
+def test_perturb_project_leaves_its_input_alone():
+    # the clamp works in place on the stack's own copy of the rows
+    box = Box.cube(-1, 1, 2)
+    Y = np.array([[2.0, -3.0], [0.5, 4.0], [-0.25, 0.75]])
+    before = Y.copy()
+    out = perturb_project(Y, box, NoiseModel(sigma=0.1), np.random.default_rng(7), k=2, rows=3)
+    np.testing.assert_array_equal(Y, before)
+    assert contains(out, box) and out[2].tolist() == [-0.25, 0.75]
+
+
 def test_pp_update_always_in_box():
     box = Box.cube(-1, 1, 3)
     rng = np.random.default_rng(5)
