@@ -94,13 +94,11 @@ import functools
 import hashlib
 import itertools
 import json
-import math
-import numbers
-import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._checks import integer, real
 from .perturbation import NoiseModel, sample_noise
 from .search_space import Box, BoxStack, contains, uniform_in
 
@@ -139,14 +137,12 @@ class AlgorithmConfig:
             raise ValueError(f"family must be one of {FAMILIES}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        object.__setattr__(self, "n", _integer(self.n, "n"))  # so that digest() serialises it
+        object.__setattr__(self, "n", integer(self.n, "n", 2))  # so that digest() serialises it
         for f in fields(self):
             if f.type == "float":  # the annotation's text, as `from __future__ import annotations` keeps it
-                object.__setattr__(self, f.name, _real(getattr(self, f.name), f.name))
+                object.__setattr__(self, f.name, real(getattr(self, f.name), f.name))
         if not isinstance(self.noise, NoiseModel):
             raise TypeError(f"noise must be a NoiseModel, got {self.noise!r}")
-        if self.n < 2:
-            raise ValueError("need n >= 2 agents")
         if self.family == "CSO" and self.n % 2 != 0:
             raise ValueError("CSO pairing needs an even swarm size")
         if self.family == "DE" and self.n < 4:
@@ -163,16 +159,15 @@ class AlgorithmConfig:
 
 # label <-> (family, variant): PSO, mPSO, hmPSO, ...
 def split_label(label: str) -> tuple[str, str]:
-    """The (family, variant) an algorithm label names."""
-    variant = "base"
-    fam = label
-    if label.startswith("hm"):
-        variant, fam = "hpp", label[2:]
-    elif label.startswith("m"):
-        variant, fam = "pp", label[1:]
-    if fam not in FAMILIES:
+    """The (family, variant) an algorithm label names; anything but one of
+    ALGORITHM_LABELS is refused."""
+    if label not in ALGORITHM_LABELS:
         raise ValueError(f"unknown algorithm label {label!r}")
-    return fam, variant
+    if label.startswith("hm"):
+        return label[2:], "hpp"
+    if label.startswith("m"):
+        return label[1:], "pp"
+    return label, "base"
 
 
 def config_for_label(label: str, **overrides) -> AlgorithmConfig:
@@ -387,29 +382,10 @@ def _seed_words() -> type:
     return SeedWords
 
 
-def _integer(value, name: str) -> int:
-    """A value of any integer type as a Python int, so that it serialises; a
-    bool or a non-integer is refused by name."""
-    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _real(value, name: str) -> float:
-    """A finite value of any real type as a Python float, so that it
-    serialises and compares equal to itself; a bool, a non-real, nan or an
-    infinity is refused by name."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
-
-
 def _seed_value(seed) -> int:
-    """A seed as _integer gives it.  A value outside [0, 2**64), the seeds
-    _spawned_words hashes, is refused."""
-    value = _integer(seed, "a seed")
+    """A seed as an int.  A value outside [0, 2**64), the seeds _spawned_words
+    hashes, is refused."""
+    value = integer(seed, "a seed")
     if not 0 <= value < 1 << 64:
         raise ValueError(f"a seed must be in [0, 2**64), got {seed!r}")
     return value
@@ -770,19 +746,13 @@ def _check_invariants(state: SwarmState, box: BoxStack, prev_best, runs: _Runs):
 
 def check_checkpoints(checkpoints, max_iter: int) -> list[int]:
     """The checkpoint iterations as ints: increasing, from 0 to max_iter, which
-    must be an integer (not a bool) and not negative."""
-    if _integer(max_iter, "max_iter") < 0:
-        raise ValueError(f"max_iter must not be negative, got {max_iter!r}")
-    ints = [int(t) for t in checkpoints]
-    if ints != list(checkpoints) or any(isinstance(t, (bool, np.bool_)) for t in checkpoints):
-        raise ValueError(f"checkpoints must be integers, got {list(checkpoints)}")
-    checkpoints = ints
+    must be an integer of at least 0."""
+    max_iter = integer(max_iter, "max_iter", 0)
+    checkpoints = [integer(t, "a checkpoints entry", 0) for t in checkpoints]
     if sorted(checkpoints) != checkpoints:
         raise ValueError("checkpoints must be sorted")
     if len(set(checkpoints)) != len(checkpoints):
         raise ValueError(f"checkpoints must be distinct, got {checkpoints}")
-    if checkpoints and checkpoints[0] < 0:
-        raise ValueError(f"checkpoints must not be negative, got {checkpoints[0]}")
     if checkpoints and checkpoints[-1] > max_iter:
         raise ValueError("checkpoints must not exceed max_iter")
     return checkpoints

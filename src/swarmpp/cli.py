@@ -68,7 +68,7 @@ def _populate(args, stores, force=False) -> int:
     resume, exits 2; any other failure exits 1."""
     try:
         plan = _load_plan(args)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for sub, outdir in stores(plan):

@@ -12,9 +12,11 @@ of algorithms.run, which steps its runs together.  A group joins the stack
 before it while both share family and dimension and the stack's runs x d
 stays within the cap (_groups, _cap), so a family's base, hpp and pp runs at
 a dimension step together as far as they fit.  At parallelism 1 the cap is
-the full protocol's largest group at the plan's runs, so no stack needs
-more memory than the full protocol's at the same runs; at parallelism > 1
-it is the plan's own largest group, so the workers get independent stacks.
+the full protocol's largest group at the plan's runs; at parallelism > 1 it
+is the plan's own largest group, so the workers get independent stacks.
+Either is capped at 56 000 run-coordinates, the full protocol's largest
+group at its 100 runs, and a group larger than the cap is cut into stacks
+within it, so no stack needs more memory than the full protocol's largest.
 A stack's records are appended to runs.jsonl in cell order when it
 finishes: an interruption loses the stack in flight (at parallelism > 1,
 the stacks being computed).
@@ -35,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithms, metrics, objectives
+from ._checks import integer
 from .algorithms import config_for_label, split_label
 from .perturbation import NoiseModel
 
@@ -47,11 +50,6 @@ def derive_seed(master: int, algorithm: str, function: str, dimension: int, run:
     """Stable 64-bit seed for one run cell; a pure function of the tuple."""
     key = f"{master}|{algorithm}|{function}|{dimension}|{run}".encode()
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little")
-
-
-def _check_int(name: str, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _listed(name: str, value) -> tuple:
@@ -86,11 +84,10 @@ class ExperimentPlan:
         for p in self.pairs:
             if len(p) != 2:
                 raise ValueError(f"a pairs entry must be two algorithm labels, got {list(p)}")
-        # before anything compares them: 5.0 == 5, but derive_seed keys on str(d)
-        for name in ("runs", "max_iter", "n", "parallelism", "master_seed"):
-            _check_int(name, getattr(self, name))
-        for d in self.dimensions:
-            _check_int("a dimensions entry", d)
+        # stored as ints before anything compares them: 5.0 == 5, but derive_seed keys on str(d)
+        for name, lo in (("runs", 1), ("max_iter", 0), ("n", 2), ("parallelism", 1), ("master_seed", None)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, lo))
+        object.__setattr__(self, "dimensions", tuple(integer(d, "a dimensions entry") for d in self.dimensions))
         if not isinstance(self.name, str):
             raise TypeError(f"name must be a string, got {self.name!r}")
         if not isinstance(self.noise, NoiseModel):  # checked here too, as a plan may list no algorithm
@@ -98,8 +95,6 @@ class ExperimentPlan:
         unsafe = [c for c in (",", '"', "\r", "\n") if c in self.name]
         if unsafe:  # metrics.csv writes the name unquoted
             raise ValueError(f"name must not contain {' or '.join(map(repr, unsafe))}, got {self.name!r}")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
         for label in self.algorithms:
             config_for_label(label, n=self.n, noise=self.noise)  # rejects bad labels and swarm sizes
         for a, b in self.pairs:
@@ -119,8 +114,6 @@ class ExperimentPlan:
             raise ValueError(f"unknown function label(s): {', '.join(unknown)}")
         if not self.collection():
             raise ValueError("no collection member has a listed function at a listed dimension")
-        if self.runs < 1 or self.n < 2:
-            raise ValueError("invalid runs / n")
         # stored as ints, so a checkpoint reads back under the key run() writes
         object.__setattr__(self, "checkpoints", tuple(algorithms.check_checkpoints(self.checkpoints, self.max_iter)))
 
@@ -181,13 +174,15 @@ def _cap(plan: ExperimentPlan) -> int:
     """The most runs x d a stack of the plan may hold.  At parallelism 1, the
     largest (label, dimension) group of the full protocol at the plan's runs
     (runs x 560, the 14 members at d=40): a plan of fewer members or
-    dimensions fuses its variants as the full protocol does, and none of its
-    stacks needs more memory than the full protocol's.  At parallelism > 1,
-    the largest group of the plan itself, so that its stacks stay many
-    enough to keep the workers busy."""
+    dimensions fuses its variants as the full protocol does.  At parallelism
+    > 1, the largest group of the plan itself, so that its stacks stay many
+    enough to keep the workers busy.  Either is capped at that protocol group
+    at the protocol's 100 runs (56 000), so that no stack needs more memory
+    than the full protocol's largest, however many runs the plan has."""
+    protocol = max(len(objectives.list_collection(d)) * d for d in objectives.COLLECTION_DIMS)
     if plan.parallelism == 1:
-        return plan.runs * max(len(objectives.list_collection(d)) * d for d in objectives.COLLECTION_DIMS)
-    return max(len(group) * group[0][2] for group in _label_groups(plan.cells()))
+        return min(plan.runs, 100) * protocol
+    return min(max(len(group) * group[0][2] for group in _label_groups(plan.cells())), 100 * protocol)
 
 
 def _groups(cells, cap: int) -> list[list[tuple]]:
@@ -195,15 +190,18 @@ def _groups(cells, cap: int) -> list[list[tuple]]:
     stack before it while they share family and dimension and the stack's
     runs x d stays within `cap` (_cap of the whole plan, also on resume).
     Over `ExperimentPlan.cells` that merges the base, hpp and pp groups of a
-    family at a dimension as far as they fit."""
+    family at a dimension as far as they fit.  A group that alone exceeds
+    `cap` is first cut into pieces of cap // d cells, each then placed as a
+    group is."""
     stacks = []  # ((family, dimension), cells)
     for group in _label_groups(cells):
         alg, _, d, _ = group[0]
-        key = split_label(alg)[0], d
-        if stacks and stacks[-1][0] == key and (len(stacks[-1][1]) + len(group)) * d <= cap:
-            stacks[-1][1].extend(group)
-        else:
-            stacks.append((key, group))
+        key, size = (split_label(alg)[0], d), cap // d
+        for piece in (group[i:i + size] for i in range(0, len(group), size)):
+            if stacks and stacks[-1][0] == key and (len(stacks[-1][1]) + len(piece)) * d <= cap:
+                stacks[-1][1].extend(piece)
+            else:
+                stacks.append((key, piece))
     return [stack for _, stack in stacks]
 
 
@@ -389,9 +387,10 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     time (_groups, under the whole plan's _cap, not one taken from the cells
     left) and each stack's records are appended to runs.jsonl as the stack
     completes.  An interruption loses only the stack in flight (at
-    parallelism > 1, the stacks being computed), which at parallelism 1 is
-    no larger than the full protocol's largest group at the plan's runs;
-    on a plan of one dimension it may hold all of a family's runs.
+    parallelism > 1, the stacks being computed), which holds at most
+    min(runs, 100) x 560 run-coordinates, the full protocol's largest group
+    at the plan's runs or at 100; on a plan of one dimension that may be all
+    of a family's runs.
     runs.jsonl has the same bytes wherever earlier runs were interrupted.
     """
     store = ResultStore(outdir)

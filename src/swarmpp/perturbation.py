@@ -8,10 +8,11 @@ each coordinate's standard deviation to 0.01 regardless of df.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import integer, real
 
 NOISE_KINDS = ("gaussian", "scaled_t")
 
@@ -25,22 +26,17 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}")
-        if isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real):
-            raise TypeError(f"noise sigma must be a number, got {self.sigma!r}")
-        object.__setattr__(self, "sigma", float(self.sigma))  # stored, serialised and digested as a float
+        object.__setattr__(self, "sigma", real(self.sigma, "sigma"))  # stored, serialised and digested as a float
         if self.kind == "gaussian":
             if self.df is not None:
                 raise ValueError("gaussian noise takes only 'sigma'; unused key(s): df")
-            if not (np.isfinite(self.sigma) and self.sigma > 0):
-                raise ValueError("gaussian noise needs finite sigma > 0")
+            if not self.sigma > 0:
+                raise ValueError(f"gaussian noise needs sigma > 0, got {self.sigma!r}")
         else:
             if self.sigma != NoiseModel.sigma:  # the scale is pinned by df; sigma stays its default
                 raise ValueError("scaled_t noise takes only 'df'; unused key(s): sigma")
-            if self.df is not None and self.df != int(self.df):
-                raise ValueError(f"scaled_t df must be an integer, got {self.df!r}")
-            if self.df is None or self.df <= 2:
-                raise ValueError("scaled_t noise needs df > 2 so the variance exists")
-            object.__setattr__(self, "df", int(self.df))
+            object.__setattr__(self, "df", integer(self.df, "df", 3))  # df > 2, so the variance exists
+            real(self.df, "df")  # standard_t takes df as a double
 
     def to_dict(self) -> dict:
         if self.kind == "gaussian":
@@ -51,20 +47,17 @@ class NoiseModel:
     def from_dict(cls, d: dict) -> "NoiseModel":
         """The inverse of to_dict.  A missing kind is Gaussian and a missing
         sigma takes its default; anything but a dict, or a key the kind does
-        not use, is refused, and so, by the constructor, is a sigma that is no
-        number or a non-integral df."""
+        not use, is refused, and so, by the constructor, is an unknown kind
+        or a bad sigma or df."""
         if not isinstance(d, dict):
             raise TypeError(f"noise must be a JSON object, got {d!r}")
         kind = d.get("kind", "gaussian")
-        if kind not in NOISE_KINDS:
-            raise ValueError(f"noise kind must be one of {NOISE_KINDS}")
         param = "sigma" if kind == "gaussian" else "df"
+        model = cls(kind, **{key: d[key] for key in d.keys() & {param}})
         unused = sorted(set(d) - {"kind", param})
         if unused:
             raise ValueError(f"{kind} noise takes only {param!r}; unused key(s): {', '.join(unused)}")
-        if kind == "gaussian":
-            return cls(sigma=d.get("sigma", cls.sigma))
-        return cls(kind=kind, df=d.get("df"))
+        return model
 
 
 def sample_noise(model: NoiseModel, d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

@@ -76,12 +76,14 @@ def test_run_invalid_plan(tmp_path, capsys):
         assert not (tmp_path / "s").exists()
     # and an integer field that is not an int: before, 2.0 made a manifest and
     # then failed mid-run with exit 1; and noise that is no JSON object or has
-    # a sigma past the largest double, which exited 1 with a traceback, or a
-    # sigma that is no number, which ran
+    # a sigma or df past the largest double, which exited 1 with a traceback
+    # (the df after writing a manifest), or a sigma that is no number, which
+    # ran; and a label that is no string, which exited 1 with a traceback
     for key, value in (("runs", 2.0), ("max_iter", 5.0), ("runs", True), ("dimensions", [5.0]),
                        ("master_seed", "7"), ("parallelism", 0), ("noise", 5), ("noise", "gaussian"),
                        ("noise", [1]), ("noise", {"sigma": True}), ("noise", {"sigma": "0.01"}),
-                       ("noise", {"sigma": 10**400}), ("runs", 0), ("max_iter", -1)):
+                       ("noise", {"sigma": 10**400}), ("noise", {"kind": "scaled_t", "df": 10**400}),
+                       ("runs", 0), ("max_iter", -1), ("algorithms", [["PSO"]])):
         write_plan(tmp_path, **{key: value})
         code, _, err = run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))
         assert code == 2 and err.startswith("error: invalid plan:"), (key, value)

@@ -72,7 +72,7 @@ def test_plan_validation():
         small_plan(dimensions=(3,))
     with pytest.raises(ValueError):
         small_plan(checkpoints=(10, 40))
-    with pytest.raises(ValueError, match=re.escape("max_iter must not be negative, got -1")):
+    with pytest.raises(ValueError, match=re.escape("max_iter must be at least 0, got -1")):
         small_plan(max_iter=-1, checkpoints=())
     # a noise model given as its dict built, then failed at digest(); a plan
     # of no algorithm builds no AlgorithmConfig, so the plan checks it itself
@@ -97,17 +97,19 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="no collection member"):
         small_plan(dimensions=())
     # checkpoints are distinct and non-negative; 0 is the initial swarm
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match=re.escape("a checkpoints entry must be at least 0, got -1")):
         small_plan(checkpoints=(-1, 3))
     with pytest.raises(ValueError, match="distinct"):
         small_plan(checkpoints=(2, 2, 3))
     assert small_plan(checkpoints=(0, 3)).checkpoints == (0, 3)
-    # and integers: 2.5 is refused, 10.0 is read as 10, the key runs.jsonl holds
-    with pytest.raises(ValueError, match="integers"):
-        small_plan(checkpoints=(2.5, 3))
-    assert [type(t) for t in small_plan(checkpoints=(10.0, 30)).checkpoints] == [int, int]
+    # and integers, as runs is: 2.5 and 10.0 are refused (10.0 was read as 10),
+    # and a numpy integer is stored as the int, the key runs.jsonl holds
+    for bad in (2.5, 10.0):
+        with pytest.raises(TypeError, match=re.escape(f"a checkpoints entry must be an integer, got {bad!r}")):
+            small_plan(checkpoints=(bad, 30))
+    assert [type(t) for t in small_plan(checkpoints=(np.int64(10), 30)).checkpoints] == [int, int]
     # a bool is no checkpoint, though int(True) is 1
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(TypeError, match="a checkpoints entry must be an integer, got True"):
         ExperimentPlan.from_dict(small_plan().to_dict() | {"checkpoints": [True, 3]})
     # metrics.csv writes the name unquoted, so a name that would break its
     # rows is refused: "a,b" made 9-field rows under the 8-column header
@@ -159,6 +161,43 @@ def test_plan_refuses_non_integer_fields():
         with pytest.raises(ValueError, match="parallelism must be at least 1"):
             ExperimentPlan.from_dict(base | {"parallelism": parallelism})
     assert ExperimentPlan.from_dict(base) == small_plan()
+
+
+def test_every_integer_input_takes_one_check():
+    # one check decides what an integer is, wherever it is given: before,
+    # np.int64(4) was refused as a plan's n and taken as a config's, and a
+    # float checkpoint or df was taken while a float runs was refused
+    def plan_field(key):
+        return lambda value: small_plan(**{key: value})
+
+    inputs = [(key, plan_field(key), lo) for key, lo in
+              (("runs", 1), ("max_iter", 0), ("n", 2), ("parallelism", 1), ("master_seed", None))] + [
+        ("a dimensions entry", lambda value: small_plan(dimensions=(value,)), None),
+        ("a checkpoints entry", lambda value: small_plan(checkpoints=(value,)), 0),
+        ("n", lambda value: algorithms.AlgorithmConfig("PSO", n=value), 2),
+        ("df", lambda value: NoiseModel(kind="scaled_t", df=value), 3),
+        ("max_iter", lambda value: algorithms.check_checkpoints([], value), 0),
+        ("a checkpoints entry", lambda value: algorithms.check_checkpoints([value], 30), 0),
+        ("a seed", algorithms._seed_value, None),
+    ]
+    for name, take, lo in inputs:
+        for bad in (True, np.True_, 2.0, "7", None):
+            with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {bad!r}") + "$"):
+                take(bad)
+        if lo is not None:
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be at least {lo}, got {lo - 1}") + "$"):
+                take(lo - 1)
+    # a numpy integer is stored as the int, so the plan digests and seeds its
+    # cells as the plan of Python ints does
+    for key, value in (("runs", 3), ("max_iter", 30), ("n", 4), ("parallelism", 2), ("master_seed", 7),
+                       ("dimensions", (5,)), ("checkpoints", (10, 30))):
+        python = small_plan(**{key: value})
+        given = small_plan(**{key: np.int64(value) if isinstance(value, int) else tuple(map(np.int64, value))})
+        stored = getattr(given, key)
+        assert {type(v) for v in (stored if isinstance(stored, tuple) else (stored,))} == {int}, key
+        assert given.digest() == python.digest()
+        assert [derive_seed(given.master_seed, *cell) for cell in given.cells()] == [
+            derive_seed(python.master_seed, *cell) for cell in python.cells()]
 
 
 def test_plan_json_roundtrip(tmp_path):
@@ -246,12 +285,13 @@ def test_groups_one_per_algorithm_and_dimension():
         assert [(tuple(dict.fromkeys(alg for alg, _, _, _ in g)), g[0][2], len(g)) for g in groups] == expected
         assert all({d for _, _, d, _ in g} == {g[0][2]} for g in groups)
         assert max(len(g) * g[0][2] for g in groups) == 2240
-    # at 100 runs, the same 32 stacks, 25 times the runs each, at any parallelism
-    plan = replace(plan, runs=100)
-    for parallelism in (1, 2):
-        groups = harness._groups(plan.cells(), harness._cap(replace(plan, parallelism=parallelism)))
-        assert [(tuple(dict.fromkeys(alg for alg, _, _, _ in g)), g[0][2], len(g)) for g in groups] == [
-            (labels, d, 25 * runs) for labels, d, runs in expected]
+    # at 1 and 100 runs, the same 32 stacks, scaled by the runs, at any parallelism
+    for runs in (1, 100):
+        plan = replace(plan, runs=runs)
+        for parallelism in (1, 2):
+            groups = harness._groups(plan.cells(), harness._cap(replace(plan, parallelism=parallelism)))
+            assert [(tuple(dict.fromkeys(alg for alg, _, _, _ in g)), g[0][2], len(g)) for g in groups] == [
+                (labels, d, n * runs // 4) for labels, d, n in expected]
 
 
 def test_single_dimension_plans_fuse_their_variants_at_parallelism_1():
@@ -607,6 +647,34 @@ def test_groups_merge_a_familys_groups_within_the_largest():
             # the cells a resume runs are cut under the whole plan's cap
             for done in (1, len(cells) // 3, len(cells) - 1):
                 _check_stacks(harness._groups(cells[done:], cap), cells[done:], cap)
+
+
+def test_groups_cut_a_group_larger_than_the_cap():
+    # past 100 runs the cap stays at the full protocol's largest group at 100
+    # runs (100 x 560), at any parallelism, and a (label, dimension) group
+    # larger than that is cut into stacks of cap // d cells: before, at 400
+    # runs each d=40 group stepped as one stack of 5600 runs, 224 000
+    # run-coordinates.  Groups that fit still merge whole
+    plan = small_plan(algorithms=algorithms.ALGORITHM_LABELS, pairs=(), dimensions=objectives.COLLECTION_DIMS,
+                      functions=None)
+    prefixes = ("", "hm", "m")
+    per_family = {  # runs -> (label prefixes, d, runs) of each of a family's stacks
+        101: [(prefixes, 2, 3939), (prefixes, 5, 4545), (prefixes, 10, 4242)]
+        + [((p,), 20, 1414) for p in prefixes] + [((p,), 40, n) for p in prefixes for n in (1400, 14)],
+        400: [(prefixes, 2, 15600)] + [((p,), 5, 6000) for p in prefixes] + [((p,), 10, 5600) for p in prefixes]
+        + [((p,), 20, 2800) for p in prefixes for _ in range(2)] + [((p,), 40, 1400) for p in prefixes for _ in range(4)],
+    }
+    for runs, shape in per_family.items():
+        plan = replace(plan, runs=runs)
+        cells = plan.cells()
+        expected = [(tuple(p + fam for p in labels), d, n) for fam in ("BAT", "CSO", "DE", "PSO") for labels, d, n in shape]
+        for parallelism in (1, 2):
+            cap = harness._cap(replace(plan, parallelism=parallelism))
+            assert cap == 56_000
+            stacks = harness._groups(cells, cap)
+            _check_stacks(stacks, cells, cap)
+            assert [(tuple(dict.fromkeys(alg for alg, _, _, _ in g)), g[0][2], len(g)) for g in stacks] == expected
+            assert max(len(stack) * stack[0][2] for stack in stacks) == 56_000
 
 
 def test_plan_refuses_repeated_dimensions_and_pairs():

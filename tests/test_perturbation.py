@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,23 +22,31 @@ def test_noise_model_refuses_what_from_dict_refuses():
     # a df the Gaussian kind would drop from to_dict() and the digest
     with pytest.raises(ValueError, match="gaussian noise takes only 'sigma'; unused key"):
         NoiseModel(kind="gaussian", df=5)
-    with pytest.raises(ValueError, match="df must be an integer, got 3.5"):
-        NoiseModel(kind="scaled_t", df=3.5)
+    # a df that is no integer, as any integer field: 10.0 was read as 10
+    for df in (3.5, 10.0):
+        with pytest.raises(TypeError, match=re.escape(f"df must be an integer, got {df!r}")):
+            NoiseModel(kind="scaled_t", df=df)
+    # a df past the largest double, which standard_t failed to convert
+    with pytest.raises(ValueError, match=re.escape(f"df must be finite, got {10**400!r}")):
+        NoiseModel.from_dict({"kind": "scaled_t", "df": 10**400})
     # a sigma the scaled t would drop likewise
     with pytest.raises(ValueError, match="scaled_t noise takes only 'df'; unused key"):
         NoiseModel(kind="scaled_t", df=5, sigma=0.1)
-    # an integral df of any type is stored, serialised and digested as an int
-    for df in (10.0, np.int64(10)):
-        model = NoiseModel(kind="scaled_t", df=df)
-        assert type(model.df) is int and model == NoiseModel(kind="scaled_t", df=10)
-        assert model.to_dict() == {"kind": "scaled_t", "df": 10}
-    # a sigma that is a bool or no number: True ran as sigma = 1.0, and a
-    # string was converted by from_dict
-    for sigma in (True, np.True_, "0.01", None):
-        with pytest.raises(TypeError, match="sigma must be a number"):
+    # an integer df of any type is stored, serialised and digested as an int
+    model = NoiseModel(kind="scaled_t", df=np.int64(10))
+    assert type(model.df) is int and model == NoiseModel(kind="scaled_t", df=10)
+    assert model.to_dict() == {"kind": "scaled_t", "df": 10}
+    # a sigma that is a bool or no real number: True ran as sigma = 1.0, and
+    # a string was converted by from_dict
+    for sigma in (True, np.True_, "0.01", "x", None, 1j):
+        with pytest.raises(TypeError, match=re.escape(f"sigma must be a real number, got {sigma!r}")):
             NoiseModel(sigma=sigma)
-        with pytest.raises(TypeError, match="sigma must be a number"):
+        with pytest.raises(TypeError, match=re.escape(f"sigma must be a real number, got {sigma!r}")):
             NoiseModel.from_dict({"kind": "gaussian", "sigma": sigma})
+    # and one that is not finite: 10**400 leaked an OverflowError
+    for sigma in (np.nan, np.inf, 10**400):
+        with pytest.raises(ValueError, match=re.escape(f"sigma must be finite, got {sigma!r}")):
+            NoiseModel(sigma=sigma)
     # a number of any type is stored, serialised and digested as a float
     for sigma in (1, np.float32(0.5), np.int64(2)):
         model = NoiseModel(sigma=sigma)
@@ -136,16 +146,16 @@ def test_noise_model_serialization():
     assert NoiseModel.from_dict({"sigma": 0.02}) == g
     with pytest.raises(ValueError):
         NoiseModel.from_dict({"kind": "cauchy"})
-    # a key the kind does not use, or a non-integral df, is refused
+    # a key the kind does not use, or a df that is no integer, is refused
     with pytest.raises(ValueError, match="sgima"):
         NoiseModel.from_dict({"kind": "gaussian", "sgima": 0.1})
     with pytest.raises(ValueError, match="sigma"):
         NoiseModel.from_dict({"kind": "scaled_t", "df": 10, "sigma": 0.1})
     with pytest.raises(ValueError, match="df"):
         NoiseModel.from_dict({"kind": "gaussian", "df": 10})
-    with pytest.raises(ValueError, match="integer"):
-        NoiseModel.from_dict({"kind": "scaled_t", "df": 10.7})
-    assert NoiseModel.from_dict({"kind": "scaled_t", "df": 10.0}) == NoiseModel(kind="scaled_t", df=10)
+    for df in (10.7, 10.0):
+        with pytest.raises(TypeError, match=re.escape(f"df must be an integer, got {df!r}")):
+            NoiseModel.from_dict({"kind": "scaled_t", "df": df})
     # noise that is not a JSON object
     for value in (5, "gaussian", [1], None):
         with pytest.raises(TypeError, match="noise must be a JSON object"):
