@@ -30,6 +30,7 @@ import concurrent.futures
 import hashlib
 import itertools
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -299,55 +300,65 @@ class ResultStore:
         return records
 
     def write_metrics(self, rows: list[tuple]):
-        lines = [METRICS_HEADER]
-        for row in rows:
-            lines.append(",".join(str(v) for v in row))
-        _replace_text(self.metrics_path, "\n".join(lines) + "\n")
+        lines = "".join(f"{e},{p},{f},{d},{t},{m},{v},{k}\n" for e, p, f, d, t, m, v, k in rows)
+        _replace_text(self.metrics_path, METRICS_HEADER + "\n" + lines)
 
 
-def _valid_pair_values(records, plan, a, b, label, d, t):
-    """Matched run vectors for a pair, excluding runs failed on either side."""
-    a_vals, b_vals, excluded = [], [], 0
-    for r in range(plan.runs):
-        ra = records.get((a, label, d, r))
-        rb = records.get((b, label, d, r))
-        if ra is None or rb is None:
-            raise KeyError(f"missing run record for {label} d={d} run={r}")
-        if ra["status"] != "ok" or rb["status"] != "ok":
-            excluded += 1
-            continue
-        a_vals.append(ra["checkpoints"][str(t)])
-        b_vals.append(rb["checkpoints"][str(t)])
-    if excluded:
-        warnings.warn(
-            f"excluded {excluded} failed run pair(s) for {a}/{b} on {label} d={d}"
-        )
-    return np.asarray(a_vals), np.asarray(b_vals)
+def _run_table(records, alg: str, labels: list[str], d: int, plan: ExperimentPlan):
+    """One label's records at dimension d as a run table: the best-so-far
+    values (functions, checkpoints, runs), runs last, NaN where a run failed,
+    and the ok mask (functions, runs)."""
+    keys = [str(t) for t in plan.checkpoints]
+    values = operator.itemgetter(*keys)  # a value, or a tuple of them
+    recs = [records.get((alg, label, d, r)) for label in labels for r in range(plan.runs)]
+    if None in recs:
+        i = recs.index(None)
+        raise KeyError(f"missing run record for {labels[i // plan.runs]} d={d} run={i % plan.runs}")
+    ok = [rec["status"] == "ok" for rec in recs]
+    failed = values(dict.fromkeys(keys, np.nan))
+    table = np.array([values(rec["checkpoints"]) if good else failed for rec, good in zip(recs, ok)], dtype=float)
+    shape = (len(labels), plan.runs)
+    table = table.reshape(*shape, len(keys)).transpose(0, 2, 1)
+    return np.ascontiguousarray(table), np.array(ok, dtype=bool).reshape(shape)
+
+
+_METRICS = ("winning_proportion", "relative_error_orig", "relative_error_mod")
 
 
 def compute_metric_rows(plan: ExperimentPlan, records: dict[tuple, dict]) -> list[tuple]:
     """Long-format metric rows for every pair, function, dimension, checkpoint.
 
     Per-function rows carry the win fraction and both relative errors;
-    function "ALL" rows carry the dimension-level aggregates
-    (metrics.pair_figures).
+    function "ALL" rows carry the dimension-level aggregates.  The records
+    of a dimension are read once into one run table per label, and one
+    metrics.pair_figures call takes every pair's tables; runs that failed on
+    either side of a pair are left out, with one warning per function.
     """
-    rows = []
+    if not (plan.pairs and plan.checkpoints):
+        return []
     members = plan.collection()
-    for a, b in plan.pairs:
+    labels = {d: [spec.label for spec, dd in members if dd == d] for d in plan.dimensions}
+    figures = {}  # d -> count (pairs, F + 1), then win, ties, RE_a, RE_b (pairs, checkpoints, F + 1)
+    for d in plan.dimensions:
+        tables = {alg: _run_table(records, alg, labels[d], d, plan)
+                  for alg in dict.fromkeys(itertools.chain(*plan.pairs))}
+        a, ok_a = zip(*(tables[alg] for alg, _ in plan.pairs))
+        b, ok_b = zip(*(tables[alg] for _, alg in plan.pairs))
+        count, *per_checkpoint = metrics.pair_figures(np.stack(a), np.stack(b), np.stack(ok_a) & np.stack(ok_b))
+        figures[d] = [count.tolist()] + [x.swapaxes(-1, -2).tolist() for x in per_checkpoint]
+    rows = []
+    for p, (a, b) in enumerate(plan.pairs):
         pair = f"{a}:{b}"
         for d in plan.dimensions:
-            labels = [spec.label for spec, dd in members if dd == d]
-            for t in plan.checkpoints:
-                runs = [(label, *_valid_pair_values(records, plan, a, b, label, d, t)) for label in labels]
-                figures = metrics.pair_figures([run for run in runs if run[1].size])
-                for function, win, ties, re_a, re_b in figures:
-                    for metric, value in (
-                        ("winning_proportion", win),
-                        ("relative_error_orig", re_a),
-                        ("relative_error_mod", re_b),
-                    ):
-                        rows.append((plan.name, pair, function, d, t, metric, repr(value), ties))
+            count, win, ties, re_a, re_b = (x[p] for x in figures[d])
+            for label, n in zip(labels[d], count):
+                if n < plan.runs:
+                    warnings.warn(f"excluded {plan.runs - n} failed run pair(s) for {a}/{b} on {label} d={d}")
+            names = labels[d] + ["ALL"]
+            for t, win_t, ties_t, re_a_t, re_b_t in zip(plan.checkpoints, win, ties, re_a, re_b):
+                rows += [(plan.name, pair, label, d, t, metric, repr(value), tie)
+                         for label, n, tie, *values in zip(names, count, ties_t, win_t, re_a_t, re_b_t) if n
+                         for metric, value in zip(_METRICS, values)]
     return rows
 
 

@@ -13,6 +13,8 @@ scale- and shift-free score in [0, 1].
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -57,26 +59,76 @@ def aggregate_relative_error(per_function: list[float]) -> float:
     return float(np.mean(per_function))
 
 
-def pair_figures(runs) -> list[tuple[str, float, int, float, float]]:
-    """Comparison figures of B against A at one checkpoint.
+def _compacted(x: np.ndarray, mask: np.ndarray):
+    """The rows of x (M, ..., L) grouped by their number n > 0 of entries set
+    in mask (M, L): per n, (n, rows, x[rows] holding only the set entries
+    along L, in order), the last a C-contiguous array (len(rows), ..., n)."""
+    counts = mask.sum(-1).tolist()
+    for n in sorted(set(counts) - {0}):
+        rows = [i for i, c in enumerate(counts) if c == n]
+        if n == mask.shape[-1]:
+            yield n, rows, np.ascontiguousarray(x[rows])
+        else:
+            columns = np.argsort(~mask[rows], axis=-1, kind="stable")[:, :n]
+            yield n, rows, np.take_along_axis(x[rows], columns.reshape(len(rows), *[1] * (x.ndim - 2), n), axis=-1)
 
-    runs is a sequence of (function, a, b): matched run vectors of A and B.
-    Returns one (function, win, ties, RE_a, RE_b) row per function, in the
-    given order, followed by the pooled row ("ALL", ...): the run-weighted
-    winning proportion, the tie total and the mean relative errors.  Empty
-    when runs is.
+
+def pair_figures(a, b, valid) -> tuple[np.ndarray, ...]:
+    """Comparison figures of B against A at every checkpoint, in one call.
+
+    a and b are run tables of shape (..., F, C, R): the best-so-far values of
+    F functions at C checkpoints in R runs, runs last; leading axes, such as
+    one per pair, are carried through.  valid (..., F, R) marks the runs
+    compared, those that ran on both sides.  Per function the figures are
+    win_fraction and relative_error of its valid runs; the pooled row weights
+    the winning proportions by runs, sums the ties and takes the mean
+    relative errors over the functions with a valid run.
+
+    Returns (count, win, ties, re_a, re_b): the runs compared (..., F + 1),
+    and the winning proportion, the tie count and the relative errors of A
+    and B (..., F + 1, C).  Along their function axis the F functions come
+    first and the pooled row ("ALL") last; a row of count 0 compares no run,
+    and its figures are 0.
+
+    Each figure has the bits of that per-vector code: a function's valid runs
+    are compacted and grouped with the functions of as many valid runs, and
+    every mean reduces a contiguous last axis, as numpy's does a vector; the
+    pooled win is the sequential sum of win x runs in function order.
     """
-    rows = []
-    wins, count, ties_total = 0.0, 0, 0
-    for function, a, b in runs:
-        frac, ties = win_fraction(a, b)
-        re_a, re_b = relative_error(a, b)
-        rows.append((function, frac, ties, re_a, re_b))
-        wins += frac * len(a)
-        count += len(a)
-        ties_total += ties
-    if not rows:
-        return rows
-    re_a = aggregate_relative_error([row[3] for row in rows])
-    re_b = aggregate_relative_error([row[4] for row in rows])
-    return rows + [("ALL", wins / count, ties_total, re_a, re_b)]
+    a, b, valid = np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(valid, dtype=bool)
+    if a.shape != b.shape or a.ndim < 3 or valid.shape != a.shape[:-2] + a.shape[-1:]:
+        raise ValueError("need matched (..., F, C, R) run tables and a (..., F, R) valid mask")
+    *lead, F, C, R = a.shape
+    M = math.prod(lead)
+    ab = np.stack([a.reshape(M * F, C, R), b.reshape(M * F, C, R)], axis=2)  # (M F, C, 2, R)
+    valid = valid.reshape(M * F, R)
+    if not np.isfinite(ab).all((1, 2))[valid].all():
+        raise ValueError("non-finite best-so-far values")
+    win, wins, re = np.zeros((M * F, C)), np.zeros((M * F, C)), np.zeros((M * F, C, 2))
+    ties = np.zeros((M * F, C), dtype=int)
+    for n, rows, runs in _compacted(ab, valid):
+        tie = runs[:, :, 0] == runs[:, :, 1]
+        ties[rows] = tie.sum(-1)
+        # counted as floats, which is exact: an int-to-float cast would page
+        # in more of numpy's code, adding to the peak memory
+        frac = ((runs[:, :, 1] < runs[:, :, 0]).sum(-1, dtype=float) + 0.5 * tie.sum(-1, dtype=float)) / n
+        win[rows], wins[rows] = frac, frac * n
+        pooled = runs.reshape(len(rows), C, 2 * n)  # A's runs, then B's
+        low = pooled.min(-1)[..., None, None]
+        spread = pooled.max(-1)[..., None, None] - low
+        spread[spread == 0.0] = 1.0  # every value is low: (0.0, 0.0)
+        re[rows] = ((runs - low) / spread).mean(-1)
+
+    # the pooled row, over the F functions of each leading index
+    count = valid.sum(-1).reshape(M, F)
+    win, wins, ties, re = win.reshape(M, F, C), wins.reshape(M, F, C), ties.reshape(M, F, C), re.reshape(M, F, C, 2)
+    all_win, all_re = np.zeros((M, C)), np.zeros((M, 2, C))
+    if F:  # each win x runs added in function order, as a loop adds them
+        compared = valid.reshape(M, F * R).sum(-1, dtype=float)
+        all_win = np.add.accumulate(wins, axis=1)[:, -1] / np.maximum(compared, 1.0)[:, None]
+    kept = valid.reshape(M, F, R).any(-1)  # not count > 0, an int comparison: more of numpy's code again
+    for _, rows, per_function in _compacted(re.transpose(0, 3, 2, 1), kept):
+        all_re[rows] = per_function.mean(-1)
+    return tuple(np.concatenate([x, p[:, None]], axis=1).reshape(*lead, F + 1, *x.shape[2:])
+                 for x, p in ((count, count.sum(-1)), (win, all_win), (ties, ties.sum(1)),
+                              (re[..., 0], all_re[:, 0]), (re[..., 1], all_re[:, 1])))

@@ -1,6 +1,7 @@
 import collections
 import concurrent.futures
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
@@ -9,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -252,6 +254,110 @@ def test_store_bytes_are_pinned(tmp_path):
     }
 
 
+def _synthetic_records(runs: int):
+    """A plan of PSO and mPSO on the 14 d=10 members and records made up for
+    it: lognormal best-so-far values, wide enough apart that the order of a
+    sum shows in its bits, with every value of F1 equal (zero spread), mPSO
+    equal to PSO on F2's even runs (exact ties) and mPSO's run 3 on F16
+    failed."""
+    plan = ExperimentPlan(name="sums", algorithms=("PSO", "mPSO"), pairs=(("PSO", "mPSO"),), dimensions=(10,),
+                          functions=None, runs=runs, max_iter=100, checkpoints=(0, 10, 50, 100))
+    labels = [spec.label for spec, _ in plan.collection()]
+    values = np.random.default_rng(runs).lognormal(0.0, 3.0, (2, len(labels), runs, 4))
+    values[:, 0] = 1.5
+    values[1, 1, ::2] = values[0, 1, ::2]
+    keys = [str(t) for t in plan.checkpoints]
+    records = {(alg, label, 10, r): {"status": "ok", "checkpoints": dict(zip(keys, values[i, f, r].tolist()))}
+               for i, alg in enumerate(plan.algorithms) for f, label in enumerate(labels) for r in range(runs)}
+    records[("mPSO", labels[5], 10, 3)] = {"status": "failed: non-finite objective value", "checkpoints": {}}
+    return plan, records, labels
+
+
+def test_metric_summation_order_is_pinned(tmp_path):
+    # 9 and 20 runs and 14 functions pass the 8 values from which numpy's
+    # pairwise sum departs from a plain loop, so a mean taken along another
+    # axis or in another order changes these bytes; 8 or 19 runs are compared
+    # on F16, grouped apart from the other functions.  The pins are the bytes
+    # of the per-vector code (win_fraction and relative_error on each
+    # function's runs) that metrics.pair_figures replaced
+    pins = {9: "709ebf2a64b839e2a2454bb7920592f597b0a4dff7f4e39cca50868ea9e524d5",
+            20: "7a9c0ba49e264d601c8528e9602234ae42217f8ed511aaa8d4b228b71ebf3d75"}
+    for runs, pin in pins.items():
+        plan, records, labels = _synthetic_records(runs)
+        assert (labels[0], labels[1], labels[5]) == ("F1", "F2", "F16")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = compute_metric_rows(plan, records)
+        assert [str(w.message) for w in caught] == ["excluded 1 failed run pair(s) for PSO/mPSO on F16 d=10"]
+        by_key = {(r[2], r[4], r[5]): r for r in rows}
+        assert by_key[("F1", 50, "relative_error_mod")][6:] == ("0.0", runs)
+        assert by_key[("F2", 50, "winning_proportion")][7] == (runs + 1) // 2
+        store = ResultStore(tmp_path / str(runs))
+        store.outdir.mkdir()
+        store.write_metrics(rows)
+        assert hashlib.sha256(store.metrics_path.read_bytes()).hexdigest() == pin
+
+
+def _bench_workloads():
+    """bench/workloads.py, imported by its path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workload_store_bytes_are_pinned(tmp_path):
+    # the benchmark's three plans at seeds 1 and 2, built as `swarmpp run`
+    # builds them: every draw, kernel, record and metric line of the
+    # measured workloads
+    workloads = _bench_workloads()
+    pins = {
+        ("trend-d10", 1): ("bccffba2a89eb7abeb9aebf0f36e7388d8f7f9c4a1553d6692ea3c06d85769c0",
+                           "9c65e7c3bd6bef250098e0af9936a10cb40bec7b184ba77cdaceeb922ac9c066",
+                           "90e748b18f66cca25d9325bc83738433064ecc6f7e2b797814fd950efa60714a"),
+        ("trend-d10", 2): ("cb8afc3b95fbdb628596c6495cf094b37ab4dbd4ded3669967b014a2f86b2020",
+                           "c552708842f028824d501f5bacc45659fee63e4ff13b5865011ecc2dafffbd76",
+                           "c615b08bd3c0b8efac7c4be2daccd8dfc576393b73d2f6c6245c1b7aafd6afd3"),
+        ("protocol-sample", 1): ("0a9707eec94bb6f7dc6373a51672d29785622ced6409ffb22efafe8118e39171",
+                                 "35c06c7690fe341eb35751bd837064f594b86766bb4aa12258d2c3deab9c32b0",
+                                 "521d2896db711e0eb5d9eda5e6e18a4e996d398127903588f2d679b4e2c945ee"),
+        ("protocol-sample", 2): ("e427af12c83f70975f48e2ab2a37257fa262293affce103fb6b326c5e2026e30",
+                                 "f3c1f48974de5d5736a5abe22e7e25e61b371129598b0f6b41ac086525bf3e2f",
+                                 "b87d063bbcbc39102e08a4df7b6d0de99ee39a97f82755ac7bfec60372a1f5da"),
+        ("store-roundtrip", 1): ("0d3c1199deea15fd50bb6a412ff194ea0d9cba52f50ffb6ebefd5d3e44c46b9d",
+                                 "ef9c041037342ae9e5e3244d5c1c7125f250e0bc0263882dae0cf31dc1e3a8d8",
+                                 "03df9eebb3c92bf1fcfba9c438ca0fb3dea2a0cd4fea8ba52edbd236a48a2ead"),
+        ("store-roundtrip", 2): ("d63c58056c003c933c50c3c54f9942586d23d629743c3b113055b1588a10fa11",
+                                 "bbc005dacafc9eae1cade0d6baf3dec7edfdc13f3bf5bad7d96b6d05e469b295",
+                                 "5d4df36c1722db855538214185dcb4545644a05468c51e569688a7783138d768"),
+    }
+    assert sorted({w for w, _ in pins}) == sorted(workloads.WORKLOADS)
+    for (workload, seed), pin in pins.items():
+        plan_path, out = tmp_path / f"{workload}-{seed}.json", tmp_path / f"{workload}-{seed}"
+        plan_path.write_text(json.dumps(workloads.plan_dict(workload, seed), indent=2) + "\n")
+        execute(ExperimentPlan.from_json_file(plan_path), out)
+        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("runs.jsonl", "metrics.csv", "manifest.json"))
+        assert digests == pin, (workload, seed)
+
+
+def test_metrics_leave_numpy_ma_unloaded(tmp_path):
+    # pair_figures groups by count without np.unique, which imports numpy.ma
+    code = (
+        "import sys\n"
+        "from swarmpp import harness\n"
+        "plan = harness.ExperimentPlan(name='t', algorithms=('PSO', 'mPSO'), pairs=(('PSO', 'mPSO'),),\n"
+        "                              dimensions=(5,), functions=('F27',), runs=3, max_iter=10, checkpoints=(5, 10))\n"
+        "harness.execute(plan, sys.argv[1])\n"
+        "harness.resume(plan, sys.argv[1])\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    assert subprocess.run([sys.executable, "-c", code, str(tmp_path / "s")], env=env).returncode == 0
+    assert (tmp_path / "s" / "metrics.csv").exists()
+
+
 def test_parallel_schedule_independent(tmp_path):
     plan = small_plan()
     execute(plan, tmp_path / "p1")
@@ -467,6 +573,11 @@ def test_metric_rows_match_direct_computation(tmp_path):
     assert by_key[("F27", 30, "winning_proportion")][6] == repr(frac)
     assert by_key[("F27", 30, "relative_error_orig")][6] == repr(re_a)
     assert by_key[("ALL", 30, "relative_error_mod")][6] == repr(re_b)
+    # a dimension with no listed member adds no row, and a plan without
+    # pairs or checkpoints has none
+    assert compute_metric_rows(replace(plan, dimensions=(2, 5)), records) == rows
+    assert compute_metric_rows(replace(plan, pairs=()), records) == []
+    assert compute_metric_rows(replace(plan, checkpoints=()), records) == []
 
 
 def test_failed_cell_record_excluded_from_metrics(tmp_path, monkeypatch):
@@ -492,8 +603,11 @@ def test_failed_cell_record_excluded_from_metrics(tmp_path, monkeypatch):
 
     monkeypatch.setattr(algorithms, "run", run)
     out = tmp_path / "f"
-    with pytest.warns(UserWarning, match=r"excluded 1 failed run pair\(s\) for PSO/mPSO on F27 d=5"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rows = execute(plan, out)
+    # once for the function, not once per checkpoint
+    assert [str(w.message) for w in caught] == ["excluded 1 failed run pair(s) for PSO/mPSO on F27 d=5"]
     failed = [line for line in (out / "runs.jsonl").read_text().splitlines() if "failed" in line]
     assert failed == [
         '{"algorithm": "mPSO", "checkpoints": {}, "config_digest": "ef7b79379d08d2ad", '
