@@ -9,14 +9,16 @@ import operator
 import numpy as np
 
 
-def integer(value, name: str, lo: int | None = None) -> int:
+def integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """A value of any integer type as a Python int, so that it serialises and
     digests as the int; a bool (numpy's too), a non-integer or a value below
-    `lo` is refused by name."""
+    `lo` or above `hi` is refused by name."""
     if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if lo is not None and operator.index(value) < lo:
         raise ValueError(f"{name} must be at least {lo}, got {value!r}")
+    if hi is not None and operator.index(value) > hi:
+        raise ValueError(f"{name} must be at most {hi}, got {value!r}")
     return operator.index(value)
 
 

@@ -84,15 +84,19 @@ to numpy's own code.  A seed that is a bool, not an integer, or outside
 own generators.
 
 A run whose objective gives a non-finite value, at initialisation or in a
-step, fails alone: it gets a failed record, its row is taken out of the
-stack, and the other runs go on as they would without it.
+step, fails alone: it gets a failed record, and the other runs go on as they
+would without it.  A stack's run axis is fixed for its whole life, so the
+failed run stays in the stack to its end and keeps stepping: its candidates
+are clamped as every run's are, so its positions stay finite and only its
+values are not, and it draws only from its own generators.  A stack stops
+early only when every run has failed; one with failed runs costs what it
+would if none had failed.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field, fields
 
@@ -145,6 +149,8 @@ class AlgorithmConfig:
             raise TypeError(f"noise must be a NoiseModel, got {self.noise!r}")
         if self.family == "CSO" and self.n % 2 != 0:
             raise ValueError("CSO pairing needs an even swarm size")
+        if self.family == "CSO" and self.variant == "hpp" and self.n < 4:
+            raise ValueError("hpp CSO perturbs the losers of the first n/4 pairs, so it needs n >= 4")
         if self.family == "DE" and self.n < 4:
             raise ValueError("DE donor sampling needs n >= 4")
 
@@ -218,31 +224,24 @@ def _unstacked(stack: SwarmState) -> SwarmState:
 
 
 class _Runs:
-    """What R stacked runs own besides their state: their boxes (and the
-    BoxStack of them), variants, dynamics and noise generators, objectives,
-    C1/C3 counts, and the index of each run in the caller's sequence.
+    """What R stacked runs own besides their state, fixed for the stack's
+    whole life: the BoxStack of their boxes, their dynamics and noise
+    generators, the runs of each objective and of each variant, and their
+    C1/C3 counts.  A run that fails keeps its place on the run axis.
 
     `words` holds each run's _Words in a DE stack that `run` set up, whose
     generators are its own; else it is empty, and DE's draws come from the
     caller's generators through _de_draws_loop."""
 
     def __init__(self, fbatches, boxes, rngs, rng_noises, variants):
-        self.fbatches, self.boxes = list(fbatches), list(boxes)
-        self.rngs, self.rng_noises = list(rngs), list(rng_noises)
-        self.variants = list(variants)
-        self.rows = list(range(len(self.rngs)))
-        self.violations_c1 = np.zeros(len(self.rows), dtype=int)
-        self.violations_c3 = np.zeros(len(self.rows), dtype=int)
-        self.words = []
-        self._index()
-
-    def _index(self):
-        self.box = BoxStack.of(self.boxes)
+        self.box, self.rngs = BoxStack.of(boxes), rngs
         # (objective, its runs) and (variant, its runs, their noise generators)
-        self.objectives = [(self.fbatches[rows[0]], _as_index(rows))
-                           for rows in _positions_by_key(map(id, self.fbatches))]
-        self.variant_runs = [(self.variants[rows[0]], _as_index(rows), [self.rng_noises[r] for r in rows])
-                             for rows in _positions_by_key(self.variants)]
+        self.objectives = [(fbatches[rows[0]], _as_index(rows)) for rows in _positions_by_key(map(id, fbatches))]
+        self.variant_runs = [(variants[rows[0]], _as_index(rows), [rng_noises[r] for r in rows])
+                             for rows in _positions_by_key(variants)]
+        self.violations_c1 = np.zeros(len(self.rngs), dtype=int)
+        self.violations_c3 = np.zeros(len(self.rngs), dtype=int)
+        self.words = []
 
     def evaluate(self, X, per_point: bool = False) -> np.ndarray:
         """Values (R, m) of the rows X (R, m, d): one objective call on the
@@ -253,23 +252,6 @@ class _Runs:
             fbatch = _per_point(fbatch) if per_point else fbatch
             f[rows] = np.asarray(fbatch(X[rows].reshape(-1, d)), dtype=float).reshape(-1, m)
         return f
-
-    def drop(self, state: SwarmState, failed: np.ndarray, records: list, reason: str):
-        """Give each flagged run a failed record and take it out of the stack."""
-        if not failed.any():
-            return
-        for i in itertools.compress(self.rows, failed):
-            records[i] = RunRecord(records[i].seed, records[i].config_digest, {}, None, None, status=f"failed: {reason}")
-        keep = ~failed
-        for name in ("fbatches", "boxes", "rngs", "rng_noises", "variants", "rows", "words"):
-            setattr(self, name, list(itertools.compress(getattr(self, name), keep)))
-        self.violations_c1, self.violations_c3 = self.violations_c1[keep], self.violations_c3[keep]
-        for f in fields(SwarmState):
-            value = getattr(state, f.name)
-            if isinstance(value, np.ndarray):
-                setattr(state, f.name, value[keep])
-        if self.rows:
-            self._index()
 
 
 def _positions_by_key(keys) -> list[list[int]]:
@@ -697,7 +679,7 @@ def _per_point(fbatch):
 def _step(state: SwarmState, config: AlgorithmConfig, runs: _Runs) -> np.ndarray:
     """One iteration of R stacked runs: propose, perturb-project, evaluate,
     accept, move the memory.  Each run perturbs k of its m candidate rows, k
-    set by its variant (runs.variants; config's own is not read).  Flags the
+    set by its variant (runs.variant_runs; config's own is not read).  Flags the
     runs that met a non-finite value."""
     propose, accept = _KERNELS[config.family]
     Y, ctx = propose(state, config, runs)
@@ -808,30 +790,29 @@ def _run_stack(configs, fbatches, boxes, seeds, max_iter, checkpoints, check_inv
             raise ValueError(f"a stack's configs may differ only in variant; two differ in {', '.join(differ)}")
     digests = {key: c.digest() for key, c in distinct.items()}
     seeds = [_seed_value(seed) for seed in seeds]
-    records = [RunRecord(seed, digests[id(c)], {}, None, np.inf) for seed, c in zip(seeds, configs)]
     generators = _run_generators(seeds)
     runs = _Runs(fbatches, boxes, generators[0::2], generators[1::2], [c.variant for c in configs])
-    state, failed = _init(config, runs, _starts(config.n, runs))
-    runs.drop(state, failed, records, _INIT_FAILURE)
+    state, at_init = _init(config, runs, _starts(config.n, runs))
     if config.family == "DE":  # the generators are the stack's own: parse their words
         runs.words = [_Words(rng.bit_generator) for rng in runs.rngs]
+    failed, bests = at_init.copy(), {}  # bests: each checkpoint's best-so-far of every run
     for t in range(max_iter + 1):
-        if not runs.rows:
+        if failed.all():
             break
         if t > 0:
             prev_best = state.best_f
-            failed = _step(state, config, runs)
+            failed |= _step(state, config, runs)
             if check_invariants:
                 _check_invariants(state, runs.box, prev_best, runs)
-            runs.drop(state, failed, records, _step_failure(config))
         if t in checkpoints:
-            for i, best in zip(runs.rows, state.best_f.tolist()):
-                records[i].checkpoints[t] = best
-    for r, i in enumerate(runs.rows):
-        record = records[i]
-        record.final_best_point = state.best_x[r].copy()
-        record.final_best_value = float(state.best_f[r])
-        record.violations_c1 = int(runs.violations_c1[r])
-        record.violations_c3 = int(runs.violations_c3[r])
-        record.n_evals = state.n_evals
+            bests[t] = state.best_f.tolist()
+    records = []
+    for r, (seed, c) in enumerate(zip(seeds, configs)):
+        if failed[r]:
+            reason = _INIT_FAILURE if at_init[r] else _step_failure(config)
+            records.append(RunRecord(seed, digests[id(c)], {}, None, None, status=f"failed: {reason}"))
+        else:
+            records.append(RunRecord(seed, digests[id(c)], {t: best[r] for t, best in bests.items()},
+                                     state.best_x[r].copy(), float(state.best_f[r]),
+                                     int(runs.violations_c1[r]), int(runs.violations_c3[r]), state.n_evals))
     return records

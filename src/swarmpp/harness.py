@@ -86,8 +86,11 @@ class ExperimentPlan:
             if len(p) != 2:
                 raise ValueError(f"a pairs entry must be two algorithm labels, got {list(p)}")
         # stored as ints before anything compares them: 5.0 == 5, but derive_seed keys on str(d)
-        for name, lo in (("runs", 1), ("max_iter", 0), ("n", 2), ("parallelism", 1), ("master_seed", None)):
-            object.__setattr__(self, name, integer(getattr(self, name), name, lo))
+        # runs and max_iter at most 10x the protocol's 100 runs and 100x its
+        # 10 000 iterations, so that an accepted plan can finish
+        for name, lo, hi in (("runs", 1, 1000), ("max_iter", 0, 10**6), ("n", 2, None),
+                             ("parallelism", 1, None), ("master_seed", None, None)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, lo, hi))
         object.__setattr__(self, "dimensions", tuple(integer(d, "a dimensions entry") for d in self.dimensions))
         if not isinstance(self.name, str):
             raise TypeError(f"name must be a string, got {self.name!r}")

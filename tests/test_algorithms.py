@@ -58,6 +58,14 @@ def test_config_validation():
     # a noise model given as its dict failed at digest()
     with pytest.raises(TypeError, match=re.escape("noise must be a NoiseModel, got {'kind': 'gaussian'")):
         AlgorithmConfig("PSO", noise={"kind": "gaussian", "sigma": 0.01})
+    # hpp CSO perturbs the losers of pairs 0..n/4-1: at n=2 none, and its run
+    # was CSO's bit for bit.  Base and pp CSO run at n=2.
+    for hpp in (lambda: AlgorithmConfig("CSO", "hpp", n=2), lambda: config_for_label("hmCSO", n=2)):
+        with pytest.raises(ValueError, match=re.escape("hpp CSO perturbs the losers of the first n/4 pairs, "
+                                                       "so it needs n >= 4")):
+            hpp()
+    assert [config_for_label(label, n=2).n for label in ("CSO", "mCSO")] == [2, 2]
+    assert config_for_label("hmCSO", n=4).n == 4
     # the real parameters: np.float32(0.7) failed at digest(), "x" and True
     # built, and nan made run() refuse the config as differing from itself
     reals = [f.name for f in fields(AlgorithmConfig) if f.type == "float"]
@@ -759,6 +767,38 @@ def test_failed_run_leaves_the_rest_of_its_stack_alone(label):
     configs, fbatches, boxes, seeds = zip(*_label_cells(label, 5))
     every = run(configs, [_failing_after(fb, 1) for fb in fbatches], boxes, seeds, STACK_ITERS, STACK_CPS)
     assert [rec.status for rec in every] == [f"failed: non-finite objective value in a {family} step"] * len(seeds)
+
+
+def _nan_on_slab(X):
+    """A sphere about (-0.5, ..., -0.5), NaN where 0.8 < x0 < 0.95."""
+    X = np.asarray(X)
+    return np.where((0.8 < X[..., 0]) & (X[..., 0] < 0.95), np.nan, np.sum((X + 0.5) ** 2, axis=-1))
+
+
+_nan_on_slab.per_point = _nan_on_slab  # a row's value is its value alone, so DE values a stack's trials in one call
+
+
+@pytest.mark.parametrize("label", ("PSO", "hmBAT", "mCSO", "hmDE") + MIXED)
+def test_shared_objective_failing_on_a_region_fails_the_runs_that_enter_it(label):
+    # one objective object serves every run, so a failed run's rows share
+    # each later call with the live runs' rows; the runs that enter the slab,
+    # at their start or in a step, fail, and the others keep their solo records
+    box = Box.cube(-1, 1, 5)
+    cells = [(config_for_label(one, n=8), seed) for one in label.split("+") for seed in range(12)]
+    solo, outcomes = [], collections.Counter()
+    for cfg, seed in cells:
+        try:
+            solo.append(run(cfg, _nan_on_slab, box, seed, STACK_ITERS, STACK_CPS).to_dict())
+            outcomes["ok"] += 1
+        except algorithms.RunFailure as failure:
+            solo.append(RunRecord(seed, cfg.digest(), {}, None, None, status=f"failed: {failure}").to_dict())
+            outcomes["at init" if "initialization" in str(failure) else "in a step"] += 1
+    assert set(outcomes) == {"ok", "at init", "in a step"}, outcomes
+    # label-major and seed-major
+    for order in (cells, sorted(cells, key=lambda cell: cell[1])):
+        configs, seeds = map(list, zip(*order))
+        stacked = run(configs, [_nan_on_slab] * len(order), [box] * len(order), seeds, STACK_ITERS, STACK_CPS)
+        assert [rec.to_dict() for rec in stacked] == [solo[cells.index(cell)] for cell in order]
 
 
 def test_run_stack_needs_one_box_and_objective_per_seed():

@@ -68,6 +68,11 @@ def test_run_invalid_plan(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "s"))
     assert code == 2 and "even swarm size" in err
     assert not (tmp_path / "s").exists()
+    # and hmCSO at n=2, which perturbs no loser and so ran CSO's trajectory
+    write_plan(tmp_path, algorithms=["CSO", "hmCSO"], pairs=[["CSO", "hmCSO"]], n=2)
+    code, _, err = run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))
+    assert code == 2 and "hpp CSO" in err and "needs n >= 4" in err
+    assert not (tmp_path / "s").exists()
     # so is a function selection that names no member
     for functions, message in ((["F6", "F99"], "F99"), (["F6"], "no collection member")):
         path.write_text(json.dumps({"functions": functions, "dimensions": [10]}))
@@ -83,7 +88,8 @@ def test_run_invalid_plan(tmp_path, capsys):
                        ("master_seed", "7"), ("parallelism", 0), ("noise", 5), ("noise", "gaussian"),
                        ("noise", [1]), ("noise", {"sigma": True}), ("noise", {"sigma": "0.01"}),
                        ("noise", {"sigma": 10**400}), ("noise", {"kind": "scaled_t", "df": 10**400}),
-                       ("runs", 0), ("max_iter", -1), ("algorithms", [["PSO"]])):
+                       ("runs", 0), ("max_iter", -1), ("algorithms", [["PSO"]]), ("runs", 1001),
+                       ("max_iter", 10**6 + 1), ("runs", 10**12)):
         write_plan(tmp_path, **{key: value})
         code, _, err = run_cli(capsys, "run", str(tmp_path / "plan.json"), "--out", str(tmp_path / "s"))
         assert code == 2 and err.startswith("error: invalid plan:"), (key, value)

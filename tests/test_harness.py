@@ -86,6 +86,11 @@ def test_plan_validation():
         small_plan(algorithms=("PSO", "CSO"), pairs=(("PSO", "CSO"),), n=5)
     with pytest.raises(ValueError, match="n >= 4"):
         small_plan(algorithms=("DE", "mDE"), pairs=(("DE", "mDE"),), n=3)
+    # hmCSO at n=2 perturbs no loser, so a CSO:hmCSO pair would compare two
+    # equal trajectories; CSO and mCSO still run at n=2
+    with pytest.raises(ValueError, match="hpp CSO .* needs n >= 4"):
+        small_plan(algorithms=("CSO", "hmCSO"), pairs=(("CSO", "hmCSO"),), n=2)
+    assert small_plan(algorithms=("CSO", "mCSO"), pairs=(("CSO", "mCSO"),), n=2).n == 2
     # unknown keys are named, not silently defaulted
     with pytest.raises(ValueError, match="unknown plan key.*run"):
         ExperimentPlan.from_dict({"run": 3})
@@ -200,6 +205,22 @@ def test_every_integer_input_takes_one_check():
         assert given.digest() == python.digest()
         assert [derive_seed(given.master_seed, *cell) for cell in given.cells()] == [
             derive_seed(python.master_seed, *cell) for cell in python.cells()]
+
+
+def test_plan_bounds_runs_and_max_iter_up_front(monkeypatch):
+    # a plan that cannot finish is refused when it is built: before, this one
+    # built and digested, and a run would have listed 10**12 x members cells
+    monkeypatch.setattr(ExperimentPlan, "cells", lambda self: pytest.fail("cells() was built"))
+    with pytest.raises(ValueError, match=re.escape("runs must be at most 1000, got 1000000000000") + "$"):
+        ExperimentPlan(runs=10**12, max_iter=10**400, checkpoints=(10,))
+    for name, hi in (("runs", 1000), ("max_iter", 10**6)):
+        for value in (hi + 1, 10**400):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be at most {hi}, got {value}") + "$"):
+                small_plan(**{name: value})
+    # each bound itself is accepted, from Python and from JSON
+    for plan in (small_plan(runs=1000, max_iter=10**6), ExperimentPlan.from_dict(
+            small_plan().to_dict() | {"runs": 1000, "max_iter": 10**6})):
+        assert (plan.runs, plan.max_iter) == (1000, 10**6)
 
 
 def test_plan_json_roundtrip(tmp_path):
