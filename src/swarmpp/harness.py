@@ -17,9 +17,15 @@ is the plan's own largest group, so the workers get independent stacks.
 Either is capped at 56 000 run-coordinates, the full protocol's largest
 group at its 100 runs, and a group larger than the cap is cut into stacks
 within it, so no stack needs more memory than the full protocol's largest.
-A stack's records are appended to runs.jsonl in cell order when it
-finishes: an interruption loses the stack in flight (at parallelism > 1,
-the stacks being computed).
+A stack's records are appended to runs.jsonl in cell order, in one write,
+when it finishes: an interruption loses the stack in flight (at parallelism
+> 1, the stacks being computed).
+
+No record is held past its stack or its line.  As a record is appended, or
+read back on resume (runs.jsonl is read a line at a time), its status and
+checkpoint values are written into a dense run table of its (label,
+dimension), if the label is in a pair, and the metrics are computed from
+those tables: 8 B per checkpoint and 2 B of masks per paired run.
 
 Store layout: <outdir>/manifest.json, <outdir>/runs.jsonl, <outdir>/metrics.csv.
 """
@@ -232,11 +238,13 @@ def _record_line(rec: dict) -> str:
     return _RECORD_ENCODER.encode(rec) + "\n"
 
 
-def _replace_text(path: Path, text: str):
-    """Write a whole file through a temporary file and a rename, so the path
-    holds either the old content or the new, never part of it."""
+def _replace_text(path: Path, chunks):
+    """Write a whole file, the strings of `chunks` in turn, through a
+    temporary file and a rename, so the path holds either the old content or
+    the new, never part of it."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w") as fh:
+        fh.writelines(chunks)
     tmp.replace(path)
 
 
@@ -244,7 +252,9 @@ class ResultStore:
     """A store directory: the plan's manifest, one JSON record per run cell
     (runs.jsonl, in the order of ExperimentPlan.cells) and the metrics derived
     from them.  Whole files are replaced atomically; while cells run, each
-    finished record is appended and flushed (`append_runs`).
+    finished stack's records are appended in one write and flushed
+    (`append_runs`).  runs.jsonl is read a line at a time (`scan_runs`);
+    `read_runs` keeps every record, for callers that want them all.
     """
 
     def __init__(self, outdir):
@@ -252,7 +262,7 @@ class ResultStore:
         self.manifest_path = self.outdir / "manifest.json"
         self.runs_path = self.outdir / "runs.jsonl"
         self.metrics_path = self.outdir / "metrics.csv"
-        self.torn = False  # set by read_runs
+        self.torn = False  # set by scan_runs
 
     def exists(self) -> bool:
         return self.manifest_path.exists()
@@ -260,43 +270,55 @@ class ResultStore:
     def write_manifest(self, plan: ExperimentPlan):
         self.outdir.mkdir(parents=True, exist_ok=True)
         manifest = {"plan": plan.to_dict(), "digest": plan.digest(), "format": 1}
-        _replace_text(self.manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _replace_text(self.manifest_path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
 
     def read_manifest(self) -> dict:
         return json.loads(self.manifest_path.read_text())
 
-    def write_runs(self, records: dict[tuple, dict]):
-        _replace_text(self.runs_path, "".join(_record_line(rec) for rec in records.values()))
+    def write_runs(self, records):
+        """Replace runs.jsonl with one line for each record of the iterable
+        `records`, in its order, serialised as it is read."""
+        _replace_text(self.runs_path, map(_record_line, records))
 
-    def append_runs(self, finished):
-        """Append each finished (key, record) pair to runs.jsonl, flushed
-        before the pair is passed on."""
+    def append_runs(self, stacks):
+        """Append the finished (key, record) pairs of each stack in `stacks`
+        to runs.jsonl in one write, flushed before the pairs are passed on."""
         with open(self.runs_path, "a") as fh:
-            for key, rec in finished:
-                fh.write(_record_line(rec))
+            for stack in stacks:
+                fh.write("".join(_record_line(rec) for _, rec in stack))
                 fh.flush()
-                yield key, rec
+                yield from stack
+                del stack  # not held while the next stack runs
+
+    def scan_runs(self):
+        """Each (cell key, record) of runs.jsonl in file order, read a line at
+        a time.  Blank lines are skipped.  An unparsable last line, a record
+        cut short by an interruption, ends the scan and sets `torn`, as does
+        a missing final newline; any earlier bad line raises."""
+        self.torn = False
+        if not self.runs_path.exists():
+            return
+        with open(self.runs_path) as fh:
+            line = next(fh, None)
+            while line is not None:
+                after = next(fh, None)  # a line is known to be the last only when the file ends
+                self.torn = after is None and not line.endswith("\n")
+                if not line.isspace():
+                    try:
+                        rec = json.loads(line)
+                    except json.JSONDecodeError:
+                        if after is not None:
+                            raise
+                        self.torn = True
+                        return
+                    yield (rec["algorithm"], rec["function"], rec["dimension"], rec["run"]), rec
+                line = after
 
     def read_runs(self) -> dict[tuple, dict]:
-        """Records by cell key, in file order.  An unparsable last line, a
-        record cut short by an interruption, is skipped and sets `torn`, as
-        does a missing final newline; any earlier bad line, or a second record
-        for one cell, raises."""
+        """Records by cell key, in file order, read by `scan_runs`; a second
+        record for one cell raises."""
         records = {}
-        text = self.runs_path.read_text() if self.runs_path.exists() else ""
-        self.torn = bool(text) and not text.endswith("\n")
-        lines = text.splitlines()
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                if i < len(lines) - 1:
-                    raise
-                self.torn = True
-                break
-            key = (rec["algorithm"], rec["function"], rec["dimension"], rec["run"])
+        for key, rec in self.scan_runs():
             if key in records:
                 raise ValueError(f"runs.jsonl holds two records for cell {key}")
             records[key] = rec
@@ -304,49 +326,80 @@ class ResultStore:
 
     def write_metrics(self, rows: list[tuple]):
         lines = "".join(f"{e},{p},{f},{d},{t},{m},{v},{k}\n" for e, p, f, d, t, m, v, k in rows)
-        _replace_text(self.metrics_path, METRICS_HEADER + "\n" + lines)
+        _replace_text(self.metrics_path, [METRICS_HEADER + "\n", lines])
 
 
-def _run_table(records, alg: str, labels: list[str], d: int, plan: ExperimentPlan):
-    """One label's records at dimension d as a run table: the best-so-far
-    values (functions, checkpoints, runs), runs last, NaN where a run failed,
-    and the ok mask (functions, runs)."""
-    keys = [str(t) for t in plan.checkpoints]
-    values = operator.itemgetter(*keys)  # a value, or a tuple of them
-    recs = [records.get((alg, label, d, r)) for label in labels for r in range(plan.runs)]
-    if None in recs:
-        i = recs.index(None)
-        raise KeyError(f"missing run record for {labels[i // plan.runs]} d={d} run={i % plan.runs}")
-    ok = [rec["status"] == "ok" for rec in recs]
-    failed = values(dict.fromkeys(keys, np.nan))
-    table = np.array([values(rec["checkpoints"]) if good else failed for rec, good in zip(recs, ok)], dtype=float)
-    shape = (len(labels), plan.runs)
-    table = table.reshape(*shape, len(keys)).transpose(0, 2, 1)
-    return np.ascontiguousarray(table), np.array(ok, dtype=bool).reshape(shape)
+class _RunTables:
+    """The run tables of a plan's paired labels, one per (label, dimension):
+    the best-so-far values (functions, checkpoints, runs), runs last, NaN
+    where a run failed or has no record yet, the ok mask and the filled mask
+    (functions, runs).  They fill a record at a time (`add`), so that no
+    record need be kept; a plan without pairs or checkpoints has none.  The
+    masks are bool, not one int8 status: numpy's int8 loops would page in
+    64 kB more of its library."""
+
+    def __init__(self, plan: ExperimentPlan):
+        self.labels = {d: [spec.label for spec, dd in plan.collection() if dd == d] for d in plan.dimensions}
+        self.tables, self.slots = {}, {}  # (alg, d) -> tables; (alg, label, d) -> its tables and row
+        if not plan.checkpoints:
+            return
+        self.values = operator.itemgetter(*(str(t) for t in plan.checkpoints))  # a value, or a tuple of them
+        for alg in dict.fromkeys(itertools.chain(*plan.pairs)):
+            for d, labels in self.labels.items():
+                values = np.full((len(labels), len(plan.checkpoints), plan.runs), np.nan)
+                ok, filled = np.zeros((2, len(labels), plan.runs), dtype=bool)
+                self.tables[alg, d] = values, ok, filled
+                self.slots.update(((alg, label, d), (values, ok, filled, i)) for i, label in enumerate(labels))
+
+    def add(self, key: tuple, rec: dict):
+        """Write the record of cell `key`, one of the plan's, into its slot; a
+        record of a label in no pair is passed over."""
+        slot = self.slots.get(key[:3])
+        if slot is not None:
+            values, ok, filled, i = slot
+            filled[i, key[3]] = True
+            if rec["status"] == "ok":
+                ok[i, key[3]] = True
+                values[i, :, key[3]] = self.values(rec["checkpoints"])
+
+    def table(self, alg: str, d: int):
+        """The values and ok mask of (alg, d); a run with no record raises."""
+        values, ok, filled = self.tables[alg, d]
+        if not filled.all():
+            i, r = np.argwhere(~filled)[0]
+            raise KeyError(f"missing run record for cell {(alg, self.labels[d][i], d, int(r))}")
+        return values, ok
 
 
 _METRICS = ("winning_proportion", "relative_error_orig", "relative_error_mod")
 
 
-def compute_metric_rows(plan: ExperimentPlan, records: dict[tuple, dict]) -> list[tuple]:
+def compute_metric_rows(plan: ExperimentPlan, records) -> list[tuple]:
     """Long-format metric rows for every pair, function, dimension, checkpoint.
 
     Per-function rows carry the win fraction and both relative errors;
-    function "ALL" rows carry the dimension-level aggregates.  The records
-    of a dimension are read once into one run table per label, and one
-    metrics.pair_figures call takes every pair's tables; runs that failed on
-    either side of a pair are left out, with one warning per function.
+    function "ALL" rows carry the dimension-level aggregates.  `records` is
+    the plan's run tables, filled as resume streams the records past, or a
+    mapping of cell key to record, whose records are written into tables
+    here.  Every cell of a paired label must have a record; the first that
+    has none is named.  One metrics.pair_figures call per dimension takes
+    every pair's tables; runs that failed on either side of a pair are left
+    out, with one warning per function.
     """
     if not (plan.pairs and plan.checkpoints):
         return []
-    members = plan.collection()
-    labels = {d: [spec.label for spec, dd in members if dd == d] for d in plan.dimensions}
+    tables = records
+    if not isinstance(records, _RunTables):
+        tables = _RunTables(plan)
+        for key in plan.cells():
+            if key in records:
+                tables.add(key, records[key])
+    labels = tables.labels
     figures = {}  # d -> count (pairs, F + 1), then win, ties, RE_a, RE_b (pairs, checkpoints, F + 1)
     for d in plan.dimensions:
-        tables = {alg: _run_table(records, alg, labels[d], d, plan)
-                  for alg in dict.fromkeys(itertools.chain(*plan.pairs))}
-        a, ok_a = zip(*(tables[alg] for alg, _ in plan.pairs))
-        b, ok_b = zip(*(tables[alg] for _, alg in plan.pairs))
+        tables_d = {alg: tables.table(alg, d) for alg in dict.fromkeys(itertools.chain(*plan.pairs))}
+        a, ok_a = zip(*(tables_d[alg] for alg, _ in plan.pairs))
+        b, ok_b = zip(*(tables_d[alg] for _, alg in plan.pairs))
         count, *per_checkpoint = metrics.pair_figures(np.stack(a), np.stack(b), np.stack(ok_a) & np.stack(ok_b))
         figures[d] = [count.tolist()] + [x.swapaxes(-1, -2).tolist() for x in per_checkpoint]
     rows = []
@@ -367,16 +420,14 @@ def compute_metric_rows(plan: ExperimentPlan, records: dict[tuple, dict]) -> lis
 
 def _execute_cells(plan: ExperimentPlan, cells):
     """Run the cells a stack at a time (_groups under the plan's _cap; a pool
-    worker takes a whole stack), yielding the finished (key, record) pairs of
-    each stack in cell order."""
+    worker takes a whole stack), yielding each stack's finished (key, record)
+    pairs, in cell order."""
     jobs = [(group, plan) for group in _groups(cells, _cap(plan))]
     if plan.parallelism == 1 or len(jobs) < 2:
-        for job in jobs:
-            yield from _run_group(job)
+        yield from map(_run_group, jobs)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=plan.parallelism) as pool:
-            for finished in pool.map(_run_group, jobs):
-                yield from finished
+            yield from pool.map(_run_group, jobs)
 
 
 def execute(plan: ExperimentPlan, outdir) -> list[tuple]:
@@ -395,16 +446,20 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     or whose records are not the first cells of `plan.cells()` in cell
     order; a store written in another order, such as a store of more than
     one family or dimension from before cells were ordered by family first,
-    is refused with the first record out of place named.  The missing cells
-    are the rest of that list: if any are missing or the file is torn, the
-    records read are rewritten once, then the missing cells run a stack at a
-    time (_groups, under the whole plan's _cap, not one taken from the cells
-    left) and each stack's records are appended to runs.jsonl as the stack
-    completes.  An interruption loses only the stack in flight (at
+    is refused with the first record out of place named.  runs.jsonl is read
+    a line at a time, each line checked as it arrives (a bad line before the
+    last, a record out of cell order or a second record for a cell raises at
+    the first such line) and written into the plan's run tables, so no
+    record is kept.  The missing cells are the rest of that list: if any are
+    missing or the file is torn, the records read are rewritten once, after
+    the whole file has been read and found in order, then the missing cells
+    run a stack at a time (_groups, under the whole plan's _cap, not one
+    taken from the cells left) and each stack's records are appended to
+    runs.jsonl as the stack completes.  An interruption loses only the stack in flight (at
     parallelism > 1, the stacks being computed), which holds at most
     min(runs, 100) x 560 run-coordinates, the full protocol's largest group
     at the plan's runs or at 100; on a plan of one dimension that may be all
-    of a family's runs.
+    of a family's runs.  Each finished record goes into the run tables too.
     runs.jsonl has the same bytes wherever earlier runs were interrupted.
     """
     store = ResultStore(outdir)
@@ -413,17 +468,22 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     manifest = store.read_manifest()
     if manifest.get("digest") != plan.digest():
         raise ValueError("manifest digest does not match the plan; refusing to resume")
-    records = store.read_runs()
-    cells, done = plan.cells(), list(records)
-    if done != cells[: len(done)]:
-        i = next((i for i, (key, cell) in enumerate(zip(done, cells)) if key != cell), len(cells))
-        raise ValueError(
-            f"runs.jsonl record {i + 1} is cell {done[i]}, not the plan's next cell in cell order; "
-            "refusing to resume (use --force to recompute the store)"
-        )
-    if len(done) < len(cells) or store.torn:
-        store.write_runs(records)  # drops a torn last line before appending
-        records.update(store.append_runs(_execute_cells(plan, cells[len(done):])))
-    rows = compute_metric_rows(plan, records)
+    cells, tables, done = plan.cells(), _RunTables(plan), 0
+    for key, rec in store.scan_runs():
+        if done == len(cells) or key != cells[done]:
+            if key in cells[:done]:  # the cells so far are in order, so a cell among them is repeated
+                raise ValueError(f"runs.jsonl holds two records for cell {key}")
+            raise ValueError(
+                f"runs.jsonl record {done + 1} is cell {key}, not the plan's next cell in cell order; "
+                "refusing to resume (use --force to recompute the store)"
+            )
+        tables.add(key, rec)
+        done += 1
+    if done < len(cells) or store.torn:
+        # the records read, again a line at a time, without a torn last line or blank lines
+        store.write_runs(rec for _, rec in itertools.islice(store.scan_runs(), done))
+        for key, rec in store.append_runs(_execute_cells(plan, cells[done:])):
+            tables.add(key, rec)
+    rows = compute_metric_rows(plan, tables)
     store.write_metrics(rows)
     return rows

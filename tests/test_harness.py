@@ -2,6 +2,7 @@ import collections
 import concurrent.futures
 import hashlib
 import importlib.util
+import io
 import itertools
 import json
 import os
@@ -10,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -502,7 +504,7 @@ def test_resume_completes_partial_store(tmp_path):
     store = ResultStore(out)
     records = store.read_runs()
     keep = dict(list(sorted(records.items()))[: len(records) // 2])
-    store.write_runs(keep)
+    store.write_runs(keep.values())
     resume(plan, out)
     assert (out / "runs.jsonl").read_bytes() == full_runs
     assert (out / "metrics.csv").read_bytes() == full_metrics
@@ -527,7 +529,7 @@ def test_resume_stacks_under_the_whole_plans_cap(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "_groups", groups)
     for parallelism, expected in ((1, (5, 1120)), (2, (5, 30))):
-        store.write_runs(dict(list(store.read_runs().items())[:15]))
+        store.write_runs(list(store.read_runs().values())[:15])
         cut.clear()
         resume(replace(plan, parallelism=parallelism), out)
         assert cut == [expected]
@@ -553,21 +555,31 @@ def test_resume_complete_store_rewrites_only_a_torn_tail(tmp_path, monkeypatch):
     writes = []
 
     def write_runs(self, records):
-        writes.append(len(records))
         real_write_runs(self, records)
+        writes.append(self.runs_path.read_bytes().count(b"\n"))  # the records written
 
     monkeypatch.setattr(ResultStore, "write_runs", write_runs)
     monkeypatch.setattr(algorithms, "run", lambda *a, **k: pytest.fail("a complete store ran a cell"))
     resume(plan, out)
     assert writes == []  # a clean complete store: only its metrics are written
-    # junk after the last record, with or without a newline, and a last
-    # record that lost its newline
-    for torn in (full_runs + b'{"algorithm": "PS', full_runs + b'{"algorithm": "PS\n', full_runs[:-1]):
+    # junk after the last record, with or without a newline, a last record
+    # that lost its newline, and junk after a blank line
+    fragment = b'{"algorithm": "PS'
+    for torn in (full_runs + fragment, full_runs + fragment + b"\n", full_runs[:-1], full_runs + b"\n" + fragment):
         (out / "runs.jsonl").write_bytes(torn)
         resume(plan, out)
         assert (out / "runs.jsonl").read_bytes() == full_runs
         assert (out / "metrics.csv").read_bytes() == full_metrics
-    assert writes == [6, 6, 6]
+    assert writes == [6, 6, 6, 6]
+    # a blank line in mid-file is skipped, and a complete store that is not
+    # torn is not rewritten, so the line stays
+    lines = full_runs.splitlines(keepends=True)
+    blank = b"".join(lines[:2]) + b"\n" + b"".join(lines[2:])
+    (out / "runs.jsonl").write_bytes(blank)
+    resume(plan, out)
+    assert (out / "runs.jsonl").read_bytes() == blank
+    assert (out / "metrics.csv").read_bytes() == full_metrics
+    assert writes == [6, 6, 6, 6]
 
 
 def test_resume_rejects_altered_plan(tmp_path):
@@ -599,6 +611,10 @@ def test_metric_rows_match_direct_computation(tmp_path):
     assert compute_metric_rows(replace(plan, dimensions=(2, 5)), records) == rows
     assert compute_metric_rows(replace(plan, pairs=()), records) == []
     assert compute_metric_rows(replace(plan, checkpoints=()), records) == []
+    # a cell of a paired label with no record is named in full
+    del records[("mPSO", "F27", 5, 1)]
+    with pytest.raises(KeyError, match=re.escape("missing run record for cell ('mPSO', 'F27', 5, 1)")):
+        compute_metric_rows(plan, records)
 
 
 def test_failed_cell_record_excluded_from_metrics(tmp_path, monkeypatch):
@@ -704,14 +720,41 @@ def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr(algorithms, "run", run)
+    real_write_runs = ResultStore.write_runs
+    writes = []
+
+    def write_runs(self, records):
+        real_write_runs(self, records)
+        writes.append(self.runs_path.read_bytes().count(b"\n"))  # the records written
+
+    monkeypatch.setattr(ResultStore, "write_runs", write_runs)
     resume(plan, out)
     assert on_disk == [2, 3]
+    assert writes == [2]
     assert (out / "runs.jsonl").read_bytes() == full_runs
     assert (out / "metrics.csv").read_bytes() == full_metrics
-    # only the last line may be cut short; a corrupt earlier line still raises
-    (out / "runs.jsonl").write_text(lines[0] + lines[1][:20] + "\n" + "".join(lines[2:]))
+    # partial stores: a blank line in mid-file, a complete last record that
+    # lost its newline, and a torn fragment after a blank line.  Each is
+    # rewritten once, to its records alone, before the missing cells run
+    for partial, kept in ((lines[0] + "\n" + lines[1], 2), ("".join(lines[:3])[:-1], 3),
+                          ("".join(lines[:2]) + "\n" + lines[2][:20], 2)):
+        (out / "runs.jsonl").write_text(partial)
+        writes.clear()
+        resume(plan, out)
+        assert writes == [kept]
+        assert (out / "runs.jsonl").read_bytes() == full_runs
+        assert (out / "metrics.csv").read_bytes() == full_metrics
+    # only the last line may be cut short; a corrupt earlier line still
+    # raises, and resume leaves the store as it is
+    corrupt = lines[0] + lines[1][:20] + "\n" + "".join(lines[2:])
+    (out / "runs.jsonl").write_text(corrupt)
     with pytest.raises(json.JSONDecodeError):
         ResultStore(out).read_runs()
+    writes.clear()
+    with pytest.raises(json.JSONDecodeError):
+        resume(plan, out)
+    assert writes == []
+    assert (out / "runs.jsonl").read_text() == corrupt
 
 
 def test_cells_in_cell_order():
@@ -846,6 +889,55 @@ def test_execute_serialises_each_record_once(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_record_line", record_line)
     execute(plan, tmp_path / "once")
     assert len(calls) == len(plan.cells())
+
+
+def test_execute_writes_each_stack_once(tmp_path, monkeypatch):
+    # two stacks, of 8 and 12 runs (test_groups_run_alike_at_any_parallelism):
+    # each stack's lines reach runs.jsonl in one write, at its one flush
+    plan = small_plan(runs=2, dimensions=(2, 5), functions=("F4", "F15", "F18", "F26", "F27"))
+    writes = []
+
+    class Counted(io.FileIO):
+        def write(self, data):
+            writes.append(bytes(data).count(b"\n"))
+            return super().write(data)
+
+    def spy_open(path, mode="r", **kwargs):
+        if mode == "a":
+            return io.TextIOWrapper(io.BufferedWriter(Counted(path, mode)), **kwargs)
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(harness, "open", spy_open, raising=False)
+    execute(plan, tmp_path / "w")
+    assert writes == [8, 12]
+    monkeypatch.undo()
+    execute(plan, tmp_path / "plain")
+    assert (tmp_path / "w" / "runs.jsonl").read_bytes() == (tmp_path / "plain" / "runs.jsonl").read_bytes()
+
+
+def test_execute_and_resume_hold_no_records(tmp_path, monkeypatch):
+    # the tracemalloc peak of execute, and of resume on the complete store,
+    # at 500 and at 2000 records: each record past the first 500 may cost
+    # what its run tables, its cell and the metric arithmetic need (~90 and
+    # ~160 B), not a record dict (~1.1 and ~2.7 KB when they were kept).
+    # Stacks hold 50 cells at any runs, so only the records grow
+    monkeypatch.setattr(harness, "_cap", lambda plan: 100)
+    plans = {runs: small_plan(dimensions=(2,), functions=("F4",), runs=runs, max_iter=1, checkpoints=(0, 1))
+             for runs in (250, 1000)}
+    for runs, plan in plans.items():
+        execute(plan, tmp_path / f"warm{runs}")  # imports and caches
+    peaks = {}
+    for runs, plan in plans.items():
+        for step in (execute, resume):
+            tracemalloc.start()
+            try:
+                step(plan, tmp_path / str(runs))
+                peaks[step.__name__, runs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for step in ("execute", "resume"):
+        per_record = (peaks[step, 1000] - peaks[step, 250]) / (2 * 750)
+        assert per_record < 200, f"{step}: {per_record:.0f} B per record"
 
 
 def _drop_middle_line(lines, plan):
