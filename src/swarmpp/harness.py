@@ -25,7 +25,7 @@ No record is held past its stack or its line.  As a record is appended, or
 read back on resume (runs.jsonl is read a line at a time), its status and
 checkpoint values are written into a dense run table of its (label,
 dimension), if the label is in a pair, and the metrics are computed from
-those tables: 8 B per checkpoint and 2 B of masks per paired run.
+those tables: 8 B per checkpoint and 1 B of mask per paired run.
 
 Store layout: <outdir>/manifest.json, <outdir>/runs.jsonl, <outdir>/metrics.csv.
 """
@@ -175,37 +175,36 @@ class ExperimentPlan:
                 for label in labels[d] for r in range(self.runs)]
 
 
-def _label_groups(cells) -> list[list[tuple]]:
-    """Maximal stretches of consecutive cells that share (algorithm, dimension)."""
-    return [list(group) for _, group in itertools.groupby(cells, key=lambda cell: (cell[0], cell[2]))]
-
-
 def _cap(plan: ExperimentPlan) -> int:
-    """The most runs x d a stack of the plan may hold.  At parallelism 1, the
-    largest (label, dimension) group of the full protocol at the plan's runs
-    (runs x 560, the 14 members at d=40): a plan of fewer members or
-    dimensions fuses its variants as the full protocol does.  At parallelism
-    > 1, the largest group of the plan itself, so that its stacks stay many
-    enough to keep the workers busy.  Either is capped at that protocol group
-    at the protocol's 100 runs (56 000), so that no stack needs more memory
-    than the full protocol's largest, however many runs the plan has."""
+    """The most runs x d a stack of the plan may hold: the plan's runs times
+    `per_run`, the largest d x members at d.  At parallelism 1 `per_run` is
+    the full protocol's (560, the 14 members at d=40): a plan of fewer
+    members or dimensions fuses its variants as the full protocol does.  At
+    parallelism > 1 it is the plan's own, the cap its largest (label,
+    dimension) group, so that its stacks stay many enough to keep the
+    workers busy.  Either is capped at the protocol's group at its 100 runs
+    (56 000), so that no stack needs more memory than the full protocol's
+    largest, however many runs the plan has."""
     protocol = max(len(objectives.list_collection(d)) * d for d in objectives.COLLECTION_DIMS)
-    if plan.parallelism == 1:
-        return min(plan.runs, 100) * protocol
-    return min(max(len(group) * group[0][2] for group in _label_groups(plan.cells())), 100 * protocol)
+    per_run = protocol
+    if plan.parallelism > 1:
+        dims = [d for _, d in plan.collection()]
+        per_run = max(d * dims.count(d) for d in plan.dimensions)
+    return min(plan.runs * per_run, 100 * protocol)
 
 
 def _groups(cells, cap: int) -> list[list[tuple]]:
-    """The cells cut into stacks: each (label, dimension) group joins the
-    stack before it while they share family and dimension and the stack's
-    runs x d stays within `cap` (_cap of the whole plan, also on resume).
-    Over `ExperimentPlan.cells` that merges the base, hpp and pp groups of a
-    family at a dimension as far as they fit.  A group that alone exceeds
-    `cap` is first cut into pieces of cap // d cells, each then placed as a
-    group is."""
+    """The cells cut into stacks: each (label, dimension) group, a maximal
+    stretch of consecutive cells that share algorithm and dimension, joins
+    the stack before it while they share family and dimension and the
+    stack's runs x d stays within `cap` (_cap of the whole plan, also on
+    resume).  Over `ExperimentPlan.cells` that merges the base, hpp and pp
+    groups of a family at a dimension as far as they fit.  A group that
+    alone exceeds `cap` is first cut into pieces of cap // d cells, each then
+    placed as a group is."""
     stacks = []  # ((family, dimension), cells)
-    for group in _label_groups(cells):
-        alg, _, d, _ = group[0]
+    for (alg, d), group in itertools.groupby(cells, key=lambda cell: (cell[0], cell[2])):
+        group = list(group)
         key, size = (split_label(alg)[0], d), cap // d
         for piece in (group[i:i + size] for i in range(0, len(group), size)):
             if stacks and stacks[-1][0] == key and (len(stacks[-1][1]) + len(piece)) * d <= cap:
@@ -213,6 +212,10 @@ def _groups(cells, cap: int) -> list[list[tuple]]:
             else:
                 stacks.append((key, piece))
     return [stack for _, stack in stacks]
+
+
+_CELL_KEYS = ("algorithm", "function", "dimension", "run")  # a record's fields that name its cell
+_RECORD_KEYS = frozenset(_CELL_KEYS + ("status", "checkpoints"))  # those every stored record holds
 
 
 def _run_group(args) -> list[tuple[tuple, dict]]:
@@ -227,8 +230,8 @@ def _run_group(args) -> list[tuple[tuple, dict]]:
     seeds = [derive_seed(plan.master_seed, *cell) for cell in cells]
     records = algorithms.run([config[a] for a in algs], [fbatch[f] for f in labels], [box[f] for f in labels], seeds,
                              plan.max_iter, plan.checkpoints)
-    keys = ("algorithm", "function", "dimension", "run")
-    return [(cell, rec.to_dict() | dict(zip(keys, cell))) for cell, rec in zip(cells, records)]
+    # strict: a stack that returned too few or too many records fails here, before any is stored
+    return [(cell, rec.to_dict() | dict(zip(_CELL_KEYS, cell))) for cell, rec in zip(cells, records, strict=True)]
 
 
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(rec, sort_keys=True)'s encoder
@@ -294,25 +297,26 @@ class ResultStore:
         """Each (cell key, record) of runs.jsonl in file order, read a line at
         a time.  Blank lines are skipped.  An unparsable last line, a record
         cut short by an interruption, ends the scan and sets `torn`, as does
-        a missing final newline; any earlier bad line raises."""
+        a missing final newline; any earlier unparsable line raises, as does
+        a parsed line anywhere that is not a run record."""
         self.torn = False
         if not self.runs_path.exists():
             return
         with open(self.runs_path) as fh:
-            line = next(fh, None)
-            while line is not None:
-                after = next(fh, None)  # a line is known to be the last only when the file ends
-                self.torn = after is None and not line.endswith("\n")
-                if not line.isspace():
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError:
-                        if after is not None:
-                            raise
-                        self.torn = True
-                        return
-                    yield (rec["algorithm"], rec["function"], rec["dimension"], rec["run"]), rec
-                line = after
+            for number, line in enumerate(fh, 1):
+                self.torn = not line.endswith("\n")  # only the last line can lack one
+                if line.isspace():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError:
+                    if fh.read():  # a line follows
+                        raise
+                    self.torn = True
+                    return
+                if not (isinstance(rec, dict) and _RECORD_KEYS <= rec.keys()):
+                    raise ValueError(f"runs.jsonl line {number} is not a run record")
+                yield (rec["algorithm"], rec["function"], rec["dimension"], rec["run"]), rec
 
     def read_runs(self) -> dict[tuple, dict]:
         """Records by cell key, in file order, read by `scan_runs`; a second
@@ -332,11 +336,9 @@ class ResultStore:
 class _RunTables:
     """The run tables of a plan's paired labels, one per (label, dimension):
     the best-so-far values (functions, checkpoints, runs), runs last, NaN
-    where a run failed or has no record yet, the ok mask and the filled mask
-    (functions, runs).  They fill a record at a time (`add`), so that no
-    record need be kept; a plan without pairs or checkpoints has none.  The
-    masks are bool, not one int8 status: numpy's int8 loops would page in
-    64 kB more of its library."""
+    where a run failed, and the ok mask (functions, runs).  They fill a
+    record at a time (`add`), so that no record need be kept; a plan without
+    pairs or checkpoints has none."""
 
     def __init__(self, plan: ExperimentPlan):
         self.labels = {d: [spec.label for spec, dd in plan.collection() if dd == d] for d in plan.dimensions}
@@ -347,59 +349,40 @@ class _RunTables:
         for alg in dict.fromkeys(itertools.chain(*plan.pairs)):
             for d, labels in self.labels.items():
                 values = np.full((len(labels), len(plan.checkpoints), plan.runs), np.nan)
-                ok, filled = np.zeros((2, len(labels), plan.runs), dtype=bool)
-                self.tables[alg, d] = values, ok, filled
-                self.slots.update(((alg, label, d), (values, ok, filled, i)) for i, label in enumerate(labels))
+                ok = np.zeros((len(labels), plan.runs), dtype=bool)
+                self.tables[alg, d] = values, ok
+                self.slots.update(((alg, label, d), (values, ok, i)) for i, label in enumerate(labels))
 
     def add(self, key: tuple, rec: dict):
         """Write the record of cell `key`, one of the plan's, into its slot; a
         record of a label in no pair is passed over."""
         slot = self.slots.get(key[:3])
-        if slot is not None:
-            values, ok, filled, i = slot
-            filled[i, key[3]] = True
-            if rec["status"] == "ok":
-                ok[i, key[3]] = True
-                values[i, :, key[3]] = self.values(rec["checkpoints"])
-
-    def table(self, alg: str, d: int):
-        """The values and ok mask of (alg, d); a run with no record raises."""
-        values, ok, filled = self.tables[alg, d]
-        if not filled.all():
-            i, r = np.argwhere(~filled)[0]
-            raise KeyError(f"missing run record for cell {(alg, self.labels[d][i], d, int(r))}")
-        return values, ok
+        if slot is not None and rec["status"] == "ok":
+            values, ok, i = slot
+            ok[i, key[3]] = True
+            values[i, :, key[3]] = self.values(rec["checkpoints"])
 
 
 _METRICS = ("winning_proportion", "relative_error_orig", "relative_error_mod")
 
 
-def compute_metric_rows(plan: ExperimentPlan, records) -> list[tuple]:
+def compute_metric_rows(plan: ExperimentPlan, tables: _RunTables) -> list[tuple]:
     """Long-format metric rows for every pair, function, dimension, checkpoint.
 
     Per-function rows carry the win fraction and both relative errors;
-    function "ALL" rows carry the dimension-level aggregates.  `records` is
-    the plan's run tables, filled as resume streams the records past, or a
-    mapping of cell key to record, whose records are written into tables
-    here.  Every cell of a paired label must have a record; the first that
-    has none is named.  One metrics.pair_figures call per dimension takes
-    every pair's tables; runs that failed on either side of a pair are left
-    out, with one warning per function.
+    function "ALL" rows carry the dimension-level aggregates.  `tables` are
+    the plan's run tables, which resume fills with every cell's record.  One
+    metrics.pair_figures call per dimension takes every pair's tables; runs
+    that failed on either side of a pair are left out, with one warning per
+    function.
     """
     if not (plan.pairs and plan.checkpoints):
         return []
-    tables = records
-    if not isinstance(records, _RunTables):
-        tables = _RunTables(plan)
-        for key in plan.cells():
-            if key in records:
-                tables.add(key, records[key])
     labels = tables.labels
     figures = {}  # d -> count (pairs, F + 1), then win, ties, RE_a, RE_b (pairs, checkpoints, F + 1)
     for d in plan.dimensions:
-        tables_d = {alg: tables.table(alg, d) for alg in dict.fromkeys(itertools.chain(*plan.pairs))}
-        a, ok_a = zip(*(tables_d[alg] for alg, _ in plan.pairs))
-        b, ok_b = zip(*(tables_d[alg] for _, alg in plan.pairs))
+        a, ok_a = zip(*(tables.tables[alg, d] for alg, _ in plan.pairs))
+        b, ok_b = zip(*(tables.tables[alg, d] for _, alg in plan.pairs))
         count, *per_checkpoint = metrics.pair_figures(np.stack(a), np.stack(b), np.stack(ok_a) & np.stack(ok_b))
         figures[d] = [count.tolist()] + [x.swapaxes(-1, -2).tolist() for x in per_checkpoint]
     rows = []
@@ -448,9 +431,9 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     one family or dimension from before cells were ordered by family first,
     is refused with the first record out of place named.  runs.jsonl is read
     a line at a time, each line checked as it arrives (a bad line before the
-    last, a record out of cell order or a second record for a cell raises at
-    the first such line) and written into the plan's run tables, so no
-    record is kept.  The missing cells are the rest of that list: if any are
+    last, a line that is no run record, a record out of cell order or a
+    second record for a cell raises at the first such line) and written into
+    the plan's run tables, so no record is kept.  The missing cells are the rest of that list: if any are
     missing or the file is torn, the records read are rewritten once, after
     the whole file has been read and found in order, then the missing cells
     run a stack at a time (_groups, under the whole plan's _cap, not one

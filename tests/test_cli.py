@@ -209,6 +209,19 @@ def test_run_exits_1_when_out_is_a_file(tmp_path, capsys):
     assert (tmp_path / "f").read_text() == ""
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", '{"algorithm": "PSO"}', "7"])
+def test_run_refuses_a_runs_jsonl_line_that_is_no_record(tmp_path, capsys, line):
+    plan = write_plan(tmp_path, runs=2)
+    out = tmp_path / "store"
+    assert run_cli(capsys, "run", str(plan), "--out", str(out))[0] == 0
+    lines = (out / "runs.jsonl").read_text().splitlines(keepends=True)
+    lines[1] = line + "\n"
+    (out / "runs.jsonl").write_text("".join(lines))
+    code, _, err = run_cli(capsys, "run", str(plan), "--out", str(out))
+    assert code == 2 and err == "error: runs.jsonl line 2 is not a run record\n"
+    assert (out / "runs.jsonl").read_text() == "".join(lines)
+
+
 def test_report_values_in_range(tmp_path, capsys):
     plan = write_plan(tmp_path, checkpoints=[5, 10])
     out = tmp_path / "store"

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import swarmpp
-from swarmpp import algorithms, harness, objectives
+from swarmpp import algorithms, harness, metrics, objectives
 from swarmpp.cli import main
 from swarmpp.harness import (
     ExperimentPlan,
@@ -277,6 +277,14 @@ def test_store_bytes_are_pinned(tmp_path):
     }
 
 
+def _tables(plan, records):
+    """The plan's run tables, filled with `records` as resume fills them."""
+    tables = harness._RunTables(plan)
+    for key, rec in records.items():
+        tables.add(key, rec)
+    return tables
+
+
 def _synthetic_records(runs: int):
     """A plan of PSO and mPSO on the 14 d=10 members and records made up for
     it: lognormal best-so-far values, wide enough apart that the order of a
@@ -310,7 +318,7 @@ def test_metric_summation_order_is_pinned(tmp_path):
         assert (labels[0], labels[1], labels[5]) == ("F1", "F2", "F16")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = compute_metric_rows(plan, records)
+            rows = compute_metric_rows(plan, _tables(plan, records))
         assert [str(w.message) for w in caught] == ["excluded 1 failed run pair(s) for PSO/mPSO on F16 d=10"]
         by_key = {(r[2], r[4], r[5]): r for r in rows}
         assert by_key[("F1", 50, "relative_error_mod")][6:] == ("0.0", runs)
@@ -321,10 +329,10 @@ def test_metric_summation_order_is_pinned(tmp_path):
         assert hashlib.sha256(store.metrics_path.read_bytes()).hexdigest() == pin
 
 
-def _bench_workloads():
-    """bench/workloads.py, imported by its path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _bench_module(name):
+    """bench/<name>.py, imported by its path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -334,7 +342,7 @@ def test_workload_store_bytes_are_pinned(tmp_path):
     # the benchmark's three plans at seeds 1 and 2, built as `swarmpp run`
     # builds them: every draw, kernel, record and metric line of the
     # measured workloads
-    workloads = _bench_workloads()
+    workloads = _bench_module("workloads")
     pins = {
         ("trend-d10", 1): ("bccffba2a89eb7abeb9aebf0f36e7388d8f7f9c4a1553d6692ea3c06d85769c0",
                            "9c65e7c3bd6bef250098e0af9936a10cb40bec7b184ba77cdaceeb922ac9c066",
@@ -595,7 +603,7 @@ def test_metric_rows_match_direct_computation(tmp_path):
     out = tmp_path / "m"
     execute(plan, out)
     records = ResultStore(out).read_runs()
-    rows = compute_metric_rows(plan, records)
+    rows = compute_metric_rows(plan, _tables(plan, records))
     a = np.array([records[("PSO", "F27", 5, r)]["checkpoints"]["30"] for r in range(3)])
     b = np.array([records[("mPSO", "F27", 5, r)]["checkpoints"]["30"] for r in range(3)])
     from swarmpp.metrics import relative_error, win_fraction
@@ -608,13 +616,28 @@ def test_metric_rows_match_direct_computation(tmp_path):
     assert by_key[("ALL", 30, "relative_error_mod")][6] == repr(re_b)
     # a dimension with no listed member adds no row, and a plan without
     # pairs or checkpoints has none
-    assert compute_metric_rows(replace(plan, dimensions=(2, 5)), records) == rows
-    assert compute_metric_rows(replace(plan, pairs=()), records) == []
-    assert compute_metric_rows(replace(plan, checkpoints=()), records) == []
-    # a cell of a paired label with no record is named in full
-    del records[("mPSO", "F27", 5, 1)]
-    with pytest.raises(KeyError, match=re.escape("missing run record for cell ('mPSO', 'F27', 5, 1)")):
-        compute_metric_rows(plan, records)
+    wider = replace(plan, dimensions=(2, 5))
+    assert compute_metric_rows(wider, _tables(wider, records)) == rows
+    for empty in (replace(plan, pairs=()), replace(plan, checkpoints=())):
+        assert compute_metric_rows(empty, _tables(empty, records)) == []
+
+
+def test_stack_with_a_record_missing_stores_none_of_it(tmp_path, monkeypatch):
+    # two stacks, of 8 and 12 runs (test_groups_run_alike_at_any_parallelism);
+    # the second returns one record too few, and fails before it is stored
+    plan = small_plan(runs=2, dimensions=(2, 5), functions=("F4", "F15", "F18", "F26", "F27"))
+    real_run, stacks = algorithms.run, []
+
+    def run(*args, **kwargs):
+        stacks.append(real_run(*args, **kwargs))
+        return stacks[-1][:-1] if len(stacks) == 2 else stacks[-1]
+
+    monkeypatch.setattr(algorithms, "run", run)
+    out = tmp_path / "short"
+    with pytest.raises(ValueError, match="zip"):
+        execute(plan, out)
+    assert [len(stack) for stack in stacks] == [8, 12]
+    assert [json.loads(line)["dimension"] for line in (out / "runs.jsonl").read_text().splitlines()] == [2] * 8
 
 
 def test_failed_cell_record_excluded_from_metrics(tmp_path, monkeypatch):
@@ -755,6 +778,47 @@ def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
         resume(plan, out)
     assert writes == []
     assert (out / "runs.jsonl").read_text() == corrupt
+
+
+@pytest.mark.parametrize("number", [2, 4])
+@pytest.mark.parametrize("line", ["[1, 2]", '{"algorithm": "PSO"}', "7"])
+def test_runs_jsonl_line_that_is_no_record_is_refused(tmp_path, line, number):
+    # a line that parses is a record or an error, wherever it stands: only
+    # an unparsable last line is torn, even without its newline
+    plan = small_plan(runs=2)
+    out = tmp_path / "s"
+    execute(plan, out)
+    lines = (out / "runs.jsonl").read_text().splitlines(keepends=True)
+    lines[number - 1] = line + ("\n" if number < len(lines) else "")
+    (out / "runs.jsonl").write_text("".join(lines))
+    before = (out / "runs.jsonl").read_bytes()
+    message = f"runs.jsonl line {number} is not a run record"
+    with pytest.raises(ValueError, match=message):
+        ResultStore(out).read_runs()
+    with pytest.raises(ValueError, match=message):
+        resume(plan, out)
+    assert (out / "runs.jsonl").read_bytes() == before
+
+
+def test_bench_tracing_restores_what_it_patches():
+    # bench/tracing.py replaces these program names for a traced round
+    # (`bench/run.py --trace 1`), looked up by name: a rename or deletion
+    # fails here, and every patched attribute must be restored on exit
+    tracing = _bench_module("tracing")
+    owners = (objectives, algorithms, harness, metrics, ResultStore)
+    before = [dict(vars(owner)) for owner in owners]
+
+    def changed():
+        return {(owner.__name__, name) for owner, old in zip(owners, before)
+                for name in old.keys() | vars(owner).keys() if vars(owner).get(name) is not old.get(name)}
+
+    with tracing.traced_program(tracing.Tracer()):
+        patched = changed()
+    needed = {"swarmpp.objectives": ("batch_evaluator",), "swarmpp.algorithms": ("sample_noise", "step", "run"),
+              "swarmpp.harness": ("compute_metric_rows",), "swarmpp.metrics": ("win_fraction", "relative_error"),
+              "ResultStore": ("write_manifest", "write_runs", "read_runs", "write_metrics")}
+    assert patched >= {(owner, name) for owner, names in needed.items() for name in names}
+    assert changed() == set()
 
 
 def test_cells_in_cell_order():
