@@ -36,10 +36,12 @@ tests pin it):
 PSO, BAT and CSO draw noise rows for all m candidates under hpp too, and use
 the first floor(m/2).
 
-A stack parses DE's draws off the raw words of its runs' own PCG64s
-(_Words), each run keeping its unused words and uint32 half for the next
-step.  A step on a caller's generator draws them agent by agent with
-Generator calls (_de_draws_loop), the reference the parse is tested against.
+A DE stack parses its draws off the raw words of its runs' own PCG64s with
+one parser (_Words): each step, one Python pass per run over that run's
+integer draws, then one gather of every run's coins; each run keeps its
+unused words and uint32 half for the next step.  A step on a caller's
+generator draws them agent by agent with Generator calls (_de_draws_loop),
+the reference the parse is tested against.
 
 DE values its trials as single points would be valued: one ulp in an
 accepted value changes its trajectory, and numpy's `**` on a value derived
@@ -229,9 +231,9 @@ class _Runs:
     generators, the runs of each objective and of each variant, and their
     C1/C3 counts.  A run that fails keeps its place on the run axis.
 
-    `words` holds each run's _Words in a DE stack that `run` set up, whose
-    generators are its own; else it is empty, and DE's draws come from the
-    caller's generators through _de_draws_loop."""
+    `words` is the _Words parser of all the runs' generators in a DE stack
+    that `run` set up, whose generators are its own; else it is None, and
+    DE's draws come from the caller's generators through _de_draws_loop."""
 
     def __init__(self, fbatches, boxes, rngs, rng_noises, variants):
         self.box, self.rngs = BoxStack.of(boxes), rngs
@@ -241,7 +243,7 @@ class _Runs:
                              for rows in _positions_by_key(variants)]
         self.violations_c1 = np.zeros(len(self.rngs), dtype=int)
         self.violations_c3 = np.zeros(len(self.rngs), dtype=int)
-        self.words = []
+        self.words = None
 
     def evaluate(self, X, per_point: bool = False) -> np.ndarray:
         """Values (R, m) of the rows X (R, m, d): one objective call on the
@@ -566,88 +568,122 @@ def _de_draws_loop(rng, n: int, d: int):
     return J, K, forced, coins
 
 
+_PARSE_WORDS = 1 << 14  # a DE parse takes a stack's runs in chunks of about this many words (128 KiB)
+
+
+def _scan(words, n: int, d: int, buf, ints: list):
+    """One run's integer draws of a step, parsed off its raw words (a
+    memoryview) from its buffered uint32 half `buf` (None if it has none):
+    each agent's donor j, donor k and forced index, redrawn as
+    _de_draws_loop redraws them, and the position of its first crossover
+    coin word, appended to `ints`; the d coin words are passed over.
+    Returns the position of the first word left unread and the half then
+    buffered; raises IndexError if the draws run past the words."""
+    pos, mask = 0, _UINT32  # a local: the loop reads it on every draw
+    low_n, low_d = (1 << 32) % n, (1 << 32) % d  # Lemire rejects v * m whose low half is below 2**32 mod m
+    for i in range(n):
+        while True:  # donor j != i
+            if buf is None:
+                w, pos = words[pos], pos + 1
+                v, buf = (w & mask) * n, w >> 32
+            else:
+                v, buf = buf * n, None
+            if (j := v >> 32) != i and v & mask >= low_n:
+                break
+        while True:  # donor k not in {i, j}
+            if buf is None:
+                w, pos = words[pos], pos + 1
+                v, buf = (w & mask) * n, w >> 32
+            else:
+                v, buf = buf * n, None
+            if (k := v >> 32) != i and k != j and v & mask >= low_n:
+                break
+        v = 0
+        while d > 1:  # the forced index; integers(1) draws nothing
+            if buf is None:
+                w, pos = words[pos], pos + 1
+                v, buf = (w & mask) * d, w >> 32
+            else:
+                v, buf = buf * d, None
+            if v & mask >= low_d:
+                break
+        ints += j, k, v >> 32, pos  # the coins are the d words from pos
+        pos += d
+    if pos > len(words):
+        raise IndexError("the coins run past the words")
+    return pos, buf
+
+
 class _Words:
-    """One PCG64's raw words and its buffered uint32 half: DE's dynamics
-    draws are parsed off them one step at a time, as _de_draws_loop draws
-    them from a Generator over that PCG64.
+    """The raw words of a DE stack's dynamics PCG64s and the uint32 half
+    each has buffered: every run's dynamics draws are parsed off them one
+    step at a time, as _de_draws_loop draws them from a Generator over the
+    run's PCG64.
 
     Generator.integers(m) is Lemire's method on next_uint32, which returns the
     low half of a fresh 64-bit word and keeps the high half for the next call
     (state "has_uint32"/"uinteger"); random() is (next_uint64 >> 11) * 2**-53
-    and does not touch that buffer.  The integer draws are parsed in Python
-    ints, Lemire's accept test inline, and a step's coins converted in one
-    gather.  Words are read with random_raw as a parse needs them; the ones it
-    leaves, and the uint32 half, wait for the next step.  A stack parses its
-    own generators only, so nothing puts the unused words back.
+    and does not touch that buffer.  A step tops each run's unread words up
+    to a step's worth with random_raw, parses each run's integer draws in one
+    Python pass (_scan), Lemire's accept test inline, and converts the coins
+    of all the runs in one gather, a chunk of runs at a time so that the
+    memory a step holds stays bounded.  A run whose draws run past its words
+    reads more and is scanned again.  The words a step leaves, and the uint32
+    half, wait for the next.  A stack parses its own generators only, so
+    nothing puts the unused words back.
     """
 
-    def __init__(self, bg):
-        state = bg.state
-        self.bg, self.has, self.buf = bg, state["has_uint32"], state["uinteger"]
-        self.raw = np.empty(0, dtype=np.uint64)
+    def __init__(self, bit_generators):
+        self.bgs = list(bit_generators)
+        states = [bg.state for bg in self.bgs]
+        self.bufs = [s["uinteger"] if s["has_uint32"] else None for s in states]
+        self.raw = [np.empty(0, dtype=np.uint64)] * len(self.bgs)  # each run's unread words
 
     def parse(self, n: int, d: int):
-        """(J, K, forced, coins) of the next step: (n,) donor and forced
-        indices, (n, d) crossover coins."""
-        need = n * (d + 2)  # the words of a step at n >= 8, barring many redraws
-        while True:
-            if len(self.raw) < need:
-                self.raw = np.concatenate((self.raw, self.bg.random_raw(need - len(self.raw))))
-            try:
-                return self._parsed(n, d)
-            except IndexError:  # the draws ran past the words (_parsed has changed nothing): read more
-                need += n * (d + 2)
-
-    def _parsed(self, n: int, d: int):
-        raw, pos, has, buf = self.raw, 0, self.has, self.buf
-        words = memoryview(raw)
-        low_n, low_d = (1 << 32) % n, (1 << 32) % d  # Lemire rejects v * m whose low half is below 2**32 mod m
-        ints = []  # j, k, forced and the first coin's word, agent by agent
-        for i in range(n):
-            while True:  # donor j != i
-                if has:
-                    has, v = 0, buf
-                else:
-                    w, pos = words[pos], pos + 1
-                    has, v, buf = 1, w & _UINT32, w >> 32
-                v *= n
-                if v & _UINT32 >= low_n and v >> 32 != i:
-                    break
-            j = v >> 32
-            while True:  # donor k not in {i, j}
-                if has:
-                    has, v = 0, buf
-                else:
-                    w, pos = words[pos], pos + 1
-                    has, v, buf = 1, w & _UINT32, w >> 32
-                v *= n
-                if v & _UINT32 >= low_n and v >> 32 != i and v >> 32 != j:
-                    break
-            k, v = v >> 32, 0
-            while d > 1:  # the forced index; integers(1) draws nothing
-                if has:
-                    has, v = 0, buf
-                else:
-                    w, pos = words[pos], pos + 1
-                    has, v, buf = 1, w & _UINT32, w >> 32
-                v *= d
-                if v & _UINT32 >= low_d:
-                    break
-            ints += j, k, v >> 32, pos  # the coins are the d words from pos
-            pos += d
-        ints = np.array(ints, dtype=np.intp).reshape(n, 4)
-        coins = (raw[ints[:, 3:] + np.arange(d)] >> np.uint64(11)) * 2.0**-53
-        self.raw, self.has, self.buf = raw[pos:].copy(), has, buf
-        return ints[:, 0], ints[:, 1], ints[:, 2], coins
+        """(J, K, forced, coins) of every run's next step: (R, n) donor and
+        forced indices, (R, n, d) crossover coins."""
+        R, need = len(self.bgs), n * (d + 2)  # need: the words of a step at n >= 8, barring many redraws
+        jkf, coins = np.empty((3, R, n), dtype=np.intp), np.empty((R, n, d))
+        chunk = max(1, _PARSE_WORDS // need)
+        for lo in range(0, R, chunk):
+            hi = min(R, lo + chunk)
+            flat = np.concatenate([block for r in range(lo, hi)  # each run's unread words, topped up to a step's
+                                   for block in (self.raw[r], self.bgs[r].random_raw(max(need - len(self.raw[r]), 0)))])
+            ints, spans, late, view, at, end = [], [], [], memoryview(flat), 0, len(flat)
+            for r in range(lo, hi):
+                size = max(need, len(self.raw[r]))
+                words, start, at = view[at:at + size], at, at + size
+                while True:
+                    try:
+                        pos, self.bufs[r] = _scan(words, n, d, self.bufs[r], ints)
+                        break
+                    except IndexError:  # the draws ran past the words: read more and scan again
+                        del ints[4 * n * (r - lo):]
+                        words = memoryview(np.concatenate((words, self.bgs[r].random_raw(need))))
+                if len(words) > size:  # it read more: its words go after the chunk's
+                    start, end = end, end + len(words)
+                    late.append(words)
+                spans.append((start, start + pos, start + len(words)))  # its words, the first unread, the end
+            if late:
+                flat = np.concatenate((flat, *late))
+            for r, (_, unread, stop) in zip(range(lo, hi), spans):  # copies: a view would keep the chunk's words
+                self.raw[r] = flat[unread:stop].copy()
+            ints = np.array(ints, dtype=np.intp).reshape(hi - lo, n, 4)
+            jkf[:, lo:hi] = ints[..., :3].transpose(2, 0, 1)
+            # each agent's d coin words: rows of a view that has each word and the d - 1 after it
+            windows = np.ndarray((len(flat) - d + 1, d), flat.dtype, flat, 0, flat.strides * 2)
+            u = windows[ints[..., 3] + np.array([start for start, _, _ in spans])[:, None]]
+            u >>= np.uint64(11)
+            np.multiply(u, 2.0**-53, out=coins[lo:hi])
+        return *jkf, coins
 
 
 def _de_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):
     R, n, d = state.X.shape
-    J, K, forced = np.empty((3, R, n), dtype=np.intp)
-    coins = np.empty((R, n, d))
-    for r, rng in enumerate(runs.rngs):
-        # a stack's own generator, parsed; a caller's, drawn by the loop
-        J[r], K[r], forced[r], coins[r] = runs.words[r].parse(n, d) if runs.words else _de_draws_loop(rng, n, d)
+    if runs.words is not None:  # a stack's own generators, parsed
+        J, K, forced, coins = runs.words.parse(n, d)
+    else:  # a caller's, drawn by the loop
+        J, K, forced, coins = map(np.stack, zip(*(_de_draws_loop(rng, n, d) for rng in runs.rngs)))
     rows, X = np.arange(R)[:, None], state.X
     keep = coins < config.crossover
     keep[rows, np.arange(n), forced] = True
@@ -794,7 +830,7 @@ def _run_stack(configs, fbatches, boxes, seeds, max_iter, checkpoints, check_inv
     runs = _Runs(fbatches, boxes, generators[0::2], generators[1::2], [c.variant for c in configs])
     state, at_init = _init(config, runs, _starts(config.n, runs))
     if config.family == "DE":  # the generators are the stack's own: parse their words
-        runs.words = [_Words(rng.bit_generator) for rng in runs.rngs]
+        runs.words = _Words(rng.bit_generator for rng in runs.rngs)
     failed, bests = at_init.copy(), {}  # bests: each checkpoint's best-so-far of every run
     for t in range(max_iter + 1):
         if failed.all():

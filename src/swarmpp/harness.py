@@ -36,7 +36,9 @@ import concurrent.futures
 import hashlib
 import itertools
 import json
+import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -230,8 +232,10 @@ def _run_group(args) -> list[tuple[tuple, dict]]:
     seeds = [derive_seed(plan.master_seed, *cell) for cell in cells]
     records = algorithms.run([config[a] for a in algs], [fbatch[f] for f in labels], [box[f] for f in labels], seeds,
                              plan.max_iter, plan.checkpoints)
-    # strict: a stack that returned too few or too many records fails here, before any is stored
-    return [(cell, rec.to_dict() | dict(zip(_CELL_KEYS, cell))) for cell, rec in zip(cells, records, strict=True)]
+    if len(records) != len(cells):  # a fault of the program, not of the plan: it fails here, before any is stored
+        raise RuntimeError(f"the {split_label(algs[0])[0]} stack at d={d} returned {len(records)} records "
+                           f"for its {len(cells)} cells")
+    return [(cell, rec.to_dict() | dict(zip(_CELL_KEYS, cell))) for cell, rec in zip(cells, records)]
 
 
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(rec, sort_keys=True)'s encoder
@@ -333,6 +337,27 @@ class ResultStore:
         _replace_text(self.metrics_path, [METRICS_HEADER + "\n", lines])
 
 
+_INF = math.inf
+
+
+def _checkpoints_fault(checkpoints, names: list[str]) -> str | None:
+    """What keeps a record's `checkpoints` from holding a finite number,
+    not a bool, at each of `names`, the plan's checkpoints, and nothing
+    else; None if nothing does."""
+    if not isinstance(checkpoints, dict):
+        return f"checkpoints {checkpoints!r} are not an object"
+    for t in names:
+        if t not in checkpoints:
+            return f"checkpoint {t} is missing"
+        v = checkpoints[t]
+        if type(v) not in (float, int) or not abs(v) <= sys.float_info.max:  # an int beyond it has no float
+            return f"checkpoint {t} is {v!r}, not a finite number"
+    for t in checkpoints:
+        if t not in names:
+            return f"checkpoint {t!r} is not one of the plan's ({', '.join(names)})"
+    return None
+
+
 class _RunTables:
     """The run tables of a plan's paired labels, one per (label, dimension):
     the best-so-far values (functions, checkpoints, runs), runs last, NaN
@@ -341,26 +366,52 @@ class _RunTables:
     pairs or checkpoints has none."""
 
     def __init__(self, plan: ExperimentPlan):
-        self.labels = {d: [spec.label for spec, dd in plan.collection() if dd == d] for d in plan.dimensions}
-        self.tables, self.slots = {}, {}  # (alg, d) -> tables; (alg, label, d) -> its tables and row
+        self.labels = {d: [] for d in plan.dimensions}  # each dimension's members, in collection order
+        for spec, d in plan.collection():
+            self.labels[d].append(spec.label)
+        self.tables, self.slots = {}, {}  # (alg, d) -> tables; (alg, label, d) -> memoryviews of its tables, row
+        self.names = [str(t) for t in plan.checkpoints]
+        # a record's values at the plan's checkpoints, as a tuple (itemgetter gives one key's bare)
+        get = operator.itemgetter(*self.names) if self.names else lambda checkpoints: ()
+        self.values = get if len(self.names) != 1 else lambda checkpoints: (get(checkpoints),)
         if not plan.checkpoints:
             return
-        self.values = operator.itemgetter(*(str(t) for t in plan.checkpoints))  # a value, or a tuple of them
         for alg in dict.fromkeys(itertools.chain(*plan.pairs)):
             for d, labels in self.labels.items():
                 values = np.full((len(labels), len(plan.checkpoints), plan.runs), np.nan)
                 ok = np.zeros((len(labels), plan.runs), dtype=bool)
                 self.tables[alg, d] = values, ok
-                self.slots.update(((alg, label, d), (values, ok, i)) for i, label in enumerate(labels))
+                # written through memoryviews: a numpy index assignment costs several times as much
+                views = memoryview(values), memoryview(ok)
+                self.slots.update(((alg, label, d), (*views, i)) for i, label in enumerate(labels))
 
     def add(self, key: tuple, rec: dict):
         """Write the record of cell `key`, one of the plan's, into its slot; a
-        record of a label in no pair is passed over."""
+        record of a label in no pair is passed over.  An ok record must hold
+        a finite number, not a bool, at each of the plan's checkpoints and
+        nothing else, or ValueError says what it holds instead."""
+        if rec["status"] != "ok":
+            return
+        checkpoints = rec["checkpoints"]
+        try:  # a float at each checkpoint, as every record the program writes holds, passes here
+            values = self.values(checkpoints)
+            plain = type(checkpoints) is dict and len(checkpoints) == len(values)
+            for v in values:
+                if type(v) is not float or not -_INF < v < _INF:
+                    plain = False
+        except (KeyError, TypeError):
+            plain = False
+        if not plain:
+            fault = _checkpoints_fault(checkpoints, self.names)
+            if fault:
+                raise ValueError(fault)
         slot = self.slots.get(key[:3])
-        if slot is not None and rec["status"] == "ok":
-            values, ok, i = slot
-            ok[i, key[3]] = True
-            values[i, :, key[3]] = self.values(rec["checkpoints"])
+        if slot is not None:
+            table, ok, i = slot
+            run = key[3]
+            ok[i, run] = True
+            for t, v in enumerate(values):
+                table[i, t, run] = v
 
 
 _METRICS = ("winning_proportion", "relative_error_orig", "relative_error_mod")
@@ -460,7 +511,10 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
                 f"runs.jsonl record {done + 1} is cell {key}, not the plan's next cell in cell order; "
                 "refusing to resume (use --force to recompute the store)"
             )
-        tables.add(key, rec)
+        try:
+            tables.add(key, rec)
+        except ValueError as exc:
+            raise ValueError(f"runs.jsonl record {done + 1} (cell {key}): {exc}; refusing to resume") from None
         done += 1
     if done < len(cells) or store.torn:
         # the records read, again a line at a time, without a torn last line or blank lines

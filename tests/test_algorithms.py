@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -541,61 +542,101 @@ def test_golden_pin_multistep():
     assert [k for k in pinned if got[k] != pinned[k]] == []
 
 
-# DE's dynamics draws in a stack: raw PCG64 words, parsed as the per-agent
-# loop draws them, must give the loop's draws and stop where the loop stops,
-# its buffered uint32 half included.
+# DE's dynamics draws in a stack: every run's raw PCG64 words, parsed as the
+# per-agent loop draws them, must give each run its loop's draws and stop
+# where its loop stops, its buffered uint32 half included.
 
 
-def _words_stand_where(words, gen):
-    """The next word `words` parses is `gen`'s next word, buffered half included."""
-    state, peek = gen.bit_generator.state, np.random.PCG64()
+def _words_stand_where(words, r, gen):
+    """The next word run r of `words` parses is `gen`'s next word, buffered half included."""
+    state, peek, buf = gen.bit_generator.state, np.random.PCG64(), words.bufs[r]
     peek.state = state
-    return (words.has, words.buf) == (state["has_uint32"], state["uinteger"]) and (
-        words.raw.tolist() == peek.random_raw(len(words.raw)).tolist()
+    return (buf is not None, buf) == (bool(state["has_uint32"]), state["uinteger"] if state["has_uint32"] else None) and (
+        words.raw[r].tolist() == peek.random_raw(len(words.raw[r])).tolist()
     )
+
+
+class CountingPCG64:
+    """A PCG64 look-alike that counts its random_raw calls."""
+
+    def __init__(self, state):
+        self.bg, self.reads = np.random.PCG64(), 0
+        self.bg.state = state
+
+    @property
+    def state(self):
+        return self.bg.state
+
+    def random_raw(self, size):
+        self.reads += 1
+        return self.bg.random_raw(size)
+
+
+def _loops(seed, runs: int):
+    """`runs` generators, the odd ones on a buffered uint32 half and the even
+    ones on none, and a PCG64 in each one's state."""
+    loops = [np.random.default_rng([*seed, r]) for r in range(runs)]
+    for r, loop in enumerate(loops):
+        while loop.bit_generator.state["has_uint32"] != r % 2:
+            loop.integers(9)
+    return loops, [CountingPCG64(loop.bit_generator.state) for loop in loops]
+
+
+def _assert_parse_equals_loops(words, loops, n, d, err_msg):
+    draws = words.parse(n, d)
+    assert [a.shape for a in draws] == [(len(loops), n)] * 3 + [(len(loops), n, d)]
+    for r, loop in enumerate(loops):
+        for a, b in zip(draws, _de_draws_loop(loop, n, d)):
+            np.testing.assert_array_equal(a[r], b, err_msg=f"{err_msg}, run {r}")
+        assert _words_stand_where(words, r, loop), (err_msg, r)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 32, 33, 64])
 def test_de_block_draws_equal_loop(n):
-    # one step per parse, as a stack draws, and a fresh stream on a buffered
-    # uint32 half every third step
+    # one step per parse, as a stack draws, and a fresh parser of 4 runs
+    # every third step, half of them on a buffered uint32 half
     for d in (1, 2, 3, 5, 10, 40):
-        loop, bg = np.random.default_rng([n, d]), np.random.PCG64()
         for t in range(12):
             if t % 3 == 0:
-                while not loop.bit_generator.state["has_uint32"]:
-                    loop.integers(9)  # start this step with a buffered uint32 half
-                bg.state = loop.bit_generator.state
-                words = algorithms._Words(bg)
-            draws = words.parse(n, d)
-            assert [a.shape for a in draws] == [(n,)] * 3 + [(n, d)]
-            for a, b in zip(draws, _de_draws_loop(loop, n, d)):
-                np.testing.assert_array_equal(a, b, err_msg=f"d={d}, step {t}")
-            assert _words_stand_where(words, loop), (d, t)
+                loops, bgs = _loops([n, d, t], 4)
+                words = algorithms._Words(bgs)
+            _assert_parse_equals_loops(words, loops, n, d, f"d={d}, step {t}")
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 32, 33, 64])
 def test_de_multistep_parse_equals_loop(n, monkeypatch):
     # a stack parses one step per call, step after step, off words it keeps
-    # between calls, reading more as it runs out, even in the middle of a step
-    reads, parsed_from = [], algorithms._Words._parsed
-    monkeypatch.setattr(algorithms._Words, "_parsed", lambda self, *a: reads.append(a) or parsed_from(self, *a))
-    refills = 0
+    # between calls, a run reading more as it runs out, even in the middle of
+    # a step; chunks of two runs, so that a step takes the stack in three
+    mixed = False  # a step where some runs, but not all, read more in mid-step
     for d in (1, 2, 3, 5, 10, 40):
+        monkeypatch.setattr(algorithms, "_PARSE_WORDS", 2 * n * (d + 2))
         for steps in (1, 3, 17):
-            parsed, loop = np.random.default_rng([n, d, steps]), np.random.default_rng([n, d, steps])
-            while not parsed.bit_generator.state["has_uint32"]:
-                parsed.integers(9)  # start with a buffered uint32 half
-                loop.integers(9)
-            words = algorithms._Words(parsed.bit_generator)
+            loops, bgs = _loops([n, d, steps], 5)
+            words = algorithms._Words(bgs)
             for t in range(steps):  # each call after the first starts on the words the last left
-                reads.clear()
-                draws = words.parse(n, d)
-                refills += len(reads) - 1  # a parse that runs out of words reads more and starts over
-                for a, b in zip(draws, _de_draws_loop(loop, n, d)):
-                    np.testing.assert_array_equal(a, b, err_msg=f"d={d}, steps={steps}, step {t}")
-            assert _words_stand_where(words, loop), (d, steps)
-    assert refills > 0 or n >= 8  # small swarms redraw donors often enough to outrun the words of a step
+                before = [bg.reads for bg in bgs]
+                _assert_parse_equals_loops(words, loops, n, d, f"d={d}, steps={steps}, step {t}")
+                refilled = [bg.reads - b > 1 for bg, b in zip(bgs, before)]  # a step tops each run up once
+                mixed |= any(refilled) and not all(refilled)
+    assert mixed or n >= 8  # small swarms redraw donors often enough to outrun the words of a step
+
+
+def test_de_parse_step_memory_is_bounded():
+    # a step holds the words of a chunk of runs at a time, not the stack's
+    R, n, d = 600, 32, 10
+    words = algorithms._Words(np.random.PCG64(r) for r in range(R))
+    tracemalloc.start()
+    try:
+        words.parse(n, d)  # the words each run keeps, now traced
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        draws = words.parse(n, d)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in draws)
+    assert peak <= 1.5 * returned, (peak, returned)
 
 
 class ProxyGenerator:

@@ -4,6 +4,7 @@ import pytest
 
 from swarmpp import algorithms
 from swarmpp.cli import main
+from swarmpp.metrics import relative_error
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +221,70 @@ def test_run_refuses_a_runs_jsonl_line_that_is_no_record(tmp_path, capsys, line)
     code, _, err = run_cli(capsys, "run", str(plan), "--out", str(out))
     assert code == 2 and err == "error: runs.jsonl line 2 is not a run record\n"
     assert (out / "runs.jsonl").read_text() == "".join(lines)
+
+
+def _with_checkpoints(line: str, checkpoints: str) -> str:
+    """A runs.jsonl line with its checkpoints object replaced by the JSON text `checkpoints`."""
+    head, tail = line.split('"checkpoints": {')
+    return head + '"checkpoints": ' + checkpoints + tail.split("}", 1)[1]
+
+
+@pytest.mark.parametrize("checkpoints, fault", [
+    ("{}", "checkpoint 10 is missing"),
+    ('{"10": "x"}', "checkpoint 10 is 'x', not a finite number"),
+    ('{"10": "1.5"}', "checkpoint 10 is '1.5', not a finite number"),
+    ('{"10": null}', "checkpoint 10 is None, not a finite number"),
+    ('{"10": Infinity}', "checkpoint 10 is inf, not a finite number"),
+    ('{"10": NaN}', "checkpoint 10 is nan, not a finite number"),
+    ('{"10": 1' + "0" * 400 + "}", "checkpoint 10 is 1" + "0" * 400 + ", not a finite number"),
+    ('{"10": true}', "checkpoint 10 is True, not a finite number"),
+    ('{"10": 3.5, "20": 1.0}', "checkpoint '20' is not one of the plan's (10)"),
+    ('[3.5]', "checkpoints [3.5] are not an object"),
+])
+def test_run_refuses_a_record_whose_checkpoints_are_not_the_plans(tmp_path, capsys, checkpoints, fault):
+    # before, {} exited 1 with "error: '10'", "x" exited 2 naming no line,
+    # null and Infinity failed later in the metrics, and true or an extra
+    # checkpoint changed metrics.csv without a word
+    plan = write_plan(tmp_path, runs=2)
+    out = tmp_path / "store"
+    assert run_cli(capsys, "run", str(plan), "--out", str(out))[0] == 0
+    lines = (out / "runs.jsonl").read_text().splitlines(keepends=True)
+    lines[1] = _with_checkpoints(lines[1], checkpoints)
+    (out / "runs.jsonl").write_text("".join(lines))
+    metrics = (out / "metrics.csv").read_bytes()
+    code, _, err = run_cli(capsys, "run", str(plan), "--out", str(out))
+    assert code == 2
+    assert err == f"error: runs.jsonl record 2 (cell ('PSO', 'F27', 5, 1)): {fault}; refusing to resume\n"
+    assert (out / "runs.jsonl").read_text() == "".join(lines) and (out / "metrics.csv").read_bytes() == metrics
+
+
+def test_run_takes_an_integer_checkpoint_value(tmp_path, capsys):
+    # a JSON integer is a number: the record is kept and the value counts
+    plan = write_plan(tmp_path, runs=2)
+    out = tmp_path / "store"
+    run_cli(capsys, "run", str(plan), "--out", str(out))
+    lines = (out / "runs.jsonl").read_text().splitlines(keepends=True)
+    lines[1] = _with_checkpoints(lines[1], '{"10": -1000}')
+    (out / "runs.jsonl").write_text("".join(lines))
+    (out / "metrics.csv").unlink()
+    assert run_cli(capsys, "run", str(plan), "--out", str(out))[0] == 0
+    assert (out / "runs.jsonl").read_text() == "".join(lines)
+    records = [json.loads(line) for line in lines]
+    a, b = ([rec["checkpoints"]["10"] for rec in records if rec["algorithm"] == alg] for alg in ("PSO", "mPSO"))
+    assert a[1] == -1000
+    rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+    assert {(row[2], row[5]): row[6] for row in rows}[("F27", "relative_error_orig")] == repr(relative_error(a, b)[0])
+
+
+def test_run_exits_1_when_a_stack_returns_too_few_records(tmp_path, capsys, monkeypatch):
+    # a fault of the program, not of the plan: before, the strict zip's
+    # ValueError made this exit 2, as a usage error
+    real_run = algorithms.run
+    monkeypatch.setattr(algorithms, "run", lambda *args, **kwargs: real_run(*args, **kwargs)[:-1])
+    out = tmp_path / "store"
+    code, _, err = run_cli(capsys, "run", str(write_plan(tmp_path)), "--out", str(out))
+    assert code == 1 and err == "error: the PSO stack at d=5 returned 1 records for its 2 cells\n"
+    assert (out / "runs.jsonl").read_text() == ""
 
 
 def test_report_values_in_range(tmp_path, capsys):

@@ -618,8 +618,29 @@ def test_metric_rows_match_direct_computation(tmp_path):
     # pairs or checkpoints has none
     wider = replace(plan, dimensions=(2, 5))
     assert compute_metric_rows(wider, _tables(wider, records)) == rows
-    for empty in (replace(plan, pairs=()), replace(plan, checkpoints=())):
-        assert compute_metric_rows(empty, _tables(empty, records)) == []
+    no_pairs, no_checkpoints = replace(plan, pairs=()), replace(plan, checkpoints=())
+    assert compute_metric_rows(no_pairs, _tables(no_pairs, records)) == []
+    bare = {key: rec | {"checkpoints": {}} for key, rec in records.items()}  # the records such a plan's runs give
+    assert compute_metric_rows(no_checkpoints, _tables(no_checkpoints, bare)) == []
+
+
+@pytest.mark.parametrize("checkpoints, given, fault", [
+    ((), [], "checkpoints [] are not an object"),
+    ((), {"10": 1.0}, "checkpoint '10' is not one of the plan's ()"),
+    ((10, 30), {"10": 1.0}, "checkpoint 30 is missing"),
+    ((10, 30), {"10": 1.0, "30": False}, "checkpoint 30 is False, not a finite number"),
+    ((10, 30), {"30": 1.0, "10": -float("inf")}, "checkpoint 10 is -inf, not a finite number"),
+])
+def test_run_tables_refuse_checkpoints_that_are_not_the_plans(checkpoints, given, fault):
+    # at plans of no checkpoint and of two; tests/test_cli.py runs the
+    # faults of one through swarmpp run
+    plan = small_plan(checkpoints=checkpoints)
+    tables, key = harness._RunTables(plan), plan.cells()[0]
+    with pytest.raises(ValueError) as exc:
+        tables.add(key, {"status": "ok", "checkpoints": given})
+    assert str(exc.value) == fault
+    tables.add(key, {"status": "ok", "checkpoints": {str(t): 1 for t in checkpoints}})  # an int is a number
+    tables.add(key, {"status": "failed: non-finite objective value", "checkpoints": given})
 
 
 def test_stack_with_a_record_missing_stores_none_of_it(tmp_path, monkeypatch):
@@ -634,7 +655,7 @@ def test_stack_with_a_record_missing_stores_none_of_it(tmp_path, monkeypatch):
 
     monkeypatch.setattr(algorithms, "run", run)
     out = tmp_path / "short"
-    with pytest.raises(ValueError, match="zip"):
+    with pytest.raises(RuntimeError, match="the PSO stack at d=5 returned 11 records for its 12 cells"):
         execute(plan, out)
     assert [len(stack) for stack in stacks] == [8, 12]
     assert [json.loads(line)["dimension"] for line in (out / "runs.jsonl").read_text().splitlines()] == [2] * 8
