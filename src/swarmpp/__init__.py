@@ -11,7 +11,7 @@ from .algorithms import (
     run,
     step,
 )
-from .harness import ExperimentPlan, ResultStore, derive_seed, execute, resume
+from .harness import ExperimentPlan, ResultStore, StoreError, derive_seed, execute, resume
 from .metrics import aggregate_relative_error, pair_figures, relative_error, win_fraction
 from .objectives import batch_evaluator, default_domain, evaluate, list_collection
 from .perturbation import NoiseModel, sample_noise

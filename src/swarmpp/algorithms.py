@@ -37,11 +37,15 @@ PSO, BAT and CSO draw noise rows for all m candidates under hpp too, and use
 the first floor(m/2).
 
 A DE stack parses its draws off the raw words of its runs' own PCG64s with
-one parser (_Words): each step, one Python pass per run over that run's
-integer draws, then one gather of every run's coins; each run keeps its
-unused words and uint32 half for the next step.  A step on a caller's
-generator draws them agent by agent with Generator calls (_de_draws_loop),
-the reference the parse is tested against.
+one parser (_Words), a chunk of runs at a time.  A chunk of at least
+_LOCKSTEP_RUNS (64) runs parses its integer draws in lockstep, agent by
+agent in array passes over all its runs (_lockstep); a smaller chunk, and a
+run whose lockstep window runs dry, parse them in one Python pass per run
+(_scan).  At n = 32 the two tie at 48-56 runs and the lockstep wins from 64
+on, at every dimension.  Gathers then convert the coins, a block of runs at
+a time; each run keeps its unused words and uint32 half for the next step.
+A step on a caller's generator draws them agent by agent with Generator
+calls (_de_draws_loop), the reference the parse is tested against.
 
 DE values its trials as single points would be valued: one ulp in an
 accepted value changes its trajectory, and numpy's `**` on a value derived
@@ -99,6 +103,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field, fields
 
@@ -568,20 +573,21 @@ def _de_draws_loop(rng, n: int, d: int):
     return J, K, forced, coins
 
 
-_PARSE_WORDS = 1 << 14  # a DE parse takes a stack's runs in chunks of about this many words (128 KiB)
+_PARSE_WORDS = 1 << 16  # a DE parse takes a stack's runs in chunks of about this many words (512 KiB)
+_LOCKSTEP_RUNS = 64  # a chunk of at least this many runs is parsed in lockstep (_lockstep), a smaller one run by run
 
 
-def _scan(words, n: int, d: int, buf, ints: list):
-    """One run's integer draws of a step, parsed off its raw words (a
-    memoryview) from its buffered uint32 half `buf` (None if it has none):
-    each agent's donor j, donor k and forced index, redrawn as
-    _de_draws_loop redraws them, and the position of its first crossover
-    coin word, appended to `ints`; the d coin words are passed over.
-    Returns the position of the first word left unread and the half then
-    buffered; raises IndexError if the draws run past the words."""
-    pos, mask = 0, _UINT32  # a local: the loop reads it on every draw
+def _scan(words, n: int, d: int, buf, ints: list, first: int = 0, pos: int = 0):
+    """One run's integer draws of a step from agent `first` on, parsed off its
+    raw words (a memoryview) from word `pos` and its buffered uint32 half
+    `buf` (None if it has none): each agent's donor j, donor k and forced
+    index, redrawn as _de_draws_loop redraws them, and the position of its
+    first crossover coin word, appended to `ints`; the d coin words are
+    passed over.  Returns the position of the first word left unread and the
+    half then buffered; raises IndexError if the draws run past the words."""
+    mask = _UINT32  # a local: the loop reads it on every draw
     low_n, low_d = (1 << 32) % n, (1 << 32) % d  # Lemire rejects v * m whose low half is below 2**32 mod m
-    for i in range(n):
+    for i in range(first, n):
         while True:  # donor j != i
             if buf is None:
                 w, pos = words[pos], pos + 1
@@ -614,6 +620,65 @@ def _scan(words, n: int, d: int, buf, ints: list):
     return pos, buf
 
 
+def _lockstep(flat, starts, sizes, bufs, n: int, d: int, jkf, coin):
+    """The integer draws of a step of a chunk's runs, parsed as _scan parses
+    them, agent by agent over all the runs at once in array code.  `flat`
+    holds the runs' words, run c's `sizes[c]` words from `starts[c]`, and
+    `bufs` their buffered halves.  For each agent every run takes a window of
+    its buffered half, if it has one, and its next six uint32 halves: donor j
+    and donor k are the first halves in it that pass Lemire's test and the
+    j/k rules, and the forced index is the half after k's.  The draws go to
+    `jkf` (3, C, n), and the position in `flat` of the agent's first coin
+    word to `coin` (C, n).  A run whose window runs dry before k (five
+    redraws or more), whose forced draw Lemire's test rejects or whose draws
+    and coins run past its words leaves the lockstep at that agent, for
+    _scan.  Returns each run's first agent left to parse (n if none), its
+    word position from its first word and its buffered half."""
+    C, mask = len(starts), np.uint64(_UINT32)
+    low_n, low_d = (1 << 32) % n, (1 << 32) % d
+    halves = flat.astype("<u8", copy=False).view("<u4")  # each word's low half, then its high half
+    windows = np.ndarray((len(halves) - 6, 7), halves.dtype, halves, 0, halves.strides * 2)  # each half and the 6 after it
+    first, pos, left = [n] * C, [0] * C, list(bufs)
+    live, rows = np.arange(C), np.arange(C)
+    hp = 2 * np.asarray(starts)  # the half at which each run's next fresh word starts
+    end = hp + 2 * np.asarray(sizes) - 2 * d  # the last at which an agent's coins may start
+    has = np.array([b is not None for b in bufs])
+    buf = np.array([0 if b is None else b for b in bufs], dtype=np.uint32)
+    for i in range(n):
+        win = windows[hp - 1]  # column 0 the buffered half, c > 0 the half hp + c - 1
+        win[:, 0] = np.where(has, buf, -(-(i << 32) // n))  # without one, a half whose j is i, which no draw takes
+        v = win * np.uint64(n)
+        js = v >> 32
+        ok = js != i
+        if low_n:
+            ok &= (v & mask) >= low_n
+        aj = ok.argmax(1)
+        j = js[rows, aj]
+        ok &= js != j[:, None]  # k's test: each half before j's failed the tests k's shares with j's
+        ak = ok.argmax(1)
+        found, k, last = ok[rows, ak], js[rows, ak], hp + ak - 1  # last: the half the agent's last draw took
+        if d > 1:  # the forced index: the half after k's, unless Lemire's test rejects it
+            last += 1
+            v = halves[last] * np.uint64(d)
+            found &= (v & mask) >= low_d
+            f = v >> 32
+        else:
+            f = np.zeros_like(k)
+        q = (last + 2) & -2  # the half at which the agent's coins start
+        found &= q <= end
+        if not found.all():
+            for c, at, b, hb in zip(live[~found].tolist(), hp[~found].tolist(),
+                                    buf[~found].tolist(), has[~found].tolist()):
+                first[c], pos[c], left[c] = i, at // 2 - starts[c], b if hb else None
+            live, j, k, f, q, last, end = (a[found] for a in (live, j, k, f, q, last, end))
+            rows = rows[:len(live)]
+        jkf[0, live, i], jkf[1, live, i], jkf[2, live, i], coin[live, i] = j, k, f, q >> 1
+        hp, has, buf = q + 2 * d, q > last + 1, halves[last + 1]
+    for c, at, b, hb in zip(live.tolist(), hp.tolist(), buf.tolist(), has.tolist()):
+        pos[c], left[c] = at // 2 - starts[c], b if hb else None
+    return first, pos, left
+
+
 class _Words:
     """The raw words of a DE stack's dynamics PCG64s and the uint32 half
     each has buffered: every run's dynamics draws are parsed off them one
@@ -623,14 +688,21 @@ class _Words:
     Generator.integers(m) is Lemire's method on next_uint32, which returns the
     low half of a fresh 64-bit word and keeps the high half for the next call
     (state "has_uint32"/"uinteger"); random() is (next_uint64 >> 11) * 2**-53
-    and does not touch that buffer.  A step tops each run's unread words up
-    to a step's worth with random_raw, parses each run's integer draws in one
-    Python pass (_scan), Lemire's accept test inline, and converts the coins
-    of all the runs in one gather, a chunk of runs at a time so that the
-    memory a step holds stays bounded.  A run whose draws run past its words
-    reads more and is scanned again.  The words a step leaves, and the uint32
-    half, wait for the next.  A stack parses its own generators only, so
-    nothing puts the unused words back.
+    and does not touch that buffer.  A step takes the stack in chunks of
+    about _PARSE_WORDS words, so that the memory it holds stays bounded.  It
+    tops each chunk's unread words up to a step's worth with random_raw and
+    parses the chunk's integer draws, Lemire's accept test included: in
+    lockstep (_lockstep) if the chunk holds at least _LOCKSTEP_RUNS runs,
+    else in one Python pass per run (_scan).  The lockstep costs ~1 ms a
+    chunk whatever its size, some 35 array operations an agent, and the
+    Python pass ~0.7 us an agent, so at n = 32 the lockstep wins from about
+    56 runs on at every dimension; 64 leaves a margin.  A run that leaves the
+    lockstep is scanned from the agent at which it left, and a run whose
+    draws run past its words reads more and is scanned again from there.
+    The chunk's coins are then converted by gathers, a block of runs at a
+    time.  The words a step leaves, and the uint32 half, wait for the next.
+    A stack parses its own generators only, so nothing puts the unused words
+    back.
     """
 
     def __init__(self, bit_generators):
@@ -642,40 +714,60 @@ class _Words:
     def parse(self, n: int, d: int):
         """(J, K, forced, coins) of every run's next step: (R, n) donor and
         forced indices, (R, n, d) crossover coins."""
-        R, need = len(self.bgs), n * (d + 2)  # need: the words of a step at n >= 8, barring many redraws
+        R = len(self.bgs)
         jkf, coins = np.empty((3, R, n), dtype=np.intp), np.empty((R, n, d))
-        chunk = max(1, _PARSE_WORDS // need)
-        for lo in range(0, R, chunk):
-            hi = min(R, lo + chunk)
-            flat = np.concatenate([block for r in range(lo, hi)  # each run's unread words, topped up to a step's
-                                   for block in (self.raw[r], self.bgs[r].random_raw(max(need - len(self.raw[r]), 0)))])
-            ints, spans, late, view, at, end = [], [], [], memoryview(flat), 0, len(flat)
-            for r in range(lo, hi):
-                size = max(need, len(self.raw[r]))
-                words, start, at = view[at:at + size], at, at + size
-                while True:
-                    try:
-                        pos, self.bufs[r] = _scan(words, n, d, self.bufs[r], ints)
-                        break
-                    except IndexError:  # the draws ran past the words: read more and scan again
-                        del ints[4 * n * (r - lo):]
-                        words = memoryview(np.concatenate((words, self.bgs[r].random_raw(need))))
-                if len(words) > size:  # it read more: its words go after the chunk's
-                    start, end = end, end + len(words)
-                    late.append(words)
-                spans.append((start, start + pos, start + len(words)))  # its words, the first unread, the end
-            if late:
-                flat = np.concatenate((flat, *late))
-            for r, (_, unread, stop) in zip(range(lo, hi), spans):  # copies: a view would keep the chunk's words
-                self.raw[r] = flat[unread:stop].copy()
-            ints = np.array(ints, dtype=np.intp).reshape(hi - lo, n, 4)
-            jkf[:, lo:hi] = ints[..., :3].transpose(2, 0, 1)
-            # each agent's d coin words: rows of a view that has each word and the d - 1 after it
-            windows = np.ndarray((len(flat) - d + 1, d), flat.dtype, flat, 0, flat.strides * 2)
-            u = windows[ints[..., 3] + np.array([start for start, _, _ in spans])[:, None]]
-            u >>= np.uint64(11)
-            np.multiply(u, 2.0**-53, out=coins[lo:hi])
+        size = max(1, _PARSE_WORDS // (n * (d + 2)))  # chunks of at most _PARSE_WORDS words, barring many redraws
+        for lo in range(0, R, size):
+            self._chunk(range(lo, min(R, lo + size)), n, d, jkf[:, lo:lo + size], coins[lo:lo + size])
         return *jkf, coins
+
+    def _chunk(self, runs: range, n: int, d: int, jkf, coins):
+        """The draws of the next step of the runs `runs`, written to `jkf`
+        (3, C, n) and `coins` (C, n, d)."""
+        C, need = len(runs), n * (d + 2)  # need: the words of a step at n >= 8, barring many redraws
+        sizes = [max(need, len(self.raw[r])) for r in runs]
+        starts = list(itertools.accumulate(sizes[:-1], initial=1))  # word 0, and 4 after the last run's, pad the lockstep's windows
+        flat = np.empty(starts[-1] + sizes[-1] + 4, dtype=np.uint64)
+        for r, start, size in zip(runs, starts, sizes):  # each run's unread words, topped up to a step's
+            kept = start + len(self.raw[r])
+            flat[start:kept], flat[kept:start + size] = self.raw[r], self.bgs[r].random_raw(start + size - kept)
+        coin = np.empty((C, n), dtype=np.intp)  # each agent's first coin word in `flat`
+        first, pos, bufs = [0] * C, [0] * C, self.bufs[runs.start:runs.stop]
+        lockstep = C >= _LOCKSTEP_RUNS
+        if lockstep:
+            first, pos, bufs = _lockstep(flat, starts, sizes, bufs, n, d, jkf, coin)
+        ints, late, view, end = [], [], memoryview(flat), len(flat)
+        for c in (c for c in range(C) if first[c] < n):  # a run's agents from where it left the lockstep, run by run
+            words, mark = view[starts[c]:starts[c] + sizes[c]], len(ints)
+            while True:
+                try:
+                    pos[c], bufs[c] = _scan(words, n, d, bufs[c], ints, first[c], pos[c])
+                    break
+                except IndexError:  # the draws ran past the words: read more and scan again
+                    del ints[mark:]
+                    words = memoryview(np.concatenate((words, self.bgs[runs[c]].random_raw(need))))
+            if len(words) > sizes[c]:  # it read more: its words go after the chunk's
+                starts[c], sizes[c], end = end, len(words), end + len(words)
+                late.append(words)
+        if late:
+            flat = np.concatenate((flat, *late))
+        ints, offsets = np.array(ints, dtype=np.intp).reshape(-1, 4), np.array(starts)
+        if lockstep:  # the agents of the runs that left the lockstep
+            scanned = np.arange(n) >= np.array(first)[:, None]
+            jkf[:, scanned], coin[scanned] = ints[:, :3].T, ints[:, 3] + offsets.repeat(n - np.array(first))
+        else:  # every agent, run after run
+            ints = ints.reshape(C, n, 4)
+            jkf[...], coin[...] = ints[..., :3].transpose(2, 0, 1), ints[..., 3] + offsets[:, None]
+        self.bufs[runs.start:runs.stop] = bufs
+        for r, start, at, stop in zip(runs, starts, pos, sizes):  # copies: a view would keep the chunk's words
+            self.raw[r] = flat[start + at:start + stop].copy()
+        # each agent's d coin words, shifted to 53 bits: rows of a view that has each word and the d - 1
+        # after it, a block of runs at a time, so that the gather holds an eighth of a chunk's words at most
+        flat >>= np.uint64(11)
+        windows = np.ndarray((len(flat) - d + 1, d), flat.dtype, flat, 0, flat.strides * 2)
+        block = max(1, _PARSE_WORDS // 8 // (n * d))
+        for a in range(0, C, block):
+            np.multiply(windows[coin[a:a + block]], 2.0**-53, out=coins[a:a + block])
 
 
 def _de_propose(state: SwarmState, config: AlgorithmConfig, runs: _Runs):

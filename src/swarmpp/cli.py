@@ -65,7 +65,8 @@ def _populate(args, stores, force=False) -> int:
     """Load the plan of `args`, then fill each store in `stores(plan)`, a list
     of (plan, outdir) pairs: resume a store that exists unless `force`,
     otherwise execute into it.  An invalid plan, or a store that refuses to
-    resume, exits 2; any other failure exits 1."""
+    resume (harness.StoreError), exits 2; any other failure, a ValueError
+    included, exits 1."""
     try:
         plan = _load_plan(args)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -77,7 +78,7 @@ def _populate(args, stores, force=False) -> int:
                 harness.resume(sub, outdir)
             else:
                 harness.execute(sub, outdir)
-        except ValueError as exc:
+        except harness.StoreError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except Exception as exc:  # noqa: BLE001 - surface anything else as runtime failure

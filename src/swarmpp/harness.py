@@ -255,6 +255,11 @@ def _replace_text(path: Path, chunks):
     tmp.replace(path)
 
 
+class StoreError(ValueError):
+    """A store that refuses to resume: its manifest is another plan's, or
+    runs.jsonl holds a line that is not the plan's next record."""
+
+
 class ResultStore:
     """A store directory: the plan's manifest, one JSON record per run cell
     (runs.jsonl, in the order of ExperimentPlan.cells) and the metrics derived
@@ -313,13 +318,13 @@ class ResultStore:
                     continue
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError:
+                except json.JSONDecodeError as exc:
                     if fh.read():  # a line follows
-                        raise
+                        raise StoreError(f"runs.jsonl line {number} is not JSON: {exc}") from None
                     self.torn = True
                     return
                 if not (isinstance(rec, dict) and _RECORD_KEYS <= rec.keys()):
-                    raise ValueError(f"runs.jsonl line {number} is not a run record")
+                    raise StoreError(f"runs.jsonl line {number} is not a run record")
                 yield (rec["algorithm"], rec["function"], rec["dimension"], rec["run"]), rec
 
     def read_runs(self) -> dict[tuple, dict]:
@@ -328,7 +333,7 @@ class ResultStore:
         records = {}
         for key, rec in self.scan_runs():
             if key in records:
-                raise ValueError(f"runs.jsonl holds two records for cell {key}")
+                raise StoreError(f"runs.jsonl holds two records for cell {key}")
             records[key] = rec
         return records
 
@@ -476,14 +481,15 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     """Run the cells missing from a store, then write its metrics; return the
     metric rows.
 
-    Refuses to touch a store whose manifest digest does not match the plan,
-    or whose records are not the first cells of `plan.cells()` in cell
-    order; a store written in another order, such as a store of more than
-    one family or dimension from before cells were ordered by family first,
-    is refused with the first record out of place named.  runs.jsonl is read
-    a line at a time, each line checked as it arrives (a bad line before the
-    last, a line that is no run record, a record out of cell order or a
-    second record for a cell raises at the first such line) and written into
+    Refuses (StoreError) to touch a store whose manifest digest does not
+    match the plan, or whose records are not the first cells of
+    `plan.cells()` in cell order; a store written in another order, such as
+    a store of more than one family or dimension from before cells were
+    ordered by family first, is refused with the first record out of place
+    named.  runs.jsonl is read a line at a time, each line checked as it
+    arrives (a bad line before the last, a line that is no run record, a
+    record out of cell order or a second record for a cell raises at the
+    first such line) and written into
     the plan's run tables, so no record is kept.  The missing cells are the rest of that list: if any are
     missing or the file is torn, the records read are rewritten once, after
     the whole file has been read and found in order, then the missing cells
@@ -501,20 +507,20 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
         raise FileNotFoundError(f"no manifest in {outdir}")
     manifest = store.read_manifest()
     if manifest.get("digest") != plan.digest():
-        raise ValueError("manifest digest does not match the plan; refusing to resume")
+        raise StoreError("manifest digest does not match the plan; refusing to resume")
     cells, tables, done = plan.cells(), _RunTables(plan), 0
     for key, rec in store.scan_runs():
         if done == len(cells) or key != cells[done]:
             if key in cells[:done]:  # the cells so far are in order, so a cell among them is repeated
-                raise ValueError(f"runs.jsonl holds two records for cell {key}")
-            raise ValueError(
+                raise StoreError(f"runs.jsonl holds two records for cell {key}")
+            raise StoreError(
                 f"runs.jsonl record {done + 1} is cell {key}, not the plan's next cell in cell order; "
                 "refusing to resume (use --force to recompute the store)"
             )
         try:
             tables.add(key, rec)
         except ValueError as exc:
-            raise ValueError(f"runs.jsonl record {done + 1} (cell {key}): {exc}; refusing to resume") from None
+            raise StoreError(f"runs.jsonl record {done + 1} (cell {key}): {exc}; refusing to resume") from None
         done += 1
     if done < len(cells) or store.torn:
         # the records read, again a line at a time, without a torn last line or blank lines

@@ -29,6 +29,7 @@ Known quirks, kept deliberately:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -336,7 +337,22 @@ def get(label: str) -> ObjectiveSpec:
 
 
 def default_domain(spec: ObjectiveSpec, d: int) -> Box:
-    """The standard literature search domain for (spec, d)."""
+    """The standard literature search domain for (spec, d).  A registered
+    function's box is built once per dimension and shared, so its bounds are
+    read-only."""
+    if REGISTRY.get(spec.label) is spec:
+        return _registered_domain(spec.label, d)
+    return _domain(spec, d)
+
+
+@functools.cache
+def _registered_domain(label: str, d: int) -> Box:
+    box = _domain(REGISTRY[label], d)
+    box.lower.flags.writeable = box.upper.flags.writeable = False
+    return box
+
+
+def _domain(spec: ObjectiveSpec, d: int) -> Box:
     if not spec.admits(d):
         raise UnsupportedDimensionError(f"{spec.label} does not admit d={d}")
     dom = spec.domain

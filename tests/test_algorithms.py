@@ -591,35 +591,68 @@ def _assert_parse_equals_loops(words, loops, n, d, err_msg):
         assert _words_stand_where(words, r, loop), (err_msg, r)
 
 
+# _LOCKSTEP_RUNS for each scan: every chunk in lockstep, or every chunk run by run
+SCANS = {"lockstep": 1, "per-run": 1 << 30}
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 32, 33, 64])
-def test_de_block_draws_equal_loop(n):
+def test_de_block_draws_equal_loop(n, monkeypatch):
     # one step per parse, as a stack draws, and a fresh parser of 4 runs
-    # every third step, half of them on a buffered uint32 half
-    for d in (1, 2, 3, 5, 10, 40):
-        for t in range(12):
-            if t % 3 == 0:
-                loops, bgs = _loops([n, d, t], 4)
-                words = algorithms._Words(bgs)
-            _assert_parse_equals_loops(words, loops, n, d, f"d={d}, step {t}")
+    # every third step, half of them on a buffered uint32 half; each scan
+    for scan, runs in SCANS.items():
+        monkeypatch.setattr(algorithms, "_LOCKSTEP_RUNS", runs)
+        for d in (1, 2, 3, 5, 10, 40):
+            for t in range(12):
+                if t % 3 == 0:
+                    loops, bgs = _loops([n, d, t], 4)
+                    words = algorithms._Words(bgs)
+                _assert_parse_equals_loops(words, loops, n, d, f"{scan}, d={d}, step {t}")
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 32, 33, 64])
 def test_de_multistep_parse_equals_loop(n, monkeypatch):
     # a stack parses one step per call, step after step, off words it keeps
     # between calls, a run reading more as it runs out, even in the middle of
-    # a step; chunks of two runs, so that a step takes the stack in three
-    mixed = False  # a step where some runs, but not all, read more in mid-step
-    for d in (1, 2, 3, 5, 10, 40):
-        monkeypatch.setattr(algorithms, "_PARSE_WORDS", 2 * n * (d + 2))
-        for steps in (1, 3, 17):
-            loops, bgs = _loops([n, d, steps], 5)
-            words = algorithms._Words(bgs)
-            for t in range(steps):  # each call after the first starts on the words the last left
-                before = [bg.reads for bg in bgs]
-                _assert_parse_equals_loops(words, loops, n, d, f"d={d}, steps={steps}, step {t}")
-                refilled = [bg.reads - b > 1 for bg, b in zip(bgs, before)]  # a step tops each run up once
-                mixed |= any(refilled) and not all(refilled)
-    assert mixed or n >= 8  # small swarms redraw donors often enough to outrun the words of a step
+    # a step; chunks of two runs, so that a step takes the stack in three;
+    # each scan
+    for scan, runs in SCANS.items():
+        monkeypatch.setattr(algorithms, "_LOCKSTEP_RUNS", runs)
+        mixed = False  # a step where some runs, but not all, read more in mid-step
+        for d in (1, 2, 3, 5, 10, 40):
+            monkeypatch.setattr(algorithms, "_PARSE_WORDS", 2 * n * (d + 2))
+            for steps in (1, 3, 17):
+                loops, bgs = _loops([n, d, steps], 5)
+                words = algorithms._Words(bgs)
+                for t in range(steps):  # each call after the first starts on the words the last left
+                    before = [bg.reads for bg in bgs]
+                    _assert_parse_equals_loops(words, loops, n, d, f"{scan}, d={d}, steps={steps}, step {t}")
+                    refilled = [bg.reads - b > 1 for bg, b in zip(bgs, before)]  # a step tops each run up once
+                    mixed |= any(refilled) and not all(refilled)
+        assert mixed or n >= 8, scan  # small swarms redraw donors often enough to outrun the words of a step
+
+
+def test_de_lockstep_hands_dry_runs_to_the_scan(monkeypatch):
+    # at n = 4 donors are redrawn often: in lockstep a run whose window runs
+    # dry goes on run by run from that agent, and one whose draws run past
+    # its words reads more and is scanned again from that agent
+    monkeypatch.setattr(algorithms, "_LOCKSTEP_RUNS", 1)
+    real, scans = algorithms._scan, []  # [first agent, whether it ran past the words] of each scan
+
+    def spy(words, n, d, buf, ints, first=0, pos=0):
+        scans.append([first, False])
+        try:
+            return real(words, n, d, buf, ints, first, pos)
+        except IndexError:
+            scans[-1][1] = True
+            raise
+
+    monkeypatch.setattr(algorithms, "_scan", spy)
+    for d in (2, 10):
+        loops, bgs = _loops([4, d], 8)
+        words = algorithms._Words(bgs)
+        for t in range(6):
+            _assert_parse_equals_loops(words, loops, 4, d, f"d={d}, step {t}")
+    assert any(first > 0 for first, _ in scans) and any(more for _, more in scans), scans
 
 
 def test_de_parse_step_memory_is_bounded():
@@ -716,6 +749,17 @@ def _label_cells(label, d, plain=False, **overrides):
 @pytest.mark.parametrize("plain", [False, True], ids=["evaluator", "plain"])
 @pytest.mark.parametrize("label", ALGORITHM_LABELS + MIXED)
 def test_stacked_runs_equal_solo_runs(label, plain):
+    _assert_stacks_equal_solo_runs(label, plain)
+
+
+@pytest.mark.parametrize("label", ["DE", "mDE", "hmDE", "DE+hmDE+mDE"])
+def test_stacked_de_runs_in_lockstep_equal_solo_runs(label, monkeypatch):
+    # every stack's draws parsed in lockstep, each solo run's run by run
+    monkeypatch.setattr(algorithms, "_LOCKSTEP_RUNS", 2)
+    _assert_stacks_equal_solo_runs(label, plain=False)
+
+
+def _assert_stacks_equal_solo_runs(label, plain):
     base = label in ("PSO", "BAT", "CSO", "DE")  # base runs draw no noise
     for noise, d in itertools.product([NoiseModel()] + ([] if base else [NoiseModel(kind="scaled_t", df=5)]),
                                       STACK_MEMBERS):

@@ -223,6 +223,18 @@ def test_run_refuses_a_runs_jsonl_line_that_is_no_record(tmp_path, capsys, line)
     assert (out / "runs.jsonl").read_text() == "".join(lines)
 
 
+def test_run_refuses_a_runs_jsonl_line_that_is_no_json(tmp_path, capsys):
+    plan = write_plan(tmp_path, runs=2)
+    out = tmp_path / "store"
+    assert run_cli(capsys, "run", str(plan), "--out", str(out))[0] == 0
+    lines = (out / "runs.jsonl").read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:20] + "\n"
+    (out / "runs.jsonl").write_text("".join(lines))
+    code, _, err = run_cli(capsys, "run", str(plan), "--out", str(out))
+    assert code == 2 and err.startswith("error: runs.jsonl line 2 is not JSON: ")
+    assert (out / "runs.jsonl").read_text() == "".join(lines)
+
+
 def _with_checkpoints(line: str, checkpoints: str) -> str:
     """A runs.jsonl line with its checkpoints object replaced by the JSON text `checkpoints`."""
     head, tail = line.split('"checkpoints": {')
@@ -284,6 +296,19 @@ def test_run_exits_1_when_a_stack_returns_too_few_records(tmp_path, capsys, monk
     out = tmp_path / "store"
     code, _, err = run_cli(capsys, "run", str(write_plan(tmp_path)), "--out", str(out))
     assert code == 1 and err == "error: the PSO stack at d=5 returned 1 records for its 2 cells\n"
+    assert (out / "runs.jsonl").read_text() == ""
+
+
+def test_run_exits_1_when_a_stack_raises_a_value_error(tmp_path, capsys, monkeypatch):
+    # a fault of the program, not of the plan or the store: before, any
+    # ValueError while a store filled exited 2, as a usage error
+    def fault(*args, **kwargs):
+        raise ValueError("a fault inside a stack")
+
+    monkeypatch.setattr(algorithms, "run", fault)
+    out = tmp_path / "store"
+    code, _, err = run_cli(capsys, "run", str(write_plan(tmp_path)), "--out", str(out))
+    assert code == 1 and err == "error: a fault inside a stack\n"
     assert (out / "runs.jsonl").read_text() == ""
 
 

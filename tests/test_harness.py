@@ -25,6 +25,7 @@ from swarmpp.cli import main
 from swarmpp.harness import (
     ExperimentPlan,
     ResultStore,
+    StoreError,
     compute_metric_rows,
     derive_seed,
     execute,
@@ -792,10 +793,10 @@ def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
     # raises, and resume leaves the store as it is
     corrupt = lines[0] + lines[1][:20] + "\n" + "".join(lines[2:])
     (out / "runs.jsonl").write_text(corrupt)
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(StoreError, match="runs.jsonl line 2 is not JSON: "):
         ResultStore(out).read_runs()
     writes.clear()
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(StoreError, match="runs.jsonl line 2 is not JSON: "):
         resume(plan, out)
     assert writes == []
     assert (out / "runs.jsonl").read_text() == corrupt

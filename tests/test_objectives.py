@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,21 @@ def test_default_domains():
     branin = ob.default_domain(ob.get("F14"), 2)
     np.testing.assert_array_equal(branin.lower, [-5.0, 0.0])
     np.testing.assert_array_equal(branin.upper, [10.0, 15.0])
+
+
+def test_default_domains_are_shared_and_read_only():
+    # one box per registered function and dimension, whose bounds no caller can edit
+    for label, d in (("F16", 5), ("F16", 40), ("F14", 2)):
+        box = ob.default_domain(ob.get(label), d)
+        assert ob.default_domain(ob.get(label), d) is box
+        for bound in (box.lower, box.upper):
+            with pytest.raises(ValueError, match="read-only"):
+                bound[0] = 0.0
+    assert ob.default_domain(ob.get("F16"), 5) is not ob.default_domain(ob.get("F16"), 10)
+    # a spec of the caller's own, even under a registered label, gets a box of its own domain
+    own = dataclasses.replace(ob.get("F16"), domain=(-1.0, 1.0))
+    np.testing.assert_array_equal(ob.default_domain(own, 5).upper, np.ones(5))
+    assert ob.default_domain(own, 5) is not ob.default_domain(own, 5)
 
 
 def test_no_nan_over_domain():
