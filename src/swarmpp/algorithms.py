@@ -733,8 +733,7 @@ class _Words:
             flat[start:kept], flat[kept:start + size] = self.raw[r], self.bgs[r].random_raw(start + size - kept)
         coin = np.empty((C, n), dtype=np.intp)  # each agent's first coin word in `flat`
         first, pos, bufs = [0] * C, [0] * C, self.bufs[runs.start:runs.stop]
-        lockstep = C >= _LOCKSTEP_RUNS
-        if lockstep:
+        if C >= _LOCKSTEP_RUNS:
             first, pos, bufs = _lockstep(flat, starts, sizes, bufs, n, d, jkf, coin)
         ints, late, view, end = [], [], memoryview(flat), len(flat)
         for c in (c for c in range(C) if first[c] < n):  # a run's agents from where it left the lockstep, run by run
@@ -751,13 +750,11 @@ class _Words:
                 late.append(words)
         if late:
             flat = np.concatenate((flat, *late))
-        ints, offsets = np.array(ints, dtype=np.intp).reshape(-1, 4), np.array(starts)
-        if lockstep:  # the agents of the runs that left the lockstep
-            scanned = np.arange(n) >= np.array(first)[:, None]
-            jkf[:, scanned], coin[scanned] = ints[:, :3].T, ints[:, 3] + offsets.repeat(n - np.array(first))
-        else:  # every agent, run after run
-            ints = ints.reshape(C, n, 4)
-            jkf[...], coin[...] = ints[..., :3].transpose(2, 0, 1), ints[..., 3] + offsets[:, None]
+        ints, offsets, first = np.array(ints, dtype=np.intp).reshape(-1, 4), np.array(starts), np.array(first)
+        # the agents scanned, run after run: of a run that left the lockstep, those from where it left; of a
+        # chunk too small for the lockstep, where every run leaves it at agent 0, all of them
+        scanned = np.arange(n) >= first[:, None]
+        jkf[:, scanned], coin[scanned] = ints[:, :3].T, ints[:, 3] + offsets.repeat(n - first)
         self.bufs[runs.start:runs.stop] = bufs
         for r, start, at, stop in zip(runs, starts, pos, sizes):  # copies: a view would keep the chunk's words
             self.raw[r] = flat[start + at:start + stop].copy()

@@ -5,7 +5,7 @@ A plan fully determines every stored number: each (algorithm, function,
 dimension, run) cell derives its own 64-bit seed from the master seed, so
 runs are independent of execution order and parallelism degree.
 
-Cells run in cell order (ExperimentPlan.cells): by family (BAT, CSO, DE,
+Cells run in cell order (ExperimentPlan.iter_cells): by family (BAT, CSO, DE,
 PSO), dimension, algorithm label (PSO < hmPSO < mPSO), function label and
 run.  The cells of one (label, dimension) are a group; a stack is one call
 of algorithms.run, which steps its runs together.  A group joins the stack
@@ -21,11 +21,16 @@ A stack's records are appended to runs.jsonl in cell order, in one write,
 when it finishes: an interruption loses the stack in flight (at parallelism
 > 1, the stacks being computed).
 
-No record is held past its stack or its line.  As a record is appended, or
-read back on resume (runs.jsonl is read a line at a time), its status and
-checkpoint values are written into a dense run table of its (label,
-dimension), if the label is in a pair, and the metrics are computed from
-those tables: 8 B per checkpoint and 1 B of mask per paired run.
+No record is held past its stack or its line, and no list of cells: at
+parallelism 1 the cells stream from iter_cells into stacks as they are
+reached.  As a record is appended, or read back on resume (runs.jsonl is
+read a line at a time), its status and checkpoint values are written into a
+dense run table of its (label, dimension), if the label is in a pair, and
+the metrics are computed from those tables: 8 B per checkpoint and 1 B of
+mask per paired run.  Resume checks each stored record against the plan's
+next cell: its cell, seed, config digest, status and checkpoints.  A record
+out of place (missing, repeated or past the last cell) or not the plan's
+raises StoreError, and the store keeps its bytes; `swarmpp run` exits 2.
 
 Store layout: <outdir>/manifest.json, <outdir>/runs.jsonl, <outdir>/metrics.csv.
 """
@@ -163,8 +168,8 @@ class ExperimentPlan:
                     members.append((spec, dd))
         return members
 
-    def cells(self) -> list[tuple[str, str, int, int]]:
-        """All (algorithm, function, dimension, run) work items in cell order:
+    def iter_cells(self):
+        """Each (algorithm, function, dimension, run) work item in cell order:
         by family, dimension, algorithm label, function label and run, so the
         cells of one family and dimension are one stretch, and each
         (algorithm, dimension) a stretch within it.  Cells run in this order
@@ -173,8 +178,12 @@ class ExperimentPlan:
         labels = {}  # dimension -> its members' function labels, sorted
         for d, label in sorted({(d, spec.label) for spec, d in self.collection()}):
             labels.setdefault(d, []).append(label)
-        return [(alg, label, d, r) for _, d, alg in sorted((family[alg], d, alg) for alg in family for d in labels)
-                for label in labels[d] for r in range(self.runs)]
+        return ((alg, label, d, r) for _, d, alg in sorted((family[alg], d, alg) for alg in family for d in labels)
+                for label in labels[d] for r in range(self.runs))
+
+    def cells(self) -> list[tuple[str, str, int, int]]:
+        """The cells of `iter_cells`, listed."""
+        return list(self.iter_cells())
 
 
 def _cap(plan: ExperimentPlan) -> int:
@@ -195,34 +204,33 @@ def _cap(plan: ExperimentPlan) -> int:
     return min(plan.runs * per_run, 100 * protocol)
 
 
-def _groups(cells, cap: int) -> list[list[tuple]]:
-    """The cells cut into stacks: each (label, dimension) group, a maximal
-    stretch of consecutive cells that share algorithm and dimension, joins
-    the stack before it while they share family and dimension and the
-    stack's runs x d stays within `cap` (_cap of the whole plan, also on
-    resume).  Over `ExperimentPlan.cells` that merges the base, hpp and pp
-    groups of a family at a dimension as far as they fit.  A group that
-    alone exceeds `cap` is first cut into pieces of cap // d cells, each then
-    placed as a group is."""
-    stacks = []  # ((family, dimension), cells)
+def _groups(cells, cap: int):
+    """The iterable `cells` cut into stacks, each yielded when complete: each
+    (label, dimension) group, a maximal stretch of consecutive cells that
+    share algorithm and dimension, joins the stack before it while they share
+    family and dimension and the stack's runs x d stays within `cap` (_cap of
+    the whole plan, also on resume).  Over `ExperimentPlan.iter_cells` that
+    merges the base, hpp and pp groups of a family at a dimension as far as
+    they fit.  A group that alone exceeds `cap` is first cut into pieces of
+    cap // d cells, each then placed as a group is."""
+    stack, stack_key = [], None  # stack_key: the stack's (family, dimension)
     for (alg, d), group in itertools.groupby(cells, key=lambda cell: (cell[0], cell[2])):
-        group = list(group)
         key, size = (split_label(alg)[0], d), cap // d
-        for piece in (group[i:i + size] for i in range(0, len(group), size)):
-            if stacks and stacks[-1][0] == key and (len(stacks[-1][1]) + len(piece)) * d <= cap:
-                stacks[-1][1].extend(piece)
-            else:
-                stacks.append((key, piece))
-    return [stack for _, stack in stacks]
+        while piece := list(itertools.islice(group, size)):
+            if stack and (stack_key != key or (len(stack) + len(piece)) * d > cap):
+                yield stack
+                stack = []
+            stack, stack_key = stack + piece, key
+    if stack:
+        yield stack
 
 
 _CELL_KEYS = ("algorithm", "function", "dimension", "run")  # a record's fields that name its cell
-_RECORD_KEYS = frozenset(_CELL_KEYS + ("status", "checkpoints"))  # those every stored record holds
+_RECORD_KEYS = frozenset(_CELL_KEYS + ("seed", "config_digest", "status", "checkpoints"))  # those every stored record holds
 
 
-def _run_group(args) -> list[tuple[tuple, dict]]:
+def _run_group(cells: list[tuple], plan: ExperimentPlan) -> list[tuple[tuple, dict]]:
     """Run one stack's cells as one stack of runs; (key, record) pairs in cell order."""
-    cells, plan = args
     d = cells[0][2]
     labels, algs = [label for _, label, _, _ in cells], [alg for alg, _, _, _ in cells]
     specs = {label: objectives.get(label) for label in labels}
@@ -257,12 +265,12 @@ def _replace_text(path: Path, chunks):
 
 class StoreError(ValueError):
     """A store that refuses to resume: its manifest is another plan's, or
-    runs.jsonl holds a line that is not the plan's next record."""
+    runs.jsonl holds a line that is not the plan's next record (see resume)."""
 
 
 class ResultStore:
     """A store directory: the plan's manifest, one JSON record per run cell
-    (runs.jsonl, in the order of ExperimentPlan.cells) and the metrics derived
+    (runs.jsonl, in the order of ExperimentPlan.iter_cells) and the metrics derived
     from them.  Whole files are replaced atomically; while cells run, each
     finished stack's records are appended in one write and flushed
     (`append_runs`).  runs.jsonl is read a line at a time (`scan_runs`);
@@ -345,24 +353,6 @@ class ResultStore:
 _INF = math.inf
 
 
-def _checkpoints_fault(checkpoints, names: list[str]) -> str | None:
-    """What keeps a record's `checkpoints` from holding a finite number,
-    not a bool, at each of `names`, the plan's checkpoints, and nothing
-    else; None if nothing does."""
-    if not isinstance(checkpoints, dict):
-        return f"checkpoints {checkpoints!r} are not an object"
-    for t in names:
-        if t not in checkpoints:
-            return f"checkpoint {t} is missing"
-        v = checkpoints[t]
-        if type(v) not in (float, int) or not abs(v) <= sys.float_info.max:  # an int beyond it has no float
-            return f"checkpoint {t} is {v!r}, not a finite number"
-    for t in checkpoints:
-        if t not in names:
-            return f"checkpoint {t!r} is not one of the plan's ({', '.join(names)})"
-    return None
-
-
 class _RunTables:
     """The run tables of a plan's paired labels, one per (label, dimension):
     the best-so-far values (functions, checkpoints, runs), runs last, NaN
@@ -378,7 +368,7 @@ class _RunTables:
         self.names = [str(t) for t in plan.checkpoints]
         # a record's values at the plan's checkpoints, as a tuple (itemgetter gives one key's bare)
         get = operator.itemgetter(*self.names) if self.names else lambda checkpoints: ()
-        self.values = get if len(self.names) != 1 else lambda checkpoints: (get(checkpoints),)
+        self.get = get if len(self.names) != 1 else lambda checkpoints: (get(checkpoints),)
         if not plan.checkpoints:
             return
         for alg in dict.fromkeys(itertools.chain(*plan.pairs)):
@@ -390,26 +380,44 @@ class _RunTables:
                 views = memoryview(values), memoryview(ok)
                 self.slots.update(((alg, label, d), (*views, i)) for i, label in enumerate(labels))
 
+    def values(self, checkpoints) -> tuple:
+        """A record's `checkpoints` values at the plan's checkpoints, in their
+        order.  ValueError says what it holds instead unless it holds a
+        finite number, not a bool, at each of them and nothing else."""
+        try:  # a float at each checkpoint, as every record the program writes holds, passes here
+            values = self.get(checkpoints)
+            if type(checkpoints) is dict and len(checkpoints) == len(values):
+                for v in values:
+                    if type(v) is not float or not -_INF < v < _INF:
+                        break
+                else:
+                    return values
+        except (KeyError, TypeError):
+            pass
+        if not isinstance(checkpoints, dict):
+            raise ValueError(f"checkpoints {checkpoints!r} are not an object")
+        for t in self.names:
+            if t not in checkpoints:
+                raise ValueError(f"checkpoint {t} is missing")
+            v = checkpoints[t]
+            if type(v) not in (float, int) or not abs(v) <= sys.float_info.max:  # an int beyond it has no float
+                raise ValueError(f"checkpoint {t} is {v!r}, not a finite number")
+        for t in checkpoints:
+            if t not in self.names:
+                raise ValueError(f"checkpoint {t!r} is not one of the plan's ({', '.join(self.names)})")
+        return self.get(checkpoints)
+
     def add(self, key: tuple, rec: dict):
         """Write the record of cell `key`, one of the plan's, into its slot; a
-        record of a label in no pair is passed over.  An ok record must hold
-        a finite number, not a bool, at each of the plan's checkpoints and
-        nothing else, or ValueError says what it holds instead."""
-        if rec["status"] != "ok":
+        record of a label in no pair is passed over.  Its status must be "ok"
+        or "failed: <reason>", and an ok record's checkpoints must pass
+        `values`, or ValueError says what is wrong."""
+        status = rec["status"]
+        if status != "ok":
+            if not (type(status) is str and status.startswith("failed: ")):
+                raise ValueError(f"status {status!r} is neither 'ok' nor 'failed: <reason>'")
             return
-        checkpoints = rec["checkpoints"]
-        try:  # a float at each checkpoint, as every record the program writes holds, passes here
-            values = self.values(checkpoints)
-            plain = type(checkpoints) is dict and len(checkpoints) == len(values)
-            for v in values:
-                if type(v) is not float or not -_INF < v < _INF:
-                    plain = False
-        except (KeyError, TypeError):
-            plain = False
-        if not plain:
-            fault = _checkpoints_fault(checkpoints, self.names)
-            if fault:
-                raise ValueError(fault)
+        values = self.values(rec["checkpoints"])
         slot = self.slots.get(key[:3])
         if slot is not None:
             table, ok, i = slot
@@ -458,15 +466,16 @@ def compute_metric_rows(plan: ExperimentPlan, tables: _RunTables) -> list[tuple]
 
 
 def _execute_cells(plan: ExperimentPlan, cells):
-    """Run the cells a stack at a time (_groups under the plan's _cap; a pool
-    worker takes a whole stack), yielding each stack's finished (key, record)
-    pairs, in cell order."""
-    jobs = [(group, plan) for group in _groups(cells, _cap(plan))]
-    if plan.parallelism == 1 or len(jobs) < 2:
-        yield from map(_run_group, jobs)
-    else:
+    """Run the iterable `cells` a stack at a time (_groups under the plan's
+    _cap; a pool worker takes a whole stack), yielding each stack's finished
+    (key, record) pairs, in cell order.  At parallelism > 1 the stacks are
+    listed: Executor.map submits every job at once, each holding its stack."""
+    groups = _groups(cells, _cap(plan))
+    if plan.parallelism > 1 and len(groups := list(groups)) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=plan.parallelism) as pool:
-            yield from pool.map(_run_group, jobs)
+            yield from pool.map(_run_group, groups, itertools.repeat(plan))
+    else:
+        yield from map(_run_group, groups, itertools.repeat(plan))
 
 
 def execute(plan: ExperimentPlan, outdir) -> list[tuple]:
@@ -481,26 +490,32 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     """Run the cells missing from a store, then write its metrics; return the
     metric rows.
 
-    Refuses (StoreError) to touch a store whose manifest digest does not
-    match the plan, or whose records are not the first cells of
-    `plan.cells()` in cell order; a store written in another order, such as
-    a store of more than one family or dimension from before cells were
-    ordered by family first, is refused with the first record out of place
-    named.  runs.jsonl is read a line at a time, each line checked as it
-    arrives (a bad line before the last, a line that is no run record, a
-    record out of cell order or a second record for a cell raises at the
-    first such line) and written into
-    the plan's run tables, so no record is kept.  The missing cells are the rest of that list: if any are
+    Refuses (StoreError, which `swarmpp run` exits 2 on, leaving the store
+    as it is) a store whose manifest digest does not match the plan, and one
+    whose records are not the first cells of `plan.iter_cells()` in cell
+    order: a record missing, repeated or past the plan's last cell, or a
+    store written in another order, such as a store of more than one family
+    or dimension from before cells were ordered by family first, is refused
+    with the first record out of place named.  It also refuses a record
+    whose seed is not its cell's (derive_seed), whose config_digest is not
+    its label's, whose status is neither "ok" nor "failed: <reason>", or
+    whose checkpoints do not hold a finite number at each of the plan's.
+    runs.jsonl is read a line at a time and each line checked as it arrives
+    (a bad line before the last, or a line that is no run record, raises
+    too), each record against the next cell that iter_cells gives, and
+    written into the plan's run tables, so neither a record nor a list of
+    cells is kept.  The missing cells are the rest of iter_cells: if any are
     missing or the file is torn, the records read are rewritten once, after
     the whole file has been read and found in order, then the missing cells
     run a stack at a time (_groups, under the whole plan's _cap, not one
     taken from the cells left) and each stack's records are appended to
-    runs.jsonl as the stack completes.  An interruption loses only the stack in flight (at
-    parallelism > 1, the stacks being computed), which holds at most
-    min(runs, 100) x 560 run-coordinates, the full protocol's largest group
-    at the plan's runs or at 100; on a plan of one dimension that may be all
-    of a family's runs.  Each finished record goes into the run tables too.
-    runs.jsonl has the same bytes wherever earlier runs were interrupted.
+    runs.jsonl as the stack completes.  An interruption loses only the stack
+    in flight (at parallelism > 1, the stacks being computed), which holds
+    at most min(runs, 100) x 560 run-coordinates, the full protocol's
+    largest group at the plan's runs or at 100; on a plan of one dimension
+    that may be all of a family's runs.  Each finished record goes into the
+    run tables too.  runs.jsonl has the same bytes wherever earlier runs
+    were interrupted.
     """
     store = ResultStore(outdir)
     if not store.exists():
@@ -508,24 +523,29 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     manifest = store.read_manifest()
     if manifest.get("digest") != plan.digest():
         raise StoreError("manifest digest does not match the plan; refusing to resume")
-    cells, tables, done = plan.cells(), _RunTables(plan), 0
-    for key, rec in store.scan_runs():
-        if done == len(cells) or key != cells[done]:
-            if key in cells[:done]:  # the cells so far are in order, so a cell among them is repeated
-                raise StoreError(f"runs.jsonl holds two records for cell {key}")
+    digests = {alg: config_for_label(alg, n=plan.n, noise=plan.noise).digest() for alg in plan.algorithms}
+    cells, tables, done = plan.iter_cells(), _RunTables(plan), 0
+    for done, (key, rec) in enumerate(store.scan_runs(), 1):
+        if key != next(cells, None):  # None past the plan's last cell
             raise StoreError(
-                f"runs.jsonl record {done + 1} is cell {key}, not the plan's next cell in cell order; "
+                f"runs.jsonl record {done} is cell {key}, not the plan's next cell in cell order; "
                 "refusing to resume (use --force to recompute the store)"
             )
         try:
+            seed = derive_seed(plan.master_seed, *key)
+            if type(rec["seed"]) is not int or rec["seed"] != seed:
+                raise ValueError(f"seed {rec['seed']!r} is not the cell's, {seed}")
+            if rec["config_digest"] != digests[key[0]]:
+                raise ValueError(f"config_digest {rec['config_digest']!r} is not {key[0]}'s, {digests[key[0]]!r}")
             tables.add(key, rec)
         except ValueError as exc:
-            raise StoreError(f"runs.jsonl record {done + 1} (cell {key}): {exc}; refusing to resume") from None
-        done += 1
-    if done < len(cells) or store.torn:
+            raise StoreError(f"runs.jsonl record {done} (cell {key}): {exc}; refusing to resume") from None
+    cell = next(cells, None)  # the first cell missing, if any
+    if cell or store.torn:
         # the records read, again a line at a time, without a torn last line or blank lines
         store.write_runs(rec for _, rec in itertools.islice(store.scan_runs(), done))
-        for key, rec in store.append_runs(_execute_cells(plan, cells[done:])):
+        stacks = _execute_cells(plan, itertools.chain([cell], cells)) if cell else ()
+        for key, rec in store.append_runs(stacks):
             tables.add(key, rec)
     rows = compute_metric_rows(plan, tables)
     store.write_metrics(rows)

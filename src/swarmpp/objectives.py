@@ -30,6 +30,7 @@ Known quirks, kept deliberately:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -375,10 +376,17 @@ def evaluate(spec: ObjectiveSpec, d: int, x) -> float:
 
 
 def _scalar_pow(base, exp):
-    """base ** exp element by element, each on a numpy float64 scalar (C pow),
-    as one point's derived component values are raised."""
+    """base ** exp element by element by C pow, as one point's derived
+    component values are raised: math.pow calls the pow that a numpy float64
+    scalar's ** calls.  Where a value overflows, math.pow raises and the
+    scalar ** gives inf with numpy's warning, so such a base takes the
+    scalar **."""
     base = np.asarray(base, dtype=float)
-    return np.array([v**exp for v in base.flat]).reshape(base.shape)
+    try:
+        values = np.fromiter(map(math.pow, base.ravel().tolist(), itertools.repeat(float(exp))), float, base.size)
+    except OverflowError:
+        values = np.array([v**exp for v in base.flat])
+    return values.reshape(base.shape)
 
 
 @dataclass(frozen=True)

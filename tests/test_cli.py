@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from swarmpp import algorithms
+from swarmpp import algorithms, harness
 from swarmpp.cli import main
 from swarmpp.metrics import relative_error
 
@@ -267,6 +267,33 @@ def test_run_refuses_a_record_whose_checkpoints_are_not_the_plans(tmp_path, caps
     code, _, err = run_cli(capsys, "run", str(plan), "--out", str(out))
     assert code == 2
     assert err == f"error: runs.jsonl record 2 (cell ('PSO', 'F27', 5, 1)): {fault}; refusing to resume\n"
+    assert (out / "runs.jsonl").read_text() == "".join(lines) and (out / "metrics.csv").read_bytes() == metrics
+
+
+@pytest.mark.parametrize("field, value, fault", [
+    ("seed", "12345", "seed 12345 is not the cell's, {seed}"),
+    ("seed", '"{seed}"', "seed '{seed}' is not the cell's, {seed}"),
+    ("config_digest", '"{other}"', "config_digest '{other}' is not PSO's, '{digest}'"),
+    ("status", '"failed"', "status 'failed' is neither 'ok' nor 'failed: <reason>'"),
+    ("status", "null", "status None is neither 'ok' nor 'failed: <reason>'"),
+])
+def test_run_refuses_a_record_that_is_not_the_plans(tmp_path, capsys, field, value, fault):
+    # `value` is the field's JSON text, {seed} and {digest} the cell's and
+    # {other} mPSO's digest.  Before, a record with another seed, config
+    # digest or status entered metrics.csv without a word
+    plan = write_plan(tmp_path, runs=2)
+    out = tmp_path / "store"
+    assert run_cli(capsys, "run", str(plan), "--out", str(out))[0] == 0
+    names = {"seed": harness.derive_seed(3, "PSO", "F27", 5, 1),
+             "digest": algorithms.config_for_label("PSO", n=32).digest(),
+             "other": algorithms.config_for_label("mPSO", n=32).digest()}
+    lines = (out / "runs.jsonl").read_text().splitlines(keepends=True)
+    lines[1] = json.dumps(json.loads(lines[1]) | {field: json.loads(value.format(**names))}, sort_keys=True) + "\n"
+    (out / "runs.jsonl").write_text("".join(lines))
+    metrics = (out / "metrics.csv").read_bytes()
+    code, _, err = run_cli(capsys, "run", str(plan), "--out", str(out))
+    assert code == 2
+    assert err == f"error: runs.jsonl record 2 (cell ('PSO', 'F27', 5, 1)): {fault.format(**names)}; refusing to resume\n"
     assert (out / "runs.jsonl").read_text() == "".join(lines) and (out / "metrics.csv").read_bytes() == metrics
 
 

@@ -418,7 +418,7 @@ def test_groups_one_per_algorithm_and_dimension():
     for parallelism in (1, 2):
         cap = harness._cap(replace(plan, parallelism=parallelism))
         assert cap == 2240
-        groups = harness._groups(cells, cap)
+        groups = list(harness._groups(cells, cap))
         assert sum(groups, []) == cells
         assert [(tuple(dict.fromkeys(alg for alg, _, _, _ in g)), g[0][2], len(g)) for g in groups] == expected
         assert all({d for _, _, d, _ in g} == {g[0][2]} for g in groups)
@@ -427,7 +427,7 @@ def test_groups_one_per_algorithm_and_dimension():
     for runs in (1, 100):
         plan = replace(plan, runs=runs)
         for parallelism in (1, 2):
-            groups = harness._groups(plan.cells(), harness._cap(replace(plan, parallelism=parallelism)))
+            groups = list(harness._groups(plan.cells(), harness._cap(replace(plan, parallelism=parallelism))))
             assert [(tuple(dict.fromkeys(alg for alg, _, _, _ in g)), g[0][2], len(g)) for g in groups] == [
                 (labels, d, n * runs // 4) for labels, d, n in expected]
 
@@ -443,10 +443,10 @@ def test_single_dimension_plans_fuse_their_variants_at_parallelism_1():
                       dimensions=(10,), functions=None, runs=2)
     cells = plan.cells()
     assert harness._cap(plan) == 2 * 560
-    stacks = harness._groups(cells, harness._cap(plan))
+    stacks = list(harness._groups(cells, harness._cap(plan)))
     assert [(stack[0][0], stack[-1][0], len(stack)) for stack in stacks] == [("CSO", "hmCSO", 56), ("PSO", "hmPSO", 56)]
     assert harness._cap(replace(plan, parallelism=2)) == 28 * 10
-    stacks = harness._groups(cells, harness._cap(replace(plan, parallelism=2)))
+    stacks = list(harness._groups(cells, harness._cap(replace(plan, parallelism=2))))
     assert [(stack[0][0], stack[-1][0], len(stack)) for stack in stacks] == [
         ("CSO", "CSO", 28), ("hmCSO", "hmCSO", 28), ("PSO", "PSO", 28), ("hmPSO", "hmPSO", 28)]
 
@@ -464,7 +464,7 @@ def test_groups_run_alike_at_any_parallelism(tmp_path, monkeypatch):
     d5 = {alg: [(alg, "F15"), (alg, "F26"), (alg, "F27")] for alg in ("PSO", "mPSO")}
     for parallelism, sizes, labels in ((1, [8, 12], [d2, d5["PSO"] + d5["mPSO"]]),
                                        (2, [8, 6, 6], [d2, d5["PSO"], d5["mPSO"]])):
-        groups = harness._groups(cells, harness._cap(replace(plan, parallelism=parallelism)))
+        groups = list(harness._groups(cells, harness._cap(replace(plan, parallelism=parallelism))))
         assert [len(g) for g in groups] == sizes
         assert sum(groups, []) == cells
         assert [[(alg, label) for alg, label, _, _ in g[::2]] for g in groups] == labels
@@ -533,6 +533,7 @@ def test_resume_stacks_under_the_whole_plans_cap(tmp_path, monkeypatch):
     real_groups, cut = harness._groups, []
 
     def groups(cells, cap):
+        cells = list(cells)
         cut.append((len(cells), cap))
         return real_groups(cells, cap)
 
@@ -903,14 +904,14 @@ def test_groups_merge_a_familys_groups_within_the_largest():
         assert largest <= protocol
         for parallelism, cap in ((1, protocol), (2, largest)):
             assert harness._cap(replace(plan, parallelism=parallelism)) == cap
-            stacks = harness._groups(cells, cap)
+            stacks = list(harness._groups(cells, cap))
             _check_stacks(stacks, cells, cap)
             # each (label, dimension) group lies whole in one stack
             assert all(sizes[key] == n for stack in stacks
                        for key, n in collections.Counter((alg, d) for alg, _, d, _ in stack).items())
             # the cells a resume runs are cut under the whole plan's cap
             for done in (1, len(cells) // 3, len(cells) - 1):
-                _check_stacks(harness._groups(cells[done:], cap), cells[done:], cap)
+                _check_stacks(list(harness._groups(cells[done:], cap)), cells[done:], cap)
 
 
 def test_groups_cut_a_group_larger_than_the_cap():
@@ -935,10 +936,30 @@ def test_groups_cut_a_group_larger_than_the_cap():
         for parallelism in (1, 2):
             cap = harness._cap(replace(plan, parallelism=parallelism))
             assert cap == 56_000
-            stacks = harness._groups(cells, cap)
+            stacks = list(harness._groups(cells, cap))
             _check_stacks(stacks, cells, cap)
             assert [(tuple(dict.fromkeys(alg for alg, _, _, _ in g)), g[0][2], len(g)) for g in stacks] == expected
             assert max(len(stack) * stack[0][2] for stack in stacks) == 56_000
+
+
+def test_groups_stacks_are_pinned():
+    # the stacks of the 12-label protocol, each stack's repr and a newline
+    # into one sha256, at 1 to 400 runs and parallelism 1 and 2: the values
+    # that _groups gave over the listed cells before it took them as a stream
+    plan = small_plan(algorithms=algorithms.ALGORITHM_LABELS, pairs=(), dimensions=objectives.COLLECTION_DIMS,
+                      functions=None)
+    pins = {1: "3d75f4abd4b9ef96fdd4ca2756166d84fad5b3162804ff2c2dba445d44dda1ec",
+            4: "bebd7e81863365fa0b4caa89b575c436ec314b95690935d02f9de8bd3a666862",
+            100: "ed44e2e75ce0973fe028f7c22c74b05e6d74dad75969778583bf6c51d03983d3",
+            101: "684db1804c4572cd71d8c467d06157321251f7c4f5cedb39200e2fbdd2fbd5ac",
+            400: "8fd3abc99c1951765a2c0d74cfaa42e71e59e33f49fbfc30af62f3fe8190e58b"}
+    for runs, pin in pins.items():
+        for parallelism in (1, 2):
+            given = replace(plan, runs=runs, parallelism=parallelism)
+            digest = hashlib.sha256()
+            for stack in harness._groups(given.iter_cells(), harness._cap(given)):
+                digest.update(repr(stack).encode() + b"\n")
+            assert digest.hexdigest() == pin, (runs, parallelism)
 
 
 def test_plan_refuses_repeated_dimensions_and_pairs():
@@ -1004,8 +1025,9 @@ def test_execute_writes_each_stack_once(tmp_path, monkeypatch):
 def test_execute_and_resume_hold_no_records(tmp_path, monkeypatch):
     # the tracemalloc peak of execute, and of resume on the complete store,
     # at 500 and at 2000 records: each record past the first 500 may cost
-    # what its run tables, its cell and the metric arithmetic need (~90 and
-    # ~160 B), not a record dict (~1.1 and ~2.7 KB when they were kept).
+    # what its run tables and the metric arithmetic need (32 and 115 B; the
+    # tables alone are 17 B), not a record dict (~1.1 and ~2.7 KB when they
+    # were kept) nor a listed cell (85 and 154 B when the cells were listed).
     # Stacks hold 50 cells at any runs, so only the records grow
     monkeypatch.setattr(harness, "_cap", lambda plan: 100)
     plans = {runs: small_plan(dimensions=(2,), functions=("F4",), runs=runs, max_iter=1, checkpoints=(0, 1))
@@ -1021,9 +1043,9 @@ def test_execute_and_resume_hold_no_records(tmp_path, monkeypatch):
                 peaks[step.__name__, runs] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-    for step in ("execute", "resume"):
+    for step, bound in (("execute", 50), ("resume", 130)):
         per_record = (peaks[step, 1000] - peaks[step, 250]) / (2 * 750)
-        assert per_record < 200, f"{step}: {per_record:.0f} B per record"
+        assert per_record < bound, f"{step}: {per_record:.0f} B per record"
 
 
 def _drop_middle_line(lines, plan):
@@ -1037,6 +1059,10 @@ def _cell_outside_plan(lines, plan):
 
 def _repeated_line(lines, plan):
     return lines[:3] + lines[2:], str(plan.cells()[2])
+
+
+def _line_past_the_last_cell(lines, plan):
+    return lines + lines[-1:], str(plan.cells()[-1])
 
 
 def _label_dimension_order(lines, plan):
@@ -1055,8 +1081,8 @@ def _label_major_order(lines, plan):
     return sorted(lines, key=lambda line: tuple(json.loads(line)[k] for k in key)), named
 
 
-@pytest.mark.parametrize("doctor", [_drop_middle_line, _cell_outside_plan, _repeated_line, _label_dimension_order,
-                                    _label_major_order])
+@pytest.mark.parametrize("doctor", [_drop_middle_line, _cell_outside_plan, _repeated_line, _line_past_the_last_cell,
+                                    _label_dimension_order, _label_major_order])
 def test_resume_refuses_store_out_of_cell_order(tmp_path, capsys, doctor):
     plan = small_plan(dimensions=(2, 5), functions=("F4", "F27"))
     out = tmp_path / "bad"
@@ -1078,6 +1104,73 @@ def test_resume_refuses_store_out_of_cell_order(tmp_path, capsys, doctor):
     assert main(["run", str(plan_path), "--out", str(out), "--force"]) == 0
     for name, data in fresh.items():
         assert (out / name).read_bytes() == data
+
+
+def _another_masters_record(rec, plan, tmp_path):
+    # the same cell's record from a store of another master seed
+    execute(replace(plan, master_seed=8), tmp_path / "other")
+    other = next(r for key, r in ResultStore(tmp_path / "other").scan_runs() if key == ("PSO", "F27", 5, 1))
+    return other, f"seed {other['seed']} is not the cell's, {rec['seed']}"
+
+
+def _float_seed(rec, plan, tmp_path):
+    return rec | {"seed": float(rec["seed"])}, f"seed {float(rec['seed'])!r} is not the cell's, {rec['seed']}"
+
+
+def _another_labels_digest(rec, plan, tmp_path):
+    digest = algorithms.config_for_label("mPSO", n=plan.n, noise=plan.noise).digest()
+    return rec | {"config_digest": digest}, f"config_digest {digest!r} is not PSO's, {rec['config_digest']!r}"
+
+
+def _another_noises_digest(rec, plan, tmp_path):
+    digest = algorithms.config_for_label("PSO", n=plan.n, noise=NoiseModel(sigma=0.5)).digest()
+    return rec | {"config_digest": digest}, f"config_digest {digest!r} is not PSO's, {rec['config_digest']!r}"
+
+
+def _status_without_reason(rec, plan, tmp_path):
+    return rec | {"status": "failed"}, "status 'failed' is neither 'ok' nor 'failed: <reason>'"
+
+
+def _status_not_a_string(rec, plan, tmp_path):
+    return rec | {"status": 0}, "status 0 is neither 'ok' nor 'failed: <reason>'"
+
+
+@pytest.mark.parametrize("doctor", [_another_masters_record, _float_seed, _another_labels_digest,
+                                    _another_noises_digest, _status_without_reason, _status_not_a_string])
+def test_resume_refuses_a_record_that_is_not_the_plans(tmp_path, doctor):
+    # record 2, the cell ('PSO', 'F27', 5, 1), in its place but not the one
+    # the plan gives it: resume names the record and the field, and the
+    # store keeps its bytes.  tests/test_cli.py runs these through swarmpp run
+    plan = small_plan()
+    out = tmp_path / "s"
+    execute(plan, out)
+    lines = (out / "runs.jsonl").read_text().splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    assert rec["seed"] == derive_seed(plan.master_seed, "PSO", "F27", 5, 1)
+    doctored, fault = doctor(rec, plan, tmp_path)
+    lines[1] = json.dumps(doctored, sort_keys=True) + "\n"
+    (out / "runs.jsonl").write_text("".join(lines))
+    before = {name: (out / name).read_bytes() for name in ("runs.jsonl", "metrics.csv")}
+    with pytest.raises(StoreError) as exc:
+        resume(plan, out)
+    assert str(exc.value) == f"runs.jsonl record 2 (cell ('PSO', 'F27', 5, 1)): {fault}; refusing to resume"
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_execute_and_resume_build_no_cell_list(tmp_path, monkeypatch):
+    # the cells stream from ExperimentPlan.iter_cells into the stacks: a
+    # fresh run, a resume of a partial store and a run at parallelism 2
+    # never list them
+    plan = small_plan(runs=2, dimensions=(2, 5), functions=("F4", "F15", "F18", "F26", "F27"))
+    execute(plan, tmp_path / "whole")
+    whole = (tmp_path / "whole" / "runs.jsonl").read_bytes()
+    monkeypatch.setattr(ExperimentPlan, "cells", lambda self: pytest.fail("cells() was built"))
+    out = tmp_path / "s"
+    execute(plan, out)
+    (out / "runs.jsonl").write_bytes(b"".join(whole.splitlines(keepends=True)[:11]))
+    resume(plan, out)
+    execute(replace(plan, parallelism=2), tmp_path / "p2")
+    assert (out / "runs.jsonl").read_bytes() == (tmp_path / "p2" / "runs.jsonl").read_bytes() == whole
 
 
 def test_killed_child_run_resumes_identically(tmp_path):

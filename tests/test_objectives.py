@@ -178,3 +178,24 @@ def test_per_point_block_equals_single_points_bitwise():
         for block in np.split(points, [32, 96, 200, 512]):
             np.testing.assert_array_equal(_bits(ev.per_point(block)), _bits(single[: len(block)]), spec.label)
             single = single[len(block):]
+
+
+def test_scalar_pow_equals_numpy_scalar_power_bitwise():
+    # _scalar_pow raises each value by math.pow, the C pow that a numpy
+    # float64 scalar's ** calls: the same bits on negative, tiny, huge and
+    # integer bases at the exponents the objectives use, and in any shape
+    rng = np.random.default_rng(3)
+    base = np.concatenate([
+        rng.normal(size=20000) * 10.0 ** rng.integers(-150, 70, 20000),
+        -np.abs(rng.normal(size=2000)) * 1e-160,  # tiny and negative: squares underflow
+        np.round(rng.uniform(-50, 50, 500)), [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0],
+    ]).reshape(-1, 2)
+    for exp in (2, 4):
+        expected = np.array([v**exp for v in base.flat]).reshape(base.shape)
+        np.testing.assert_array_equal(_bits(ob._scalar_pow(base, exp)), _bits(expected))
+    assert ob._scalar_pow(np.float64(-3.0), 2).shape == ()
+    # a base whose power overflows: math.pow raises, and the value is numpy's
+    # scalar inf, with numpy's warning
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        out = ob._scalar_pow(np.array([[-1e200, 3.0]]), 2)
+    np.testing.assert_array_equal(out, [[np.inf, 9.0]])
