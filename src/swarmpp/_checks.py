@@ -26,7 +26,8 @@ def real(value, name: str) -> float:
     """A finite value of any real type as a Python float, so that it
     serialises and equals itself; a bool (numpy's too), a non-real, nan, an
     infinity or an int past the largest double is refused by name."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+    # float and int are Reals; naming them first spares the common case the ABC's lookup
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (float, int, numbers.Real)):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     try:
         x = float(value)

@@ -162,12 +162,16 @@ class AlgorithmConfig:
             raise ValueError("DE donor sampling needs n >= 4")
 
     def digest(self) -> str:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        # base candidates are always clamped and bats follow the printed sign;
-        # constants for those former fields keep every stored digest
-        payload.update(noise=self.noise.to_dict(), base_projection=True, bat_sign=1.0)
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        """The config's identity, which each of its run records carries:
+        computed once per config, which is frozen, and kept with it."""
+        if "_digest" not in vars(self):
+            payload = {f.name: getattr(self, f.name) for f in fields(self)}
+            # base candidates are always clamped and bats follow the printed sign;
+            # constants for those former fields keep every stored digest
+            payload.update(noise=self.noise.to_dict(), base_projection=True, bat_sign=1.0)
+            blob = json.dumps(payload, sort_keys=True).encode()
+            object.__setattr__(self, "_digest", hashlib.sha256(blob).hexdigest()[:16])
+        return vars(self)["_digest"]
 
 
 # label <-> (family, variant): PSO, mPSO, hmPSO, ...

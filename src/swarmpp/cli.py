@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -143,10 +144,13 @@ def _cmd_report(args) -> int:
             lines += [f"{args.pair},{d},{t},{metric},{v}" for t, v in pts]
         panels.append((d, series))
     svg = plotting.render_panels(panels, f"{title} {args.pair}")
-    out_base = Path(args.out) if args.out else Path(args.store) / f"{args.plot}_{a}_{b}"
+    # an --out that ends in a separator or names a directory, as the store
+    # does when there is none, gets the default name inside it
+    out_base = Path(args.out or args.store)
+    if not args.out or args.out.endswith(("/", os.sep)) or out_base.is_dir():
+        out_base /= f"{args.plot}_{a}_{b}"
     out_base.parent.mkdir(parents=True, exist_ok=True)
-    svg_path = out_base.with_suffix(".svg")
-    csv_path = out_base.with_suffix(".csv")
+    svg_path, csv_path = (out_base.with_name(out_base.name + suffix) for suffix in (".svg", ".csv"))
     svg_path.write_text(svg)
     csv_path.write_text("\n".join(lines) + "\n")
     print(f"wrote {svg_path} and {csv_path}")
@@ -200,7 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("store")
     p_rep.add_argument("--plot", choices=tuple(PLOTS), required=True)
     p_rep.add_argument("--pair", required=True, help="A:B, e.g. PSO:hmPSO")
-    p_rep.add_argument("--out", default=None, help="output basename (without extension)")
+    p_rep.add_argument("--out", default=None,
+                       help="output basename, to which .svg and .csv are appended; a directory (or a path "
+                            "ending in a separator) gets <plot>_<A>_<B> inside it; default: in the store")
     p_rep.set_defaults(func=_cmd_report)
 
     p_sw = sub.add_parser("sweep", help="run a plan across noise settings")

@@ -24,13 +24,18 @@ when it finishes: an interruption loses the stack in flight (at parallelism
 No record is held past its stack or its line, and no list of cells: at
 parallelism 1 the cells stream from iter_cells into stacks as they are
 reached.  As a record is appended, or read back on resume (runs.jsonl is
-read a line at a time), its status and checkpoint values are written into a
-dense run table of its (label, dimension), if the label is in a pair, and
-the metrics are computed from those tables: 8 B per checkpoint and 1 B of
-mask per paired run.  Resume checks each stored record against the plan's
-next cell: its cell, seed, config digest, status and checkpoints.  A record
-out of place (missing, repeated or past the last cell) or not the plan's
-raises StoreError, and the store keeps its bytes; `swarmpp run` exits 2.
+read a line at a time), its status and checkpoint values are written into
+the plan's run table (_RunTables), if its label is in a pair, and the
+metrics are computed from that table: one float array (dimension, paired
+label, function, checkpoint, run) and one ok mask, 8 B per checkpoint and
+1 B of mask per slot, with every dimension's functions padded to the
+plan's largest member count by slots that stay NaN and not ok.  Each label's
+config and digest are built once per execute or resume call, for the record
+checks and the stacks.  Resume checks each stored record against the
+plan's next cell: its cell, seed, config digest, status and checkpoints.  A
+record out of place (missing, repeated or past the last cell) or not the
+plan's raises StoreError, and the store keeps its bytes; `swarmpp run`
+exits 2.
 
 Store layout: <outdir>/manifest.json, <outdir>/runs.jsonl, <outdir>/metrics.csv.
 """
@@ -229,16 +234,16 @@ _CELL_KEYS = ("algorithm", "function", "dimension", "run")  # a record's fields 
 _RECORD_KEYS = frozenset(_CELL_KEYS + ("seed", "config_digest", "status", "checkpoints"))  # those every stored record holds
 
 
-def _run_group(cells: list[tuple], plan: ExperimentPlan) -> list[tuple[tuple, dict]]:
-    """Run one stack's cells as one stack of runs; (key, record) pairs in cell order."""
+def _run_group(cells: list[tuple], plan: ExperimentPlan, configs: dict) -> list[tuple[tuple, dict]]:
+    """Run one stack's cells as one stack of runs, each label under its
+    config in `configs`; (key, record) pairs in cell order."""
     d = cells[0][2]
     labels, algs = [label for _, label, _, _ in cells], [alg for alg, _, _, _ in cells]
     specs = {label: objectives.get(label) for label in labels}
     fbatch = {label: objectives.batch_evaluator(spec, d) for label, spec in specs.items()}  # one per member
     box = {label: objectives.default_domain(spec, d) for label, spec in specs.items()}
-    config = {alg: config_for_label(alg, n=plan.n, noise=plan.noise) for alg in set(algs)}  # one per label
     seeds = [derive_seed(plan.master_seed, *cell) for cell in cells]
-    records = algorithms.run([config[a] for a in algs], [fbatch[f] for f in labels], [box[f] for f in labels], seeds,
+    records = algorithms.run([configs[a] for a in algs], [fbatch[f] for f in labels], [box[f] for f in labels], seeds,
                              plan.max_iter, plan.checkpoints)
     if len(records) != len(cells):  # a fault of the program, not of the plan: it fails here, before any is stored
         raise RuntimeError(f"the {split_label(algs[0])[0]} stack at d={d} returned {len(records)} records "
@@ -247,6 +252,7 @@ def _run_group(cells: list[tuple], plan: ExperimentPlan) -> list[tuple[tuple, di
 
 
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(rec, sort_keys=True)'s encoder
+_RECORD_DECODER = json.JSONDecoder()  # json.loads' decoder; a line read as text needs none of its bytes handling
 
 
 def _record_line(rec: dict) -> str:
@@ -319,13 +325,14 @@ class ResultStore:
         self.torn = False
         if not self.runs_path.exists():
             return
+        decode = _RECORD_DECODER.decode
         with open(self.runs_path) as fh:
+            line = "\n"  # an empty file is not torn
             for number, line in enumerate(fh, 1):
-                self.torn = not line.endswith("\n")  # only the last line can lack one
                 if line.isspace():
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec = decode(line)
                 except json.JSONDecodeError as exc:
                     if fh.read():  # a line follows
                         raise StoreError(f"runs.jsonl line {number} is not JSON: {exc}") from None
@@ -334,6 +341,7 @@ class ResultStore:
                 if not (isinstance(rec, dict) and _RECORD_KEYS <= rec.keys()):
                     raise StoreError(f"runs.jsonl line {number} is not a run record")
                 yield (rec["algorithm"], rec["function"], rec["dimension"], rec["run"]), rec
+            self.torn = not line.endswith("\n")  # only the last line can lack one
 
     def read_runs(self) -> dict[tuple, dict]:
         """Records by cell key, in file order, read by `scan_runs`; a second
@@ -354,31 +362,31 @@ _INF = math.inf
 
 
 class _RunTables:
-    """The run tables of a plan's paired labels, one per (label, dimension):
-    the best-so-far values (functions, checkpoints, runs), runs last, NaN
-    where a run failed, and the ok mask (functions, runs).  They fill a
-    record at a time (`add`), so that no record need be kept; a plan without
-    pairs or checkpoints has none."""
+    """The run table of a plan's paired labels: the best-so-far values
+    (dimension, paired label, function, checkpoint, run), runs last, and the
+    ok mask (dimension, paired label, function, run).  A dimension's members
+    take its first function slots, in collection order; the slots past them,
+    up to the plan's largest member count, stay NaN and not ok, as does a
+    failed run.  A slot costs 8 B per checkpoint and 1 B of mask.  The table
+    fills a record at a time (`add`), so that no record need be kept."""
 
     def __init__(self, plan: ExperimentPlan):
         self.labels = {d: [] for d in plan.dimensions}  # each dimension's members, in collection order
         for spec, d in plan.collection():
             self.labels[d].append(spec.label)
-        self.tables, self.slots = {}, {}  # (alg, d) -> tables; (alg, label, d) -> memoryviews of its tables, row
+        self.paired = list(dict.fromkeys(itertools.chain(*plan.pairs)))  # the labels in a pair, first named first
         self.names = [str(t) for t in plan.checkpoints]
         # a record's values at the plan's checkpoints, as a tuple (itemgetter gives one key's bare)
         get = operator.itemgetter(*self.names) if self.names else lambda checkpoints: ()
         self.get = get if len(self.names) != 1 else lambda checkpoints: (get(checkpoints),)
-        if not plan.checkpoints:
-            return
-        for alg in dict.fromkeys(itertools.chain(*plan.pairs)):
-            for d, labels in self.labels.items():
-                values = np.full((len(labels), len(plan.checkpoints), plan.runs), np.nan)
-                ok = np.zeros((len(labels), plan.runs), dtype=bool)
-                self.tables[alg, d] = values, ok
-                # written through memoryviews: a numpy index assignment costs several times as much
-                views = memoryview(values), memoryview(ok)
-                self.slots.update(((alg, label, d), (*views, i)) for i, label in enumerate(labels))
+        slots = (len(plan.dimensions), len(self.paired), max(map(len, self.labels.values())))
+        self.table = np.full(slots + (len(self.names), plan.runs), np.nan)
+        self.ok = np.zeros(slots + (plan.runs,), dtype=bool)
+        # written through flat memoryviews: a numpy index assignment costs several times as much
+        self._table, self._ok = memoryview(self.table.reshape(-1)), memoryview(self.ok.reshape(-1))
+        self.runs, self.rows = plan.runs, {}  # (alg, label, d) -> its slot's row, (dimension, label, function) flat
+        for row, (d, alg) in enumerate(itertools.product(plan.dimensions, self.paired)):
+            self.rows.update(((alg, label, d), row * slots[2] + f) for f, label in enumerate(self.labels[d]))
 
     def values(self, checkpoints) -> tuple:
         """A record's `checkpoints` values at the plan's checkpoints, in their
@@ -418,13 +426,14 @@ class _RunTables:
                 raise ValueError(f"status {status!r} is neither 'ok' nor 'failed: <reason>'")
             return
         values = self.values(rec["checkpoints"])
-        slot = self.slots.get(key[:3])
-        if slot is not None:
-            table, ok, i = slot
-            run = key[3]
-            ok[i, run] = True
-            for t, v in enumerate(values):
-                table[i, t, run] = v
+        row = self.rows.get(key[:3])
+        if row is not None:
+            runs, run = self.runs, key[3]
+            self._ok[row * runs + run] = True
+            i = row * len(values) * runs + run
+            for v in values:
+                self._table[i] = v
+                i += runs
 
 
 _METRICS = ("winning_proportion", "relative_error_orig", "relative_error_mod")
@@ -434,48 +443,53 @@ def compute_metric_rows(plan: ExperimentPlan, tables: _RunTables) -> list[tuple]
     """Long-format metric rows for every pair, function, dimension, checkpoint.
 
     Per-function rows carry the win fraction and both relative errors;
-    function "ALL" rows carry the dimension-level aggregates.  `tables` are
-    the plan's run tables, which resume fills with every cell's record.  One
-    metrics.pair_figures call per dimension takes every pair's tables; runs
-    that failed on either side of a pair are left out, with one warning per
-    function.
+    function "ALL" rows carry the dimension-level aggregates.  `tables` is
+    the plan's run table, which resume fills with every cell's record.  Each
+    dimension's pair sides are gathered from it with one index per side and
+    compared in one metrics.pair_figures call; runs that failed on either
+    side of a pair are left out, with one warning per function.
     """
     if not (plan.pairs and plan.checkpoints):
         return []
-    labels = tables.labels
-    figures = {}  # d -> count (pairs, F + 1), then win, ties, RE_a, RE_b (pairs, checkpoints, F + 1)
-    for d in plan.dimensions:
-        a, ok_a = zip(*(tables.tables[alg, d] for alg, _ in plan.pairs))
-        b, ok_b = zip(*(tables.tables[alg, d] for _, alg in plan.pairs))
-        count, *per_checkpoint = metrics.pair_figures(np.stack(a), np.stack(b), np.stack(ok_a) & np.stack(ok_b))
-        figures[d] = [count.tolist()] + [x.swapaxes(-1, -2).tolist() for x in per_checkpoint]
-    rows = []
+    side_a, side_b = ([tables.paired.index(alg) for alg in side] for side in zip(*plan.pairs))
+    columns = {}  # d -> count per pair; the rows' labels and checkpoints; per pair, its values and ties
+    for i, d in enumerate(plan.dimensions):
+        functions = len(tables.labels[d])
+        table, ok = tables.table[i, :, :functions], tables.ok[i, :, :functions]
+        count, win, ties, re_a, re_b = metrics.pair_figures(table[side_a], table[side_b], ok[side_a] & ok[side_b])
+        # each pair's figures in row order: by checkpoint, function and metric
+        values = list(map(repr, np.stack((win, re_a, re_b), -1).swapaxes(1, 2).ravel().tolist()))  # one call per d
+        ties = np.repeat(ties.swapaxes(1, 2), len(_METRICS), -1).ravel().tolist()
+        step = len(values) // len(plan.pairs)
+        names = [label for label in tables.labels[d] + ["ALL"] for _ in _METRICS]
+        columns[d] = (count.tolist(), names * len(plan.checkpoints), [t for t in plan.checkpoints for _ in names],
+                      [(values[j:j + step], ties[j:j + step]) for j in range(0, len(values), step)])
+    rows, repeat = [], itertools.repeat
     for p, (a, b) in enumerate(plan.pairs):
         pair = f"{a}:{b}"
         for d in plan.dimensions:
-            count, win, ties, re_a, re_b = (x[p] for x in figures[d])
-            for label, n in zip(labels[d], count):
+            count, names, checkpoints, per_pair = columns[d]
+            for label, n in zip(tables.labels[d], count[p]):
                 if n < plan.runs:
                     warnings.warn(f"excluded {plan.runs - n} failed run pair(s) for {a}/{b} on {label} d={d}")
-            names = labels[d] + ["ALL"]
-            for t, win_t, ties_t, re_a_t, re_b_t in zip(plan.checkpoints, win, ties, re_a, re_b):
-                rows += [(plan.name, pair, label, d, t, metric, repr(value), tie)
-                         for label, n, tie, *values in zip(names, count, ties_t, win_t, re_a_t, re_b_t) if n
-                         for metric, value in zip(_METRICS, values)]
+            kept = [n > 0 for n in count[p] for _ in _METRICS] * len(plan.checkpoints)  # a function with a run compared
+            rows += itertools.compress(zip(repeat(plan.name), repeat(pair), names, repeat(d), checkpoints,
+                                           itertools.cycle(_METRICS), *per_pair[p]), kept)
     return rows
 
 
-def _execute_cells(plan: ExperimentPlan, cells):
+def _execute_cells(plan: ExperimentPlan, configs: dict, cells):
     """Run the iterable `cells` a stack at a time (_groups under the plan's
-    _cap; a pool worker takes a whole stack), yielding each stack's finished
-    (key, record) pairs, in cell order.  At parallelism > 1 the stacks are
-    listed: Executor.map submits every job at once, each holding its stack."""
+    _cap; a pool worker takes a whole stack), each label under its config in
+    `configs`, yielding each stack's finished (key, record) pairs, in cell
+    order.  At parallelism > 1 the stacks are listed: Executor.map submits
+    every job at once, each holding its stack."""
     groups = _groups(cells, _cap(plan))
     if plan.parallelism > 1 and len(groups := list(groups)) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=plan.parallelism) as pool:
-            yield from pool.map(_run_group, groups, itertools.repeat(plan))
+            yield from pool.map(_run_group, groups, itertools.repeat(plan), itertools.repeat(configs))
     else:
-        yield from map(_run_group, groups, itertools.repeat(plan))
+        yield from map(_run_group, groups, itertools.repeat(plan), itertools.repeat(configs))
 
 
 def execute(plan: ExperimentPlan, outdir) -> list[tuple]:
@@ -503,7 +517,7 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     runs.jsonl is read a line at a time and each line checked as it arrives
     (a bad line before the last, or a line that is no run record, raises
     too), each record against the next cell that iter_cells gives, and
-    written into the plan's run tables, so neither a record nor a list of
+    written into the plan's run table, so neither a record nor a list of
     cells is kept.  The missing cells are the rest of iter_cells: if any are
     missing or the file is torn, the records read are rewritten once, after
     the whole file has been read and found in order, then the missing cells
@@ -514,7 +528,7 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     at most min(runs, 100) x 560 run-coordinates, the full protocol's
     largest group at the plan's runs or at 100; on a plan of one dimension
     that may be all of a family's runs.  Each finished record goes into the
-    run tables too.  runs.jsonl has the same bytes wherever earlier runs
+    run table too.  runs.jsonl has the same bytes wherever earlier runs
     were interrupted.
     """
     store = ResultStore(outdir)
@@ -523,7 +537,9 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     manifest = store.read_manifest()
     if manifest.get("digest") != plan.digest():
         raise StoreError("manifest digest does not match the plan; refusing to resume")
-    digests = {alg: config_for_label(alg, n=plan.n, noise=plan.noise).digest() for alg in plan.algorithms}
+    # each label's config and digest, built once for the record checks and the stacks
+    configs = {alg: config_for_label(alg, n=plan.n, noise=plan.noise) for alg in plan.algorithms}
+    digests = {alg: config.digest() for alg, config in configs.items()}
     cells, tables, done = plan.iter_cells(), _RunTables(plan), 0
     for done, (key, rec) in enumerate(store.scan_runs(), 1):
         if key != next(cells, None):  # None past the plan's last cell
@@ -532,9 +548,9 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
                 "refusing to resume (use --force to recompute the store)"
             )
         try:
-            seed = derive_seed(plan.master_seed, *key)
-            if type(rec["seed"]) is not int or rec["seed"] != seed:
-                raise ValueError(f"seed {rec['seed']!r} is not the cell's, {seed}")
+            seed, cell_seed = rec["seed"], derive_seed(plan.master_seed, *key)
+            if type(seed) is not int or seed != cell_seed:
+                raise ValueError(f"seed {seed!r} is not the cell's, {cell_seed}")
             if rec["config_digest"] != digests[key[0]]:
                 raise ValueError(f"config_digest {rec['config_digest']!r} is not {key[0]}'s, {digests[key[0]]!r}")
             tables.add(key, rec)
@@ -544,9 +560,10 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     if cell or store.torn:
         # the records read, again a line at a time, without a torn last line or blank lines
         store.write_runs(rec for _, rec in itertools.islice(store.scan_runs(), done))
-        stacks = _execute_cells(plan, itertools.chain([cell], cells)) if cell else ()
+        stacks = _execute_cells(plan, configs, itertools.chain([cell], cells)) if cell else ()
         for key, rec in store.append_runs(stacks):
             tables.add(key, rec)
     rows = compute_metric_rows(plan, tables)
+    del tables  # not held while the metrics are written
     store.write_metrics(rows)
     return rows

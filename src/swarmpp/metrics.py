@@ -62,15 +62,17 @@ def aggregate_relative_error(per_function: list[float]) -> float:
 def _compacted(x: np.ndarray, mask: np.ndarray):
     """The rows of x (M, ..., L) grouped by their number n > 0 of entries set
     in mask (M, L): per n, (n, rows, x[rows] holding only the set entries
-    along L, in order), the last a C-contiguous array (len(rows), ..., n)."""
+    along L, in order), the last a C-contiguous array (len(rows), ..., n);
+    rows is a slice of them all when all M have n."""
     counts = mask.sum(-1).tolist()
     for n in sorted(set(counts) - {0}):
-        rows = [i for i, c in enumerate(counts) if c == n]
+        # a slice when every row has n entries, so that x is not copied
+        rows = slice(None) if counts.count(n) == len(counts) else [i for i, c in enumerate(counts) if c == n]
         if n == mask.shape[-1]:
             yield n, rows, np.ascontiguousarray(x[rows])
         else:
             columns = np.argsort(~mask[rows], axis=-1, kind="stable")[:, :n]
-            yield n, rows, np.take_along_axis(x[rows], columns.reshape(len(rows), *[1] * (x.ndim - 2), n), axis=-1)
+            yield n, rows, np.take_along_axis(x[rows], columns.reshape(len(columns), *[1] * (x.ndim - 2), n), axis=-1)
 
 
 def pair_figures(a, b, valid) -> tuple[np.ndarray, ...]:
@@ -113,11 +115,13 @@ def pair_figures(a, b, valid) -> tuple[np.ndarray, ...]:
         # in more of numpy's code, adding to the peak memory
         frac = ((runs[:, :, 1] < runs[:, :, 0]).sum(-1, dtype=float) + 0.5 * tie.sum(-1, dtype=float)) / n
         win[rows], wins[rows] = frac, frac * n
-        pooled = runs.reshape(len(rows), C, 2 * n)  # A's runs, then B's
+        pooled = runs.reshape(len(runs), C, 2 * n)  # A's runs, then B's
         low = pooled.min(-1)[..., None, None]
         spread = pooled.max(-1)[..., None, None] - low
         spread[spread == 0.0] = 1.0  # every value is low: (0.0, 0.0)
-        re[rows] = ((runs - low) / spread).mean(-1)
+        scaled = runs - low
+        scaled /= spread  # in place: one temporary the size of the runs, not two
+        re[rows] = scaled.mean(-1)
 
     # the pooled row, over the F functions of each leading index
     count = valid.sum(-1).reshape(M, F)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from swarmpp import algorithms, harness
+from swarmpp import algorithms, harness, objectives
 from swarmpp.cli import main
 from swarmpp.metrics import relative_error
 
@@ -11,6 +15,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_module_runs_the_command_line():
+    # python3 -m swarmpp from a checkout, with src on the path
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "swarmpp", "list", "--dim", "2"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0].split()[:3] == ["label", "name", "dims"]
+    labels = [line.split()[0] for line in done.stdout.splitlines()[2:]]
+    assert labels == [spec.label for spec, _ in objectives.list_collection(2)]
 
 
 def test_list_all(capsys):
@@ -166,6 +182,38 @@ def test_report_winning_and_companion_csv(tmp_path, capsys):
     for line in companion[1:]:
         parts = line.split(",")
         assert parts[4] == agg[parts[2]]
+
+
+@pytest.mark.parametrize("given", ["figs/", "existing"])
+def test_report_out_directory_gets_the_default_names(tmp_path, capsys, monkeypatch, given):
+    # a trailing separator (figs/ is made) or an existing directory without one
+    out = tmp_path / "store"
+    run_cli(capsys, "run", str(write_plan(tmp_path)), "--out", str(out))
+    (tmp_path / "existing").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "report", str(out), "--plot", "winning", "--pair", "PSO:mPSO", "--out", given)[0] == 0
+    directory = tmp_path / given.rstrip("/")
+    assert sorted(p.name for p in directory.iterdir()) == ["winning_PSO_mPSO.csv", "winning_PSO_mPSO.svg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"existing", directory.name, "plan.json", "store"})
+    assert (directory / "winning_PSO_mPSO.svg").read_bytes() == _default_report(capsys, out, "winning")
+
+
+def test_report_out_appends_the_suffixes(tmp_path, capsys):
+    # with_suffix would have cut ".v2" and written figs/run.svg
+    out = tmp_path / "store"
+    run_cli(capsys, "run", str(write_plan(tmp_path)), "--out", str(out))
+    code, stdout, _ = run_cli(capsys, "report", str(out), "--plot", "relerr", "--pair", "PSO:mPSO",
+                              "--out", str(tmp_path / "figs" / "run.v2"))
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "figs").iterdir()) == ["run.v2.csv", "run.v2.svg"]
+    assert stdout == f"wrote {tmp_path / 'figs' / 'run.v2.svg'} and {tmp_path / 'figs' / 'run.v2.csv'}\n"
+    assert (tmp_path / "figs" / "run.v2.svg").read_bytes() == _default_report(capsys, out, "relerr")
+
+
+def _default_report(capsys, store, plot):
+    """The SVG that report writes into `store` with no --out."""
+    assert run_cli(capsys, "report", str(store), "--plot", plot, "--pair", "PSO:mPSO")[0] == 0
+    return (store / f"{plot}_PSO_mPSO.svg").read_bytes()
 
 
 def test_report_regeneration_identical(tmp_path, capsys):

@@ -663,12 +663,9 @@ def test_stack_with_a_record_missing_stores_none_of_it(tmp_path, monkeypatch):
     assert [json.loads(line)["dimension"] for line in (out / "runs.jsonl").read_text().splitlines()] == [2] * 8
 
 
-def test_failed_cell_record_excluded_from_metrics(tmp_path, monkeypatch):
-    # one stack: the groups (PSO, 5) and (mPSO, 5), three runs each; mPSO run
-    # 1 meets a NaN at its first step, and the stack's other runs go on
-    plan = small_plan()
-    execute(plan, tmp_path / "whole")
-    failing = derive_seed(7, "mPSO", "F27", 5, 1)
+def _fail_after_init(monkeypatch, failing):
+    """Patch algorithms.run so that the run of seed `failing` meets a NaN at
+    its first step, while the other runs of its stack go on."""
     real_run = algorithms.run
 
     def nan_after_init(fbatch):
@@ -685,6 +682,14 @@ def test_failed_cell_record_excluded_from_metrics(tmp_path, monkeypatch):
         return real_run(config, fbatches, boxes, seeds, *args, **kwargs)
 
     monkeypatch.setattr(algorithms, "run", run)
+
+
+def test_failed_cell_record_excluded_from_metrics(tmp_path, monkeypatch):
+    # one stack: the groups (PSO, 5) and (mPSO, 5), three runs each; mPSO run
+    # 1 meets a NaN at its first step, and the stack's other runs go on
+    plan = small_plan()
+    execute(plan, tmp_path / "whole")
+    _fail_after_init(monkeypatch, derive_seed(7, "mPSO", "F27", 5, 1))
     out = tmp_path / "f"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -710,6 +715,24 @@ def test_failed_cell_record_excluded_from_metrics(tmp_path, monkeypatch):
     by_key = {(r[2], r[4], r[5]): r for r in rows}
     assert by_key[("F27", 30, "winning_proportion")][6] == repr(frac)
     assert by_key[("ALL", 30, "winning_proportion")][7] == ties
+
+
+def test_metrics_of_unequal_dimensions_with_a_failed_run_are_pinned(tmp_path, monkeypatch):
+    # two dimensions of 2 and 3 members (d=2 is padded by a function slot),
+    # two pairs that share a side, and mPSO's run 1 on F27 at d=5 failed:
+    # metrics.csv keeps the bytes of per-(label, dimension) run tables
+    plan = small_plan(algorithms=("PSO", "mPSO", "hmPSO"), pairs=(("PSO", "mPSO"), ("PSO", "hmPSO")),
+                      dimensions=(2, 5), functions=("F4", "F15", "F18", "F26", "F27"))
+    assert [(spec.label, d) for spec, d in plan.collection()] == [
+        ("F4", 2), ("F18", 2), ("F15", 5), ("F26", 5), ("F27", 5)]
+    _fail_after_init(monkeypatch, derive_seed(7, "mPSO", "F27", 5, 1))
+    for step in (execute, resume):  # resume re-reads the complete store
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            step(plan, tmp_path / "s")
+        assert [str(w.message) for w in caught] == ["excluded 1 failed run pair(s) for PSO/mPSO on F27 d=5"]
+        digest = hashlib.sha256((tmp_path / "s" / "metrics.csv").read_bytes()).hexdigest()
+        assert digest == "0d63696b287a5901998392345190cac55acbad5adef1b2893bd1dea0eb8b8821", step.__name__
 
 
 class Interrupted(Exception):
@@ -1022,12 +1045,32 @@ def test_execute_writes_each_stack_once(tmp_path, monkeypatch):
     assert (tmp_path / "w" / "runs.jsonl").read_bytes() == (tmp_path / "plain" / "runs.jsonl").read_bytes()
 
 
+def test_label_configs_are_built_once_per_call(tmp_path, monkeypatch):
+    # all 12 labels at two dimensions, so each family runs two stacks: the
+    # record checks and the stacks share one config per label and call
+    plan = small_plan(algorithms=algorithms.ALGORITHM_LABELS, pairs=(("PSO", "mPSO"),), dimensions=(2, 5),
+                      functions=("F4", "F27"), runs=2, max_iter=2, checkpoints=(2,))
+    real_config_for_label, built = harness.config_for_label, collections.Counter()
+
+    def config_for_label(label, **kwargs):
+        built[label] += 1
+        return real_config_for_label(label, **kwargs)
+
+    monkeypatch.setattr(harness, "config_for_label", config_for_label)
+    execute(plan, tmp_path / "s")
+    assert set(built) <= set(plan.algorithms) and max(built.values()) == 1
+    built.clear()
+    resume(plan, tmp_path / "s")
+    assert built == dict.fromkeys(plan.algorithms, 1)
+
+
 def test_execute_and_resume_hold_no_records(tmp_path, monkeypatch):
     # the tracemalloc peak of execute, and of resume on the complete store,
     # at 500 and at 2000 records: each record past the first 500 may cost
-    # what its run tables and the metric arithmetic need (32 and 115 B; the
-    # tables alone are 17 B), not a record dict (~1.1 and ~2.7 KB when they
-    # were kept) nor a listed cell (85 and 154 B when the cells were listed).
+    # what its run table and the metric arithmetic need (25 and 83 B; the
+    # table alone is 17 B), not a record dict (~1.1 and ~2.7 KB when they
+    # were kept), a listed cell (85 and 154 B when the cells were listed)
+    # nor per-pair tables stacked for the metrics (32 and 115 B).
     # Stacks hold 50 cells at any runs, so only the records grow
     monkeypatch.setattr(harness, "_cap", lambda plan: 100)
     plans = {runs: small_plan(dimensions=(2,), functions=("F4",), runs=runs, max_iter=1, checkpoints=(0, 1))
@@ -1043,7 +1086,7 @@ def test_execute_and_resume_hold_no_records(tmp_path, monkeypatch):
                 peaks[step.__name__, runs] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-    for step, bound in (("execute", 50), ("resume", 130)):
+    for step, bound in (("execute", 50), ("resume", 95)):
         per_record = (peaks[step, 1000] - peaks[step, 250]) / (2 * 750)
         assert per_record < bound, f"{step}: {per_record:.0f} B per record"
 
