@@ -40,12 +40,12 @@ A DE stack parses its draws off the raw words of its runs' own PCG64s with
 one parser (_Words), a chunk of runs at a time.  A chunk of at least
 _LOCKSTEP_RUNS (64) runs parses its integer draws in lockstep, agent by
 agent in array passes over all its runs (_lockstep); a smaller chunk, and a
-run whose lockstep window runs dry, parse them in one Python pass per run
-(_scan).  At n = 32 the two tie at 48-56 runs and the lockstep wins from 64
-on, at every dimension.  Gathers then convert the coins, a block of runs at
-a time; each run keeps its unused words and uint32 half for the next step.
-A step on a caller's generator draws them agent by agent with Generator
-calls (_de_draws_loop), the reference the parse is tested against.
+run whose lockstep window runs dry (it leaves the lockstep whole), parse them
+in one Python pass per run (_scan).  At n = 32 the two tie at 48-56 runs and
+the lockstep wins from 64 on, at every dimension.  Gathers then convert the
+coins, a block of runs at a time; each run keeps its unused words and uint32
+half for the next step.  A step on a caller's generator draws them agent by
+agent with Generator calls (_de_draws_loop), the reference of the parse.
 
 DE values its trials as single points would be valued: one ulp in an
 accepted value changes its trajectory, and numpy's `**` on a value derived
@@ -581,17 +581,17 @@ _PARSE_WORDS = 1 << 16  # a DE parse takes a stack's runs in chunks of about thi
 _LOCKSTEP_RUNS = 64  # a chunk of at least this many runs is parsed in lockstep (_lockstep), a smaller one run by run
 
 
-def _scan(words, n: int, d: int, buf, ints: list, first: int = 0, pos: int = 0):
-    """One run's integer draws of a step from agent `first` on, parsed off its
-    raw words (a memoryview) from word `pos` and its buffered uint32 half
-    `buf` (None if it has none): each agent's donor j, donor k and forced
-    index, redrawn as _de_draws_loop redraws them, and the position of its
-    first crossover coin word, appended to `ints`; the d coin words are
-    passed over.  Returns the position of the first word left unread and the
-    half then buffered; raises IndexError if the draws run past the words."""
-    mask = _UINT32  # a local: the loop reads it on every draw
+def _scan(words, n: int, d: int, buf, ints: list):
+    """One run's integer draws of a step, parsed off its raw words (a
+    memoryview) and its buffered uint32 half `buf` (None if it has none):
+    each agent's donor j, donor k and forced index, redrawn as _de_draws_loop
+    redraws them, and the position of its first crossover coin word,
+    appended to `ints`; the d coin words are passed over.  Returns the
+    position of the first word left unread and the half then buffered;
+    raises IndexError if the draws run past the words."""
+    mask, pos = _UINT32, 0  # mask a local: the loop reads it on every draw
     low_n, low_d = (1 << 32) % n, (1 << 32) % d  # Lemire rejects v * m whose low half is below 2**32 mod m
-    for i in range(first, n):
+    for i in range(n):
         while True:  # donor j != i
             if buf is None:
                 w, pos = words[pos], pos + 1
@@ -635,14 +635,13 @@ def _lockstep(flat, starts, sizes, bufs, n: int, d: int, jkf, coin):
     `jkf` (3, C, n), and the position in `flat` of the agent's first coin
     word to `coin` (C, n).  A run whose window runs dry before k (five
     redraws or more), whose forced draw Lemire's test rejects or whose draws
-    and coins run past its words leaves the lockstep at that agent, for
-    _scan.  Returns each run's first agent left to parse (n if none), its
-    word position from its first word and its buffered half."""
+    and coins run past its words leaves the lockstep whole, for _scan.
+    Returns each run's word position from its first word, None if it left,
+    and its buffered half, the one it started with if it left."""
     C, mask = len(starts), np.uint64(_UINT32)
     low_n, low_d = (1 << 32) % n, (1 << 32) % d
     halves = flat.astype("<u8", copy=False).view("<u4")  # each word's low half, then its high half
     windows = np.ndarray((len(halves) - 6, 7), halves.dtype, halves, 0, halves.strides * 2)  # each half and the 6 after it
-    first, pos, left = [n] * C, [0] * C, list(bufs)
     live, rows = np.arange(C), np.arange(C)
     hp = 2 * np.asarray(starts)  # the half at which each run's next fresh word starts
     end = hp + 2 * np.asarray(sizes) - 2 * d  # the last at which an agent's coins may start
@@ -671,16 +670,14 @@ def _lockstep(flat, starts, sizes, bufs, n: int, d: int, jkf, coin):
         q = (last + 2) & -2  # the half at which the agent's coins start
         found &= q <= end
         if not found.all():
-            for c, at, b, hb in zip(live[~found].tolist(), hp[~found].tolist(),
-                                    buf[~found].tolist(), has[~found].tolist()):
-                first[c], pos[c], left[c] = i, at // 2 - starts[c], b if hb else None
             live, j, k, f, q, last, end = (a[found] for a in (live, j, k, f, q, last, end))
             rows = rows[:len(live)]
         jkf[0, live, i], jkf[1, live, i], jkf[2, live, i], coin[live, i] = j, k, f, q >> 1
         hp, has, buf = q + 2 * d, q > last + 1, halves[last + 1]
+    pos, left = [None] * C, list(bufs)
     for c, at, b, hb in zip(live.tolist(), hp.tolist(), buf.tolist(), has.tolist()):
         pos[c], left[c] = at // 2 - starts[c], b if hb else None
-    return first, pos, left
+    return pos, left
 
 
 class _Words:
@@ -701,12 +698,13 @@ class _Words:
     chunk whatever its size, some 35 array operations an agent, and the
     Python pass ~0.7 us an agent, so at n = 32 the lockstep wins from about
     56 runs on at every dimension; 64 leaves a margin.  A run that leaves the
-    lockstep is scanned from the agent at which it left, and a run whose
-    draws run past its words reads more and is scanned again from there.
-    The chunk's coins are then converted by gathers, a block of runs at a
-    time.  The words a step leaves, and the uint32 half, wait for the next.
-    A stack parses its own generators only, so nothing puts the unused words
-    back.
+    lockstep is scanned whole, off the words and half it started the step
+    with (8 steps of the full protocol's DE stacks at d <= 20: 6 of 134 280
+    run-steps in lockstep left it, each rescan ~22 us at n = 32).  A run
+    whose draws run past its words reads more and is scanned again.  The
+    chunk's coins are then converted by gathers, a block of runs at a time.
+    The words a step leaves, and the uint32 half, wait for the next.  A stack
+    parses its own generators only, so nothing puts the unused words back.
     """
 
     def __init__(self, bit_generators):
@@ -736,15 +734,16 @@ class _Words:
             kept = start + len(self.raw[r])
             flat[start:kept], flat[kept:start + size] = self.raw[r], self.bgs[r].random_raw(start + size - kept)
         coin = np.empty((C, n), dtype=np.intp)  # each agent's first coin word in `flat`
-        first, pos, bufs = [0] * C, [0] * C, self.bufs[runs.start:runs.stop]
+        pos, bufs = [None] * C, self.bufs[runs.start:runs.stop]  # None: a run not parsed yet
         if C >= _LOCKSTEP_RUNS:
-            first, pos, bufs = _lockstep(flat, starts, sizes, bufs, n, d, jkf, coin)
+            pos, bufs = _lockstep(flat, starts, sizes, bufs, n, d, jkf, coin)
+        scan = [c for c in range(C) if pos[c] is None]  # a chunk too small for the lockstep, or the runs that left it
         ints, late, view, end = [], [], memoryview(flat), len(flat)
-        for c in (c for c in range(C) if first[c] < n):  # a run's agents from where it left the lockstep, run by run
+        for c in scan:  # run by run, each from agent 0
             words, mark = view[starts[c]:starts[c] + sizes[c]], len(ints)
             while True:
                 try:
-                    pos[c], bufs[c] = _scan(words, n, d, bufs[c], ints, first[c], pos[c])
+                    pos[c], bufs[c] = _scan(words, n, d, bufs[c], ints)
                     break
                 except IndexError:  # the draws ran past the words: read more and scan again
                     del ints[mark:]
@@ -754,11 +753,8 @@ class _Words:
                 late.append(words)
         if late:
             flat = np.concatenate((flat, *late))
-        ints, offsets, first = np.array(ints, dtype=np.intp).reshape(-1, 4), np.array(starts), np.array(first)
-        # the agents scanned, run after run: of a run that left the lockstep, those from where it left; of a
-        # chunk too small for the lockstep, where every run leaves it at agent 0, all of them
-        scanned = np.arange(n) >= first[:, None]
-        jkf[:, scanned], coin[scanned] = ints[:, :3].T, ints[:, 3] + offsets.repeat(n - first)
+        ints = np.array(ints, dtype=np.intp).reshape(len(scan), n, 4)  # every agent of the runs scanned
+        jkf[:, scan], coin[scan] = np.moveaxis(ints[..., :3], -1, 0), ints[..., 3] + np.array(starts)[scan, None]
         self.bufs[runs.start:runs.stop] = bufs
         for r, start, at, stop in zip(runs, starts, pos, sizes):  # copies: a view would keep the chunk's words
             self.raw[r] = flat[start + at:start + stop].copy()

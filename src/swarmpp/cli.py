@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from dataclasses import replace
@@ -94,11 +93,21 @@ def _cmd_run(args) -> int:
 
 
 def _read_metric_rows(store_dir) -> list[dict]:
+    """metrics.csv's rows.  ValueError names the first row that lacks a column
+    report reads or whose dimension, checkpoint or value is no number."""
     path = Path(store_dir) / "metrics.csv"
     if not path.exists():
         raise FileNotFoundError(f"no metrics.csv in {store_dir}")
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
+    for line, r in enumerate(rows, 2):  # line 1 is the header
+        try:
+            r["pair"], r["function"], r["metric"], int(r["dimension"]), int(r["checkpoint"]), float(r["value"])
+        except KeyError as exc:
+            raise ValueError(f"metrics.csv line {line} has no {exc} column") from None
+        except (TypeError, ValueError) as exc:  # TypeError: a field missing from a short row
+            raise ValueError(f"metrics.csv line {line} is not a metrics row: {exc}") from None
+    return rows
 
 
 # --plot kind -> (title, series); each series is (metric, legend, dashed),
@@ -115,7 +124,7 @@ PLOTS = {
 def _cmd_report(args) -> int:
     try:
         rows = _read_metric_rows(args.store)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     title, series_spec = PLOTS[args.plot]

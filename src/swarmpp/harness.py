@@ -46,8 +46,6 @@ import concurrent.futures
 import hashlib
 import itertools
 import json
-import math
-import operator
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
@@ -270,8 +268,9 @@ def _replace_text(path: Path, chunks):
 
 
 class StoreError(ValueError):
-    """A store that refuses to resume: its manifest is another plan's, or
-    runs.jsonl holds a line that is not the plan's next record (see resume)."""
+    """A store that refuses to resume: its manifest is no JSON object or
+    another plan's, or runs.jsonl holds a line that is not the plan's next
+    record (see resume)."""
 
 
 class ResultStore:
@@ -299,7 +298,14 @@ class ResultStore:
         _replace_text(self.manifest_path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
 
     def read_manifest(self) -> dict:
-        return json.loads(self.manifest_path.read_text())
+        """The manifest; StoreError if manifest.json holds no JSON object."""
+        try:
+            manifest = json.loads(self.manifest_path.read_bytes())
+        except ValueError as exc:  # UnicodeDecodeError too
+            raise StoreError(f"manifest.json is not JSON: {exc}; refusing to resume") from None
+        if not isinstance(manifest, dict):
+            raise StoreError("manifest.json is not a JSON object; refusing to resume")
+        return manifest
 
     def write_runs(self, records):
         """Replace runs.jsonl with one line for each record of the iterable
@@ -358,7 +364,7 @@ class ResultStore:
         _replace_text(self.metrics_path, [METRICS_HEADER + "\n", lines])
 
 
-_INF = math.inf
+_MAX_FLOAT = sys.float_info.max
 
 
 class _RunTables:
@@ -376,9 +382,6 @@ class _RunTables:
             self.labels[d].append(spec.label)
         self.paired = list(dict.fromkeys(itertools.chain(*plan.pairs)))  # the labels in a pair, first named first
         self.names = [str(t) for t in plan.checkpoints]
-        # a record's values at the plan's checkpoints, as a tuple (itemgetter gives one key's bare)
-        get = operator.itemgetter(*self.names) if self.names else lambda checkpoints: ()
-        self.get = get if len(self.names) != 1 else lambda checkpoints: (get(checkpoints),)
         slots = (len(plan.dimensions), len(self.paired), max(map(len, self.labels.values())))
         self.table = np.full(slots + (len(self.names), plan.runs), np.nan)
         self.ok = np.zeros(slots + (plan.runs,), dtype=bool)
@@ -392,28 +395,20 @@ class _RunTables:
         """A record's `checkpoints` values at the plan's checkpoints, in their
         order.  ValueError says what it holds instead unless it holds a
         finite number, not a bool, at each of them and nothing else."""
-        try:  # a float at each checkpoint, as every record the program writes holds, passes here
-            values = self.get(checkpoints)
-            if type(checkpoints) is dict and len(checkpoints) == len(values):
-                for v in values:
-                    if type(v) is not float or not -_INF < v < _INF:
-                        break
-                else:
-                    return values
-        except (KeyError, TypeError):
-            pass
         if not isinstance(checkpoints, dict):
             raise ValueError(f"checkpoints {checkpoints!r} are not an object")
+        values = []
         for t in self.names:
             if t not in checkpoints:
                 raise ValueError(f"checkpoint {t} is missing")
             v = checkpoints[t]
-            if type(v) not in (float, int) or not abs(v) <= sys.float_info.max:  # an int beyond it has no float
+            if type(v) not in (float, int) or not -_MAX_FLOAT <= v <= _MAX_FLOAT:  # an int beyond it has no float
                 raise ValueError(f"checkpoint {t} is {v!r}, not a finite number")
-        for t in checkpoints:
-            if t not in self.names:
-                raise ValueError(f"checkpoint {t!r} is not one of the plan's ({', '.join(self.names)})")
-        return self.get(checkpoints)
+            values.append(v)
+        if len(checkpoints) > len(values):  # it holds every checkpoint, and a key besides
+            extra = next(t for t in checkpoints if t not in self.names)
+            raise ValueError(f"checkpoint {extra!r} is not one of the plan's ({', '.join(self.names)})")
+        return tuple(values)
 
     def add(self, key: tuple, rec: dict):
         """Write the record of cell `key`, one of the plan's, into its slot; a
@@ -505,12 +500,13 @@ def resume(plan: ExperimentPlan, outdir) -> list[tuple]:
     metric rows.
 
     Refuses (StoreError, which `swarmpp run` exits 2 on, leaving the store
-    as it is) a store whose manifest digest does not match the plan, and one
-    whose records are not the first cells of `plan.iter_cells()` in cell
-    order: a record missing, repeated or past the plan's last cell, or a
-    store written in another order, such as a store of more than one family
-    or dimension from before cells were ordered by family first, is refused
-    with the first record out of place named.  It also refuses a record
+    as it is) a store whose manifest.json holds no JSON object or one whose
+    digest does not match the plan, and one whose records are not the first
+    cells of `plan.iter_cells()` in cell order: a record missing, repeated
+    or past the plan's last cell, or a store written in another order, such
+    as a store of more than one family or dimension from before cells were
+    ordered by family first, is refused with the first record out of place
+    named.  It also refuses a record
     whose seed is not its cell's (derive_seed), whose config_digest is not
     its label's, whose status is neither "ok" nor "failed: <reason>", or
     whose checkpoints do not hold a finite number at each of the plan's.

@@ -633,26 +633,38 @@ def test_de_multistep_parse_equals_loop(n, monkeypatch):
 
 def test_de_lockstep_hands_dry_runs_to_the_scan(monkeypatch):
     # at n = 4 donors are redrawn often: in lockstep a run whose window runs
-    # dry goes on run by run from that agent, and one whose draws run past
-    # its words reads more and is scanned again from that agent
+    # dry leaves the lockstep whole and is scanned from agent 0, off its words
+    # and buffered half at the start of the step, and one whose draws run past
+    # its words reads more and is scanned again
     monkeypatch.setattr(algorithms, "_LOCKSTEP_RUNS", 1)
-    real, scans = algorithms._scan, []  # [first agent, whether it ran past the words] of each scan
+    real_lockstep, real_scan = algorithms._lockstep, algorithms._scan
+    left, scans = [], []  # the runs that left each lockstep; [agents parsed, whether it ran past the words] of each scan
 
-    def spy(words, n, d, buf, ints, first=0, pos=0):
-        scans.append([first, False])
+    def lockstep(*args):
+        pos, bufs = real_lockstep(*args)
+        left.append(pos.count(None))
+        return pos, bufs
+
+    def scan(words, n, d, buf, ints):
+        scans.append([len(ints), False])
         try:
-            return real(words, n, d, buf, ints, first, pos)
+            return real_scan(words, n, d, buf, ints)
         except IndexError:
             scans[-1][1] = True
             raise
+        finally:
+            scans[-1][0] = (len(ints) - scans[-1][0]) // 4
 
-    monkeypatch.setattr(algorithms, "_scan", spy)
+    monkeypatch.setattr(algorithms, "_lockstep", lockstep)
+    monkeypatch.setattr(algorithms, "_scan", scan)
     for d in (2, 10):
         loops, bgs = _loops([4, d], 8)
         words = algorithms._Words(bgs)
         for t in range(6):
             _assert_parse_equals_loops(words, loops, 4, d, f"d={d}, step {t}")
-    assert any(first > 0 for first, _ in scans) and any(more for _, more in scans), scans
+    assert sum(left) > 0 and any(more for _, more in scans), (left, scans)
+    # one whole scan, of all 4 agents, for each run that left
+    assert [agents for agents, more in scans if not more] == [4] * sum(left), (left, scans)
 
 
 def test_de_parse_step_memory_is_bounded():

@@ -243,6 +243,27 @@ def test_report_refuses_a_pair_without_rows(tmp_path, capsys):
     assert not list(out.glob("winning_*"))
 
 
+def test_report_refuses_a_malformed_metrics_csv(tmp_path, capsys):
+    # before, a header of a,b ended in KeyError: 'pair' and a value of abc in
+    # ValueError, each a traceback
+    out = tmp_path / "store"
+    run_cli(capsys, "run", str(write_plan(tmp_path)), "--out", str(out))
+    lines = (out / "metrics.csv").read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if ",ALL,5,10,winning_proportion," in line)
+    fields = lines[at].split(",")
+    fields[6] = "abc"
+    for text, fault in [
+        ("a,b\n1,2\n", "metrics.csv line 2 has no 'pair' column"),
+        ("".join(lines[:at] + [",".join(fields)] + lines[at + 1:]),
+         f"metrics.csv line {at + 1} is not a metrics row: could not convert string to float: 'abc'"),
+        (lines[0] + "mini,PSO:mPSO,ALL\n", "metrics.csv line 2 is not a metrics row: int() argument must be"),
+    ]:
+        (out / "metrics.csv").write_text(text)
+        code, _, err = run_cli(capsys, "report", str(out), "--plot", "winning", "--pair", "PSO:mPSO")
+        assert code == 2 and err.startswith(f"error: {fault}"), (text, err)
+        assert not list(out.glob("winning_*"))
+
+
 def test_report_centres_a_single_checkpoint(tmp_path, capsys):
     out = tmp_path / "store"
     run_cli(capsys, "run", str(write_plan(tmp_path)), "--out", str(out))
@@ -281,6 +302,26 @@ def test_run_refuses_a_runs_jsonl_line_that_is_no_json(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", str(plan), "--out", str(out))
     assert code == 2 and err.startswith("error: runs.jsonl line 2 is not JSON: ")
     assert (out / "runs.jsonl").read_text() == "".join(lines)
+
+
+@pytest.mark.parametrize("text, fault", [
+    (b'{"digest": ', "manifest.json is not JSON: Expecting value: line 1 column 12 (char 11)"),
+    (b"\xff{}", "manifest.json is not JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"[1, 2]", "manifest.json is not a JSON object"),
+    (b'"digest"', "manifest.json is not a JSON object"),
+    (b"{}", "manifest digest does not match the plan"),
+])
+def test_run_refuses_a_manifest_that_is_no_json_object(tmp_path, capsys, text, fault):
+    # before, a torn manifest exited 1 with the JSON parser's message, and
+    # [1, 2] exited 1 with "'list' object has no attribute 'get'"
+    plan = write_plan(tmp_path, runs=2)
+    out = tmp_path / "store"
+    assert run_cli(capsys, "run", str(plan), "--out", str(out))[0] == 0
+    (out / "manifest.json").write_bytes(text)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    code, _, err = run_cli(capsys, "run", str(plan), "--out", str(out))
+    assert code == 2 and err == f"error: {fault}; refusing to resume\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def _with_checkpoints(line: str, checkpoints: str) -> str:

@@ -632,6 +632,10 @@ def test_metric_rows_match_direct_computation(tmp_path):
     ((10, 30), {"10": 1.0}, "checkpoint 30 is missing"),
     ((10, 30), {"10": 1.0, "30": False}, "checkpoint 30 is False, not a finite number"),
     ((10, 30), {"30": 1.0, "10": -float("inf")}, "checkpoint 10 is -inf, not a finite number"),
+    # a missing checkpoint is named before an extra key, and refusals follow plan order
+    ((10, 30), {"10": 1.0, "20": 1.0}, "checkpoint 30 is missing"),
+    ((10, 30), {"30": "x", "20": 1.0}, "checkpoint 10 is missing"),
+    ((10, 30), {"10": 1.0, "30": 2.0, "20": "x"}, "checkpoint '20' is not one of the plan's (10, 30)"),
 ])
 def test_run_tables_refuse_checkpoints_that_are_not_the_plans(checkpoints, given, fault):
     # at plans of no checkpoint and of two; tests/test_cli.py runs the
