@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from dataclasses import replace
@@ -93,13 +94,19 @@ def _cmd_run(args) -> int:
 
 
 def _read_metric_rows(store_dir) -> list[dict]:
-    """metrics.csv's rows.  ValueError names the first row that lacks a column
-    report reads or whose dimension, checkpoint or value is no number."""
+    """metrics.csv's rows.  ValueError names the first line that is not UTF-8,
+    or the first row that lacks a column report reads or whose dimension,
+    checkpoint or value is no number."""
     path = Path(store_dir) / "metrics.csv"
     if not path.exists():
         raise FileNotFoundError(f"no metrics.csv in {store_dir}")
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    data = path.read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"metrics.csv line {line} is not UTF-8: byte {data[exc.start]:#04x} ({exc.reason})") from None
+    rows = list(csv.DictReader(io.StringIO(text, newline="")))
     for line, r in enumerate(rows, 2):  # line 1 is the header
         try:
             r["pair"], r["function"], r["metric"], int(r["dimension"]), int(r["checkpoint"]), float(r["value"])
@@ -158,10 +165,14 @@ def _cmd_report(args) -> int:
     out_base = Path(args.out or args.store)
     if not args.out or args.out.endswith(("/", os.sep)) or out_base.is_dir():
         out_base /= f"{args.plot}_{a}_{b}"
-    out_base.parent.mkdir(parents=True, exist_ok=True)
     svg_path, csv_path = (out_base.with_name(out_base.name + suffix) for suffix in (".svg", ".csv"))
-    svg_path.write_text(svg)
-    csv_path.write_text("\n".join(lines) + "\n")
+    try:
+        out_base.parent.mkdir(parents=True, exist_ok=True)
+        svg_path.write_text(svg)
+        csv_path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:  # such as a directory on the path that is a file
+        print(f"error: cannot write the report to {out_base}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"wrote {svg_path} and {csv_path}")
     return EXIT_OK
 

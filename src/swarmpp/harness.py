@@ -24,18 +24,16 @@ when it finishes: an interruption loses the stack in flight (at parallelism
 No record is held past its stack or its line, and no list of cells: at
 parallelism 1 the cells stream from iter_cells into stacks as they are
 reached.  As a record is appended, or read back on resume (runs.jsonl is
-read a line at a time), its status and checkpoint values are written into
-the plan's run table (_RunTables), if its label is in a pair, and the
-metrics are computed from that table: one float array (dimension, paired
-label, function, checkpoint, run) and one ok mask, 8 B per checkpoint and
-1 B of mask per slot, with every dimension's functions padded to the
-plan's largest member count by slots that stay NaN and not ok.  Each label's
-config and digest are built once per execute or resume call, for the record
-checks and the stacks.  Resume checks each stored record against the
-plan's next cell: its cell, seed, config digest, status and checkpoints.  A
-record out of place (missing, repeated or past the last cell) or not the
-plan's raises StoreError, and the store keeps its bytes; `swarmpp run`
-exits 2.
+read a line at a time), its checkpoint values are written into the plan's
+run table (_RunTables), if it is ok and its label is in a pair, and the
+metrics are computed from that table: one float array (paired label,
+member, checkpoint, run), 8 B per checkpoint, NaN where a run failed or
+has no record.  Each label's config and digest are built once per execute
+or resume call, for the record checks and the stacks.  Resume checks each
+stored record against the plan's next cell: its cell, seed, config digest,
+status and checkpoints.  A record out of place (missing, repeated or past
+the last cell) or not the plan's raises StoreError, and the store keeps its
+bytes; `swarmpp run` exits 2.
 
 Store layout: <outdir>/manifest.json, <outdir>/runs.jsonl, <outdir>/metrics.csv.
 """
@@ -250,7 +248,7 @@ def _run_group(cells: list[tuple], plan: ExperimentPlan, configs: dict) -> list[
 
 
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(rec, sort_keys=True)'s encoder
-_RECORD_DECODER = json.JSONDecoder()  # json.loads' decoder; a line read as text needs none of its bytes handling
+_RECORD_DECODER = json.JSONDecoder()  # json.loads' decoder; a line decoded as UTF-8 needs none of its bytes handling
 
 
 def _record_line(rec: dict) -> str:
@@ -260,9 +258,9 @@ def _record_line(rec: dict) -> str:
 def _replace_text(path: Path, chunks):
     """Write a whole file, the strings of `chunks` in turn, through a
     temporary file and a rename, so the path holds either the old content or
-    the new, never part of it."""
+    the new, never part of it.  The text is written as UTF-8, as it is read."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
+    with open(tmp, "w", encoding="utf-8") as fh:
         fh.writelines(chunks)
     tmp.replace(path)
 
@@ -324,22 +322,23 @@ class ResultStore:
 
     def scan_runs(self):
         """Each (cell key, record) of runs.jsonl in file order, read a line at
-        a time.  Blank lines are skipped.  An unparsable last line, a record
-        cut short by an interruption, ends the scan and sets `torn`, as does
-        a missing final newline; any earlier unparsable line raises, as does
-        a parsed line anywhere that is not a run record."""
+        a time.  Blank lines are skipped.  An unparsable last line (not
+        UTF-8, or not JSON), a record cut short by an interruption, ends the
+        scan and sets `torn`, as does a missing final newline; any earlier
+        unparsable line raises, as does a parsed line anywhere that is not a
+        run record."""
         self.torn = False
         if not self.runs_path.exists():
             return
         decode = _RECORD_DECODER.decode
-        with open(self.runs_path) as fh:
-            line = "\n"  # an empty file is not torn
+        with open(self.runs_path, "rb") as fh:  # each line decoded alone, so a byte that is not UTF-8 faults its line
+            line = b"\n"  # an empty file is not torn
             for number, line in enumerate(fh, 1):
                 if line.isspace():
                     continue
                 try:
-                    rec = decode(line)
-                except json.JSONDecodeError as exc:
+                    rec = decode(line.decode())
+                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                     if fh.read():  # a line follows
                         raise StoreError(f"runs.jsonl line {number} is not JSON: {exc}") from None
                     self.torn = True
@@ -347,7 +346,7 @@ class ResultStore:
                 if not (isinstance(rec, dict) and _RECORD_KEYS <= rec.keys()):
                     raise StoreError(f"runs.jsonl line {number} is not a run record")
                 yield (rec["algorithm"], rec["function"], rec["dimension"], rec["run"]), rec
-            self.torn = not line.endswith("\n")  # only the last line can lack one
+            self.torn = not line.endswith(b"\n")  # only the last line can lack one
 
     def read_runs(self) -> dict[tuple, dict]:
         """Records by cell key, in file order, read by `scan_runs`; a second
@@ -369,27 +368,25 @@ _MAX_FLOAT = sys.float_info.max
 
 class _RunTables:
     """The run table of a plan's paired labels: the best-so-far values
-    (dimension, paired label, function, checkpoint, run), runs last, and the
-    ok mask (dimension, paired label, function, run).  A dimension's members
-    take its first function slots, in collection order; the slots past them,
-    up to the plan's largest member count, stay NaN and not ok, as does a
-    failed run.  A slot costs 8 B per checkpoint and 1 B of mask.  The table
-    fills a record at a time (`add`), so that no record need be kept."""
+    (paired label, member, checkpoint, run), runs last, members in collection
+    order, so a dimension's members are one range.  A slot costs 8 B per
+    checkpoint; a run that failed or has no record stays NaN, and an ok one
+    is finite throughout (`values`).  The table fills a record at a time
+    (`add`), so that no record need be kept."""
 
     def __init__(self, plan: ExperimentPlan):
+        members = plan.collection()
         self.labels = {d: [] for d in plan.dimensions}  # each dimension's members, in collection order
-        for spec, d in plan.collection():
+        for spec, d in members:
             self.labels[d].append(spec.label)
         self.paired = list(dict.fromkeys(itertools.chain(*plan.pairs)))  # the labels in a pair, first named first
         self.names = [str(t) for t in plan.checkpoints]
-        slots = (len(plan.dimensions), len(self.paired), max(map(len, self.labels.values())))
-        self.table = np.full(slots + (len(self.names), plan.runs), np.nan)
-        self.ok = np.zeros(slots + (plan.runs,), dtype=bool)
-        # written through flat memoryviews: a numpy index assignment costs several times as much
-        self._table, self._ok = memoryview(self.table.reshape(-1)), memoryview(self.ok.reshape(-1))
-        self.runs, self.rows = plan.runs, {}  # (alg, label, d) -> its slot's row, (dimension, label, function) flat
-        for row, (d, alg) in enumerate(itertools.product(plan.dimensions, self.paired)):
-            self.rows.update(((alg, label, d), row * slots[2] + f) for f, label in enumerate(self.labels[d]))
+        self.table = np.full((len(self.paired), len(members), len(self.names), plan.runs), np.nan)
+        # written through a flat memoryview: a numpy index assignment costs several times as much
+        self._table = memoryview(self.table.reshape(-1))
+        self.runs, self.rows = plan.runs, {}  # (alg, label, d) -> its slot's row, (paired label, member) flat
+        for p, alg in enumerate(self.paired):
+            self.rows.update(((alg, spec.label, d), p * len(members) + m) for m, (spec, d) in enumerate(members))
 
     def values(self, checkpoints) -> tuple:
         """A record's `checkpoints` values at the plan's checkpoints, in their
@@ -423,9 +420,7 @@ class _RunTables:
         values = self.values(rec["checkpoints"])
         row = self.rows.get(key[:3])
         if row is not None:
-            runs, run = self.runs, key[3]
-            self._ok[row * runs + run] = True
-            i = row * len(values) * runs + run
+            runs, i = self.runs, row * len(values) * self.runs + key[3]
             for v in values:
                 self._table[i] = v
                 i += runs
@@ -440,17 +435,18 @@ def compute_metric_rows(plan: ExperimentPlan, tables: _RunTables) -> list[tuple]
     Per-function rows carry the win fraction and both relative errors;
     function "ALL" rows carry the dimension-level aggregates.  `tables` is
     the plan's run table, which resume fills with every cell's record.  Each
-    dimension's pair sides are gathered from it with one index per side and
-    compared in one metrics.pair_figures call; runs that failed on either
-    side of a pair are left out, with one warning per function.
+    dimension's members, a range of it, are compared in one pair_figures
+    call, each side gathered with one index; runs that failed (NaN) on
+    either side of a pair are left out, with one warning per function.
     """
     if not (plan.pairs and plan.checkpoints):
         return []
     side_a, side_b = ([tables.paired.index(alg) for alg in side] for side in zip(*plan.pairs))
-    columns = {}  # d -> count per pair; the rows' labels and checkpoints; per pair, its values and ties
-    for i, d in enumerate(plan.dimensions):
-        functions = len(tables.labels[d])
-        table, ok = tables.table[i, :, :functions], tables.ok[i, :, :functions]
+    columns, stop = {}, 0  # d -> count per pair; the rows' labels and checkpoints; per pair, its values and ties
+    for d in plan.dimensions:
+        start, stop = stop, stop + len(tables.labels[d])
+        table = tables.table[:, start:stop]
+        ok = ~np.isnan(table[:, :, 0])
         count, win, ties, re_a, re_b = metrics.pair_figures(table[side_a], table[side_b], ok[side_a] & ok[side_b])
         # each pair's figures in row order: by checkpoint, function and metric
         values = list(map(repr, np.stack((win, re_a, re_b), -1).swapaxes(1, 2).ravel().tolist()))  # one call per d

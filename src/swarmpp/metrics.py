@@ -102,26 +102,25 @@ def pair_figures(a, b, valid) -> tuple[np.ndarray, ...]:
         raise ValueError("need matched (..., F, C, R) run tables and a (..., F, R) valid mask")
     *lead, F, C, R = a.shape
     M = math.prod(lead)
-    ab = np.stack([a.reshape(M * F, C, R), b.reshape(M * F, C, R)], axis=2)  # (M F, C, 2, R)
-    valid = valid.reshape(M * F, R)
-    if not np.isfinite(ab).all((1, 2))[valid].all():
+    a, b, valid = a.reshape(M * F, C, R), b.reshape(M * F, C, R), valid.reshape(M * F, R)
+    if not (np.isfinite(a).all(1)[valid].all() and np.isfinite(b).all(1)[valid].all()):
         raise ValueError("non-finite best-so-far values")
     win, wins, re = np.zeros((M * F, C)), np.zeros((M * F, C)), np.zeros((M * F, C, 2))
     ties = np.zeros((M * F, C), dtype=int)
-    for n, rows, runs in _compacted(ab, valid):
-        tie = runs[:, :, 0] == runs[:, :, 1]
+    for (n, rows, runs_a), (_, _, runs_b) in zip(_compacted(a, valid), _compacted(b, valid)):  # one mask: one grouping
+        tie = runs_a == runs_b
         ties[rows] = tie.sum(-1)
         # counted as floats, which is exact: an int-to-float cast would page
         # in more of numpy's code, adding to the peak memory
-        frac = ((runs[:, :, 1] < runs[:, :, 0]).sum(-1, dtype=float) + 0.5 * tie.sum(-1, dtype=float)) / n
+        frac = ((runs_b < runs_a).sum(-1, dtype=float) + 0.5 * tie.sum(-1, dtype=float)) / n
         win[rows], wins[rows] = frac, frac * n
-        pooled = runs.reshape(len(runs), C, 2 * n)  # A's runs, then B's
-        low = pooled.min(-1)[..., None, None]
-        spread = pooled.max(-1)[..., None, None] - low
+        low = np.minimum(runs_a.min(-1), runs_b.min(-1))[..., None]  # of A's runs and B's, pooled
+        spread = np.maximum(runs_a.max(-1), runs_b.max(-1))[..., None] - low
         spread[spread == 0.0] = 1.0  # every value is low: (0.0, 0.0)
-        scaled = runs - low
-        scaled /= spread  # in place: one temporary the size of the runs, not two
-        re[rows] = scaled.mean(-1)
+        for side, runs in enumerate((runs_a, runs_b)):
+            scaled = runs - low
+            scaled /= spread  # in place: one temporary the size of the runs, not two
+            re[rows, :, side] = scaled.mean(-1)
 
     # the pooled row, over the F functions of each leading index
     count = valid.sum(-1).reshape(M, F)

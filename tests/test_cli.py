@@ -253,15 +253,31 @@ def test_report_refuses_a_malformed_metrics_csv(tmp_path, capsys):
     fields = lines[at].split(",")
     fields[6] = "abc"
     for text, fault in [
-        ("a,b\n1,2\n", "metrics.csv line 2 has no 'pair' column"),
-        ("".join(lines[:at] + [",".join(fields)] + lines[at + 1:]),
+        (b"a,b\n1,2\n", "metrics.csv line 2 has no 'pair' column"),
+        ("".join(lines[:at] + [",".join(fields)] + lines[at + 1:]).encode(),
          f"metrics.csv line {at + 1} is not a metrics row: could not convert string to float: 'abc'"),
-        (lines[0] + "mini,PSO:mPSO,ALL\n", "metrics.csv line 2 is not a metrics row: int() argument must be"),
+        ((lines[0] + "mini,PSO:mPSO,ALL\n").encode(), "metrics.csv line 2 is not a metrics row: int() argument must be"),
+        # the codec's message named neither the file nor a line
+        (lines[0].encode() + b"\xff\xfe,a\n", "metrics.csv line 2 is not UTF-8: byte 0xff (invalid start byte)\n"),
     ]:
-        (out / "metrics.csv").write_text(text)
+        (out / "metrics.csv").write_bytes(text)
         code, _, err = run_cli(capsys, "report", str(out), "--plot", "winning", "--pair", "PSO:mPSO")
         assert code == 2 and err.startswith(f"error: {fault}"), (text, err)
         assert not list(out.glob("winning_*"))
+
+
+@pytest.mark.parametrize("blocked, fault", [("afile", "File exists"), ("x.svg", "Is a directory")])
+def test_report_refuses_an_out_it_cannot_write(tmp_path, capsys, blocked, fault):
+    # a file on the --out path (mkdir raised FileExistsError), or a directory
+    # where the SVG goes: each was a traceback
+    out = tmp_path / "store"
+    run_cli(capsys, "run", str(write_plan(tmp_path)), "--out", str(out))
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "x.svg").mkdir()
+    given = tmp_path / "afile" / "x" if blocked == "afile" else tmp_path / "x"
+    code, _, err = run_cli(capsys, "report", str(out), "--plot", "winning", "--pair", "PSO:mPSO", "--out", str(given))
+    assert code == 2 and err.startswith(f"error: cannot write the report to {given}: ") and fault in err, err
+    assert (tmp_path / "afile").read_text() == "" and not list((tmp_path / "x.svg").iterdir())
 
 
 def test_report_centres_a_single_checkpoint(tmp_path, capsys):
@@ -296,12 +312,16 @@ def test_run_refuses_a_runs_jsonl_line_that_is_no_json(tmp_path, capsys):
     plan = write_plan(tmp_path, runs=2)
     out = tmp_path / "store"
     assert run_cli(capsys, "run", str(plan), "--out", str(out))[0] == 0
-    lines = (out / "runs.jsonl").read_text().splitlines(keepends=True)
-    lines[1] = lines[1][:20] + "\n"
-    (out / "runs.jsonl").write_text("".join(lines))
-    code, _, err = run_cli(capsys, "run", str(plan), "--out", str(out))
-    assert code == 2 and err.startswith("error: runs.jsonl line 2 is not JSON: ")
-    assert (out / "runs.jsonl").read_text() == "".join(lines)
+    lines = (out / "runs.jsonl").read_bytes().splitlines(keepends=True)
+    # a line cut short, and one with a byte that is not UTF-8 (which exited
+    # 1 with the codec's message alone)
+    for bad, fault in ((lines[1][:20] + b"\n", ""),
+                       (b"\xff" + lines[1], "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")):
+        corrupt = b"".join([lines[0], bad, *lines[2:]])
+        (out / "runs.jsonl").write_bytes(corrupt)
+        code, _, err = run_cli(capsys, "run", str(plan), "--out", str(out))
+        assert code == 2 and err.startswith(f"error: runs.jsonl line 2 is not JSON: {fault}")
+        assert (out / "runs.jsonl").read_bytes() == corrupt
 
 
 @pytest.mark.parametrize("text, fault", [

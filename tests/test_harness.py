@@ -807,27 +807,30 @@ def test_resume_drops_torn_last_line(tmp_path, monkeypatch):
     assert (out / "runs.jsonl").read_bytes() == full_runs
     assert (out / "metrics.csv").read_bytes() == full_metrics
     # partial stores: a blank line in mid-file, a complete last record that
-    # lost its newline, and a torn fragment after a blank line.  Each is
-    # rewritten once, to its records alone, before the missing cells run
-    for partial, kept in ((lines[0] + "\n" + lines[1], 2), ("".join(lines[:3])[:-1], 3),
-                          ("".join(lines[:2]) + "\n" + lines[2][:20], 2)):
-        (out / "runs.jsonl").write_text(partial)
+    # lost its newline, a torn fragment after a blank line, and a torn
+    # fragment that is not UTF-8.  Each is rewritten once, to its records
+    # alone, before the missing cells run
+    head = "".join(lines[:2]).encode()
+    for partial, kept in (((lines[0] + "\n" + lines[1]).encode(), 2), ("".join(lines[:3])[:-1].encode(), 3),
+                          (head + b"\n" + lines[2][:20].encode(), 2), (head + b'{"algorithm": "\xff', 2)):
+        (out / "runs.jsonl").write_bytes(partial)
         writes.clear()
         resume(plan, out)
         assert writes == [kept]
         assert (out / "runs.jsonl").read_bytes() == full_runs
         assert (out / "metrics.csv").read_bytes() == full_metrics
-    # only the last line may be cut short; a corrupt earlier line still
-    # raises, and resume leaves the store as it is
-    corrupt = lines[0] + lines[1][:20] + "\n" + "".join(lines[2:])
-    (out / "runs.jsonl").write_text(corrupt)
-    with pytest.raises(StoreError, match="runs.jsonl line 2 is not JSON: "):
-        ResultStore(out).read_runs()
-    writes.clear()
-    with pytest.raises(StoreError, match="runs.jsonl line 2 is not JSON: "):
-        resume(plan, out)
-    assert writes == []
-    assert (out / "runs.jsonl").read_text() == corrupt
+    # only the last line may be cut short; a corrupt earlier line, cut short
+    # or not UTF-8, still raises, and resume leaves the store as it is
+    cut = (lines[0] + lines[1][:20] + "\n" + "".join(lines[2:])).encode()
+    for corrupt, fault in ((cut, ""), (full_runs.replace(b"\n", b"\n\xff", 1), "'utf-8' codec can't decode byte 0xff")):
+        (out / "runs.jsonl").write_bytes(corrupt)
+        with pytest.raises(StoreError, match=f"runs.jsonl line 2 is not JSON: {fault}"):
+            ResultStore(out).read_runs()
+        writes.clear()
+        with pytest.raises(StoreError, match=f"runs.jsonl line 2 is not JSON: {fault}"):
+            resume(plan, out)
+        assert writes == []
+        assert (out / "runs.jsonl").read_bytes() == corrupt
 
 
 @pytest.mark.parametrize("number", [2, 4])
@@ -1071,10 +1074,11 @@ def test_label_configs_are_built_once_per_call(tmp_path, monkeypatch):
 def test_execute_and_resume_hold_no_records(tmp_path, monkeypatch):
     # the tracemalloc peak of execute, and of resume on the complete store,
     # at 500 and at 2000 records: each record past the first 500 may cost
-    # what its run table and the metric arithmetic need (25 and 83 B; the
-    # table alone is 17 B), not a record dict (~1.1 and ~2.7 KB when they
-    # were kept), a listed cell (85 and 154 B when the cells were listed)
-    # nor per-pair tables stacked for the metrics (32 and 115 B).
+    # what its run table and the metric arithmetic need (24 and 59 B; the
+    # table alone is 16 B), not a record dict (~1.1 and ~2.7 KB when they
+    # were kept), a listed cell (85 and 154 B when the cells were listed),
+    # per-pair tables stacked for the metrics (32 and 115 B) nor the pair
+    # sides stacked again in metrics.pair_figures (83 B on resume).
     # Stacks hold 50 cells at any runs, so only the records grow
     monkeypatch.setattr(harness, "_cap", lambda plan: 100)
     plans = {runs: small_plan(dimensions=(2,), functions=("F4",), runs=runs, max_iter=1, checkpoints=(0, 1))
@@ -1090,7 +1094,7 @@ def test_execute_and_resume_hold_no_records(tmp_path, monkeypatch):
                 peaks[step.__name__, runs] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-    for step, bound in (("execute", 50), ("resume", 95)):
+    for step, bound in (("execute", 50), ("resume", 70)):
         per_record = (peaks[step, 1000] - peaks[step, 250]) / (2 * 750)
         assert per_record < bound, f"{step}: {per_record:.0f} B per record"
 
